@@ -24,16 +24,15 @@ from typing import Callable, Sequence
 from .euler import solve_c2_boundary
 from .incidence import (
     CONCLUSIVE_VERDICTS,
-    DEFAULT_GRID,
     CatalogError,
-    ReportRow,
-    _scan_constant,
+    checked_resolution,
+    evaluate_case,
     generate_report,
     load_catalog_file,
     render_report_json,
     render_report_markdown,
-    report_to_jsonable,
-    resolve_parameters,
+    report_cases,
+    row_to_jsonable,
 )
 from .normal_bundle import kmr_h0_normal
 from .proj_cohomology import HypersurfaceContext
@@ -43,6 +42,7 @@ from .resolutions import (
     h0_ideal,
     h0_structure,
     parse_resolution,
+    scan_constant,
 )
 
 _GRID_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")
@@ -109,12 +109,6 @@ def _load_resolution(source: str) -> GorensteinResolution:
     return parse_resolution(data)
 
 
-def _scan_points(res: GorensteinResolution, grid: range | None) -> list[int | None]:
-    if not res.is_parametric:
-        return [None]
-    return list(grid if grid is not None else DEFAULT_GRID)
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -142,37 +136,22 @@ def _cmd_report(config: RunConfig) -> int:
     return 0 if report.conclusive else 1
 
 
-def _row_jsonable(report_degree: int, moduli: int, row: ReportRow) -> dict:
-    return {
-        "degree": report_degree,
-        "moduli_dim": moduli,
-        "c1": row.case.c1 if row.case is not None else None,
-        "c2": row.case.c2 if row.case is not None else None,
-        "genus": row.genus,
-        "h0_ideal": row.h0_ideal_at_r,
-        "h0_normal": row.h0_normal,
-        "bound": row.bound,
-        "verdict": row.verdict.value,
-        "notes": list(row.notes),
-    }
-
-
 def _cmd_check_case(config: RunConfig) -> int:
     cases = None
     if config.catalog_path is not None:
         cases = load_catalog_file(config.catalog_path, config.degree)
-    report = generate_report(config.degree, cases, grid_override=config.grid)
-    for row in report.rows:
-        if row.case is not None and (row.case.c1, row.case.c2) == (config.c1, config.c2):
+    for case in report_cases(config.degree, cases, grid_override=config.grid):
+        if (case.c1, case.c2) == (config.c1, config.c2):
             break
     else:
         raise CatalogError(
             f"no case (c1={config.c1}, c2={config.c2}) in the degree-{config.degree}"
             " catalog"
         )
+    row = evaluate_case(case)
     if config.output_format == "json":
-        text = json.dumps(_row_jsonable(report.degree, report.moduli_dim, row), indent=2)
-        text += "\n"
+        payload = {"degree": config.degree, "moduli_dim": row.moduli_dim, **row_to_jsonable(row)}
+        text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [
             f"case (c1={config.c1}, c2={config.c2}) on the general"
@@ -193,30 +172,25 @@ def _cmd_check_case(config: RunConfig) -> int:
 
 
 def _cmd_kmr(config: RunConfig) -> int:
-    res, _ = resolve_parameters(_load_resolution(config.resolution_spec))
-    points = _scan_points(res, config.grid)
-    value = _scan_constant(
-        {x: kmr_h0_normal(res, x) for x in points}, "h^0(N_S)"
-    )
+    res, points = checked_resolution(_load_resolution(config.resolution_spec), config.grid)
+    value = scan_constant(lambda x: kmr_h0_normal(res, x), points, "h^0(N_S)")
     _emit(_scalar_text(config, {"h0_normal": value}, "h0_normal"), config.out_path)
     return 0
 
 
 def _cmd_hilbert(config: RunConfig) -> int:
-    res, _ = resolve_parameters(_load_resolution(config.resolution_spec))
-    points = _scan_points(res, config.grid)
+    res, points = checked_resolution(_load_resolution(config.resolution_spec), config.grid)
     twist = config.twist
     payload = {
         "twist": twist,
-        "h0_ideal": _scan_constant(
-            {x: h0_ideal(res, twist, x) for x in points}, f"h^0(I_S({twist}))"
+        "h0_ideal": scan_constant(
+            lambda x: h0_ideal(res, twist, x), points, f"h^0(I_S({twist}))"
         ),
-        "h0_structure": _scan_constant(
-            {x: h0_structure(res, twist, x) for x in points}, f"h^0(O_S({twist}))"
+        "h0_structure": scan_constant(
+            lambda x: h0_structure(res, twist, x), points, f"h^0(O_S({twist}))"
         ),
-        "chi_structure": _scan_constant(
-            {x: chi_structure_poly(res, twist, x) for x in points},
-            f"chi(O_S({twist}))",
+        "chi_structure": scan_constant(
+            lambda x: chi_structure_poly(res, twist, x), points, f"chi(O_S({twist}))"
         ),
     }
     _emit(_scalar_text(config, payload, "h0_ideal"), config.out_path)
@@ -324,7 +298,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[config.command](config)
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError, RecursionError) as exc:
         print(f"acmsplit: error: {exc}", file=sys.stderr)
         return 2
 

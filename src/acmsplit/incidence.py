@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping, Sequence
 
 from . import catalog as _catalog
 from .combinatorics import Count
 from .euler import ParityError, pfaffian_c2, sectional_genus, solve_c2_boundary
-from .normal_bundle import kmr_h0_normal, NonConstantScanError
+from .normal_bundle import kmr_h0_normal
 from .proj_cohomology import HypersurfaceContext
 from .resolutions import (
     AffineExpr,
@@ -29,12 +29,11 @@ from .resolutions import (
     degree_balance_form,
     h0_ideal,
     parse_resolution,
+    scan_constant,
+    scan_points,
     surface_invariants,
     validate,
 )
-
-#: Grid used for parametric resolutions when a case does not carry one.
-DEFAULT_GRID = range(0, 6)
 
 #: Annotation tags a case may carry for when its count is inconclusive.
 FALLBACK_TAGS = ("plane-exclusion", "pfaffian-exclusion", "threefold-reduction")
@@ -168,22 +167,40 @@ def resolve_parameters(
     return res.substitute(relation.dependent, relation.expression), relation
 
 
-def _scan_constant(values: Mapping[int | None, int], what: str) -> int:
-    distinct = set(values.values())
-    if len(distinct) != 1:
-        raise NonConstantScanError(f"{what} varies across the parameter grid: {values}")
-    return distinct.pop()
+def checked_resolution(
+    res: GorensteinResolution, grid: range | None = None, label: str | None = None
+) -> tuple[GorensteinResolution, list[int | None]]:
+    """Balance a resolution, validate it, and return it with its scan points.
+
+    This is the one path from raw twist data to counts: report
+    preparation and the kmr and hilbert commands all take it.  Problems
+    raise CatalogError, naming the case when a label is given.
+    """
+    res, _ = resolve_parameters(res)
+    problems = validate(res, grid)
+    if problems:
+        where = "" if label is None else f"case {label}: "
+        raise CatalogError(
+            f"{where}invalid resolution: " + "; ".join(str(p) for p in problems)
+        )
+    return res, scan_points(res, grid)
 
 
-def _resolution_and_grid(
-    case: CaseRecord,
-) -> tuple[GorensteinResolution, Sequence[int | None]]:
-    """Balance-resolved resolution plus the points to scan it over."""
+def _incidence_counts(case: CaseRecord) -> tuple[Count, Count]:
+    """h^0(I_S(r)) and h^0(N_S), each constant across the case's scan points."""
+    if case.resolution is None:
+        raise CatalogError(f"case {case.label} has no resolution to count with")
     res, _ = resolve_parameters(case.resolution)
-    if not res.is_parametric:
-        return res, [None]
-    grid = case.parameter_grid if case.parameter_grid is not None else DEFAULT_GRID
-    return res, list(grid)
+    points = scan_points(res, case.parameter_grid)
+    ideal = scan_constant(
+        lambda x: h0_ideal(res, case.r, x),
+        points,
+        f"h^0(I_S({case.r})) for case {case.label}",
+    )
+    normal = scan_constant(
+        lambda x: kmr_h0_normal(res, x), points, f"h^0(N_S) for case {case.label}"
+    )
+    return ideal, normal
 
 
 def dimension_bound(case: CaseRecord) -> Count:
@@ -192,28 +209,19 @@ def dimension_bound(case: CaseRecord) -> Count:
     Parametric cases are scanned over their grid; both ingredients must
     be constant across it.
     """
-    if case.resolution is None:
-        raise CatalogError(f"case {case.label} has no resolution to count with")
-    res, grid = _resolution_and_grid(case)
-    ideal = _scan_constant(
-        {x: h0_ideal(res, case.r, x) for x in grid},
-        f"h^0(I_S({case.r})) for case {case.label}",
-    )
-    normal = _scan_constant(
-        {x: kmr_h0_normal(res, x) for x in grid},
-        f"h^0(N_S) for case {case.label}",
-    )
+    ideal, normal = _incidence_counts(case)
     return ideal - 1 + normal
 
 
-def verdict(case: CaseRecord) -> Verdict:
+def verdict(case: CaseRecord, bound: Count | None = None) -> Verdict:
     """Decide one case; total on valid cases and deterministic.
 
     Cascade: splitting range, plane, pfaffian pair, genus parity,
     dimension count, degree-6 reduction, inconclusive.  The range test
     uses the outright-splitting window 2 - r < c1 < r, so the boundary
     c1 = 3 - r correctly reaches the plane rule rather than being
-    declared split.
+    declared split.  ``bound`` is the case's dimension_bound when the
+    caller has already counted it; without it the count is taken here.
     """
     r = case.r
     if not 2 - r < case.c1 < r:
@@ -225,7 +233,9 @@ def verdict(case: CaseRecord) -> Verdict:
     if (case.c2 * (case.c1 + r - 5)) % 2:
         return Verdict.ARITHMETICALLY_IMPOSSIBLE
     if case.resolution is not None:
-        if dimension_bound(case) < HypersurfaceContext(r).moduli_dim:
+        if bound is None:
+            bound = dimension_bound(case)
+        if bound < HypersurfaceContext(r).moduli_dim:
             return Verdict.EXCLUDED_BY_DIMENSION_COUNT
     if r == 6:
         return Verdict.REDUCED_TO_THREEFOLD
@@ -319,9 +329,6 @@ def load_catalog(data: Mapping, expected_degree: int | None = None) -> list[Case
         provenance = raw.get("provenance", "")
         if not isinstance(provenance, str):
             raise CatalogError(f"{label}: provenance must be a string")
-        fallback = raw.get("fallback")
-        if fallback is not None and fallback not in FALLBACK_TAGS:
-            raise CatalogError(f"{label}: unknown fallback tag {fallback!r}")
         cases.append(
             CaseRecord(
                 r=degree,
@@ -330,7 +337,7 @@ def load_catalog(data: Mapping, expected_degree: int | None = None) -> list[Case
                 resolution=resolution,
                 parameter_grid=_load_grid(raw.get("grid"), label),
                 provenance=provenance,
-                fallback=fallback,
+                fallback=raw.get("fallback"),
             )
         )
     return cases
@@ -356,24 +363,9 @@ def _prepare_case(case: CaseRecord) -> CaseRecord:
     """Apply the balance relation and validate; raise naming the case."""
     if case.resolution is None:
         return case
-    resolution, _ = resolve_parameters(case.resolution)
-    prepared = CaseRecord(
-        r=case.r,
-        c1=case.c1,
-        c2=case.c2,
-        resolution=resolution,
-        parameter_grid=case.parameter_grid,
-        provenance=case.provenance,
-        fallback=case.fallback,
+    resolution, points = checked_resolution(
+        case.resolution, case.parameter_grid, case.label
     )
-    _, points = _resolution_and_grid(prepared)
-    grid = [x for x in points if x is not None]
-    problems = validate(resolution, grid or None)
-    if problems:
-        raise CatalogError(
-            f"case {case.label}: invalid resolution: "
-            + "; ".join(str(p) for p in problems)
-        )
     for x in points:
         invariants = surface_invariants(resolution, x)
         if invariants.degree != case.c2:
@@ -387,7 +379,7 @@ def _prepare_case(case: CaseRecord) -> CaseRecord:
                 f"case {case.label}: resolution sectional genus"
                 f" {invariants.sectional_genus} != {expected_genus} from the Chern pair"
             )
-    return prepared
+    return replace(case, resolution=resolution)
 
 
 def _boundary_cases(ctx: HypersurfaceContext) -> list[CaseRecord]:
@@ -425,24 +417,22 @@ def _boundary_cases(ctx: HypersurfaceContext) -> list[CaseRecord]:
     ]
 
 
-def _evaluate_row(case: CaseRecord, moduli: Count) -> ReportRow:
+def evaluate_case(case: CaseRecord) -> ReportRow:
+    """One report row for a prepared case (see report_cases).
+
+    Each count is taken once, and the verdict cascade consumes the
+    resulting bound.
+    """
+    moduli = HypersurfaceContext(case.r).moduli_dim
     try:
         genus: int | None = sectional_genus(case.r, case.c1, case.c2)
     except ParityError:
         genus = None
     ideal = normal = bound = None
     if case.resolution is not None:
-        res, grid = _resolution_and_grid(case)
-        ideal = _scan_constant(
-            {x: h0_ideal(res, case.r, x) for x in grid},
-            f"h^0(I_S({case.r})) for case {case.label}",
-        )
-        normal = _scan_constant(
-            {x: kmr_h0_normal(res, x) for x in grid},
-            f"h^0(N_S) for case {case.label}",
-        )
+        ideal, normal = _incidence_counts(case)
         bound = ideal - 1 + normal
-    decided = verdict(case)
+    decided = verdict(case, bound)
     notes: list[str] = []
     if decided in _STRUCTURAL_NOTES:
         notes.append(_STRUCTURAL_NOTES[decided])
@@ -473,6 +463,38 @@ def _evaluate_row(case: CaseRecord, moduli: Count) -> ReportRow:
     )
 
 
+def report_cases(
+    degree: int,
+    cases: Sequence[CaseRecord] | None = None,
+    grid_override: range | None = None,
+) -> list[CaseRecord]:
+    """The prepared cases of one degree, boundary cases included.
+
+    Cases are balanced, validated and ordered by (c1, c2); catalog
+    inconsistencies abort with the offending case named.  Degree 6 has
+    none: its report is the single reduction row.
+    """
+    ctx = HypersurfaceContext(degree)
+    if degree == 6:
+        return []
+    if degree < 3:
+        raise CatalogError(f"reports cover degrees 3 through 6, not {degree}")
+    if cases is None:
+        cases = builtin_catalog(degree)
+    for case in cases:
+        if case.r != degree:
+            raise CatalogError(f"case {case.label} is for degree {case.r}, not {degree}")
+    if grid_override is not None:
+        cases = [
+            replace(c, parameter_grid=grid_override)
+            if c.resolution is not None and c.resolution.is_parametric
+            else c
+            for c in cases
+        ]
+    all_cases = _boundary_cases(ctx) + [_prepare_case(c) for c in cases]
+    return sorted(all_cases, key=lambda c: (c.c1, c.c2))
+
+
 def generate_report(
     degree: int,
     cases: Sequence[CaseRecord] | None = None,
@@ -484,8 +506,7 @@ def generate_report(
     are ordered by (c1, c2).  Catalog inconsistencies abort with the
     offending case named.
     """
-    ctx = HypersurfaceContext(degree)
-    moduli = ctx.moduli_dim
+    moduli = HypersurfaceContext(degree).moduli_dim
     if degree == 6:
         row = ReportRow(
             case=None,
@@ -498,33 +519,7 @@ def generate_report(
             notes=(_STRUCTURAL_NOTES[Verdict.REDUCED_TO_THREEFOLD],),
         )
         return Report(degree=degree, moduli_dim=moduli, rows=(row,))
-    if degree < 3:
-        raise CatalogError(f"reports cover degrees 3 through 6, not {degree}")
-    if cases is None:
-        cases = builtin_catalog(degree)
-    for case in cases:
-        if case.r != degree:
-            raise CatalogError(f"case {case.label} is for degree {case.r}, not {degree}")
-    if grid_override is not None:
-        cases = [
-            CaseRecord(
-                r=c.r,
-                c1=c.c1,
-                c2=c.c2,
-                resolution=c.resolution,
-                parameter_grid=(
-                    grid_override
-                    if c.resolution is not None and c.resolution.is_parametric
-                    else c.parameter_grid
-                ),
-                provenance=c.provenance,
-                fallback=c.fallback,
-            )
-            for c in cases
-        ]
-    all_cases = _boundary_cases(ctx) + [_prepare_case(c) for c in cases]
-    all_cases.sort(key=lambda c: (c.c1, c.c2))
-    rows = tuple(_evaluate_row(case, moduli) for case in all_cases)
+    rows = tuple(evaluate_case(c) for c in report_cases(degree, cases, grid_override))
     return Report(degree=degree, moduli_dim=moduli, rows=rows)
 
 
@@ -571,23 +566,25 @@ def render_report_markdown(report: Report) -> str:
     return "\n".join(lines)
 
 
+def row_to_jsonable(row: ReportRow) -> dict:
+    """One row as the JSON object that both report and check-case print."""
+    return {
+        "c1": row.case.c1 if row.case is not None else None,
+        "c2": row.case.c2 if row.case is not None else None,
+        "genus": row.genus,
+        "h0_ideal": row.h0_ideal_at_r,
+        "h0_normal": row.h0_normal,
+        "bound": row.bound,
+        "verdict": row.verdict.value,
+        "notes": list(row.notes),
+    }
+
+
 def report_to_jsonable(report: Report) -> dict:
     return {
         "degree": report.degree,
         "moduli_dim": report.moduli_dim,
-        "rows": [
-            {
-                "c1": row.case.c1 if row.case is not None else None,
-                "c2": row.case.c2 if row.case is not None else None,
-                "genus": row.genus,
-                "h0_ideal": row.h0_ideal_at_r,
-                "h0_normal": row.h0_normal,
-                "bound": row.bound,
-                "verdict": row.verdict.value,
-                "notes": list(row.notes),
-            }
-            for row in report.rows
-        ],
+        "rows": [row_to_jsonable(row) for row in report.rows],
     }
 
 

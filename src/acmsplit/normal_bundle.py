@@ -19,18 +19,14 @@ would inject a spurious signed term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .combinatorics import Count, binom_trunc
 from .resolutions import GorensteinResolution, h0_structure
+from .resolutions import NonConstantScanError  # noqa: F401  (re-exported)
 
 
 class ConventionViolation(ArithmeticError):
     """The formula produced a negative section count; a convention bug."""
-
-
-class NonConstantScanError(ArithmeticError):
-    """A quantity that must not depend on the family parameter did."""
 
 
 @dataclass(frozen=True)
@@ -107,21 +103,3 @@ def kmr_min_pair_argument(res: GorensteinResolution, x: int | None = None) -> in
     if not pairs:
         return 0
     return min(min(pos, neg) for pos, neg in pairs)
-
-
-def kmr_parameter_scan(res: GorensteinResolution, grid: Iterable[int]) -> Count:
-    """Evaluate h^0(N_S) across the grid; it must be constant.
-
-    The family parameter counts resolution terms that cancel in the
-    formula; a non-constant scan means corrupted twist data, so it is
-    reported rather than averaged away.
-    """
-    if not res.is_parametric:
-        return kmr_h0_normal(res)
-    values = {x: kmr_h0_normal(res, x) for x in grid}
-    if not values:
-        raise ValueError("parameter grid is empty")
-    distinct = set(values.values())
-    if len(distinct) > 1:
-        raise NonConstantScanError(f"h^0(N_S) varies across the grid: {values}")
-    return distinct.pop()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .combinatorics import Count, EulerNumber
 from .proj_cohomology import AMBIENT_DIM, chi_pn, h0_pn
@@ -32,6 +32,14 @@ class ResolutionValidationError(ValueError):
 
 class DegenerateResolutionError(ValueError):
     """The Hilbert polynomial does not describe a surface."""
+
+
+class NonConstantScanError(ArithmeticError):
+    """A quantity that must not depend on the family parameter did."""
+
+
+#: Parameter values scanned for a parametric resolution with no grid of its own.
+DEFAULT_GRID = range(0, 6)
 
 
 _TERM_RE = re.compile(
@@ -274,13 +282,46 @@ class Violation:
         return f"{self.invariant}{where}: {self.detail}"
 
 
+def scan_points(
+    res: GorensteinResolution, grid: Iterable[int] | None = None
+) -> list[int | None]:
+    """The parameter values a resolution is evaluated at.
+
+    [None] for a non-parametric resolution; otherwise the grid, or
+    DEFAULT_GRID when there is none.  An empty grid is refused, since it
+    would certify nothing.
+    """
+    if not res.is_parametric:
+        return [None]
+    points = list(DEFAULT_GRID if grid is None else grid)
+    if not points:
+        raise ValueError("parameter grid is empty")
+    return points
+
+
+def scan_constant(
+    evaluate: Callable[[int | None], int], points: Iterable[int | None], what: str
+) -> int:
+    """Evaluate at every scan point and return the value, which must be constant.
+
+    The family parameter counts resolution terms that cancel; a value
+    that moves with it means corrupted twist data, so it is reported
+    rather than averaged away.
+    """
+    values = {x: evaluate(x) for x in points}
+    distinct = set(values.values())
+    if len(distinct) != 1:
+        raise NonConstantScanError(f"{what} varies across the parameter grid: {values}")
+    return distinct.pop()
+
+
 def validate(
     res: GorensteinResolution, grid: Iterable[int] | None = None
 ) -> list[Violation]:
     """Check self-duality, rank balance and degree balance; never raises.
 
-    Parametric resolutions are checked at every grid point (default
-    0..5); non-parametric ones once.  Returns every violation found.
+    Parametric resolutions are checked at every scan point (see
+    scan_points); non-parametric ones once.  Returns every violation found.
     """
     violations: list[Violation] = []
     names = res.free_parameters()
@@ -300,12 +341,10 @@ def validate(
             Violation("degree-balance", None, f"twist sums leave residual {residual}")
         )
 
-    if names:
-        points: list[int | None] = list(grid) if grid is not None else list(range(6))
-        if not points:
-            return [Violation("empty-grid", None, "parametric resolution needs a grid")]
-    else:
-        points = [None]
+    try:
+        points = scan_points(res, grid)
+    except ValueError:
+        return [Violation("empty-grid", None, "parametric resolution needs a grid")]
 
     dual_shift = res.subcanonical_e + 6
     for x in points:

@@ -4,7 +4,8 @@ import itertools
 from collections import Counter
 
 from acmsplit.catalog import BUILTIN_CATALOGS
-from acmsplit.incidence import DEFAULT_GRID, builtin_catalog, resolve_parameters
+from acmsplit.incidence import builtin_catalog, resolve_parameters
+from acmsplit.resolutions import scan_points
 
 #: Complete-intersection types appearing in the built-in catalogs.
 CI_TYPES = [(1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 1, 4), (1, 2, 3)]
@@ -58,10 +59,7 @@ def builtin_cases():
 def case_points(case):
     """Grid points to scan for one case, after parameter resolution."""
     res, _ = resolve_parameters(case.resolution)
-    if not res.is_parametric:
-        return res, [None]
-    grid = case.parameter_grid if case.parameter_grid is not None else DEFAULT_GRID
-    return res, list(grid)
+    return res, scan_points(res, case.parameter_grid)
 
 
 def resolved_points():

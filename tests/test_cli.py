@@ -8,6 +8,10 @@ from acmsplit.cli import run
 from conftest import ci_resolution
 
 QUADRIC = json.dumps(ci_resolution(1, 1, 2))
+#: Nested past the JSON decoder's recursion limit.
+NESTED = '{"gens": ' + "[" * 5000 + "]" * 5000 + ', "syz": [], "socle": 5}'
+#: Neither degree-balanced nor self-dual, though the KMR sum still evaluates.
+UNBALANCED = '{"gens":[[1,1],[2,1]],"syz":[[3,1],[9,1]],"socle":5}'
 
 
 def invoke(capsys, *argv):
@@ -157,11 +161,15 @@ def test_custom_catalog(tmp_path, capsys):
         ["kmr", "--resolution", '{"gens": [[1, 1]], "syz": [[3, 1]]}'],
         ["kmr", "--resolution", "/nonexistent/file.json"],
         ["solve-c2", "--degree", "0", "--c1", "3"],
+        ["kmr", "--resolution", NESTED],
+        ["kmr", "--resolution", UNBALANCED],
+        ["hilbert", "--resolution", UNBALANCED, "--twist", "3"],
     ],
     ids=[
         "degree-range", "degree-type", "degree-missing", "grid-empty",
         "grid-grammar", "unknown-flag", "unknown-command", "bad-resolution",
-        "missing-file", "bad-degree",
+        "missing-file", "bad-degree", "nested-resolution", "kmr-unvalidated",
+        "hilbert-unvalidated",
     ],
 )
 def test_input_errors_exit_2(capsys, argv):
@@ -176,6 +184,52 @@ def test_malformed_catalog_file(tmp_path, capsys):
     code, _, err = invoke(capsys, "report", "--degree", "4", "--catalog", str(path))
     assert code == 2
     assert "not valid JSON" in err
+
+
+def test_nested_catalog_file(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text('{"degree": 4, "cases": ' + "[" * 5000 + "]" * 5000 + "}", encoding="utf-8")
+    code, out, err = invoke(capsys, "report", "--degree", "4", "--catalog", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("acmsplit: error: ")
+    assert err.count("\n") == 1
+
+
+def test_check_case_evaluates_only_its_row(capsys, monkeypatch):
+    import acmsplit.cli
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("check-case built the whole report")
+
+    monkeypatch.setattr(acmsplit.cli, "generate_report", no_report)
+    code, out, _ = invoke(capsys, "check-case", "--degree", "5", "--c1", "2", "--c2", "11")
+    assert code == 0
+    assert "incidence bound: 217" in out
+
+
+def test_check_case_json_is_the_report_row(capsys):
+    _, report, _ = invoke(capsys, "report", "--degree", "5", "--format", "json")
+    for row in json.loads(report)["rows"]:
+        code, out, _ = invoke(
+            capsys, "check-case", "--degree", "5", "--c1", str(row["c1"]),
+            "--c2", str(row["c2"]), "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out) == {"degree": 5, "moduli_dim": 251, **row}
+
+
+def test_check_case_still_validates_the_other_cases(tmp_path, capsys):
+    doc = {"degree": 4, "cases": [
+        {"c1": 1, "c2": 3, "resolution": ci_resolution(1, 1, 3)},
+        {"c1": 1, "c2": 4, "resolution": {"gens": [[3, 7]], "syz": [[4, 7]], "socle": 6}},
+    ]}
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = invoke(
+        capsys, "check-case", "--degree", "4", "--c1", "1", "--c2", "3", "--catalog", str(path)
+    )
+    assert (code, out) == (2, "")
+    assert "(c1=1, c2=4): invalid resolution" in err
 
 
 def test_catalog_degree_mismatch(tmp_path, capsys):

@@ -86,6 +86,13 @@ def test_verdict_cascade(case, expected):
     assert verdict(case) == expected
 
 
+def test_verdict_consumes_a_given_bound():
+    case = _case(4, 1, 3, ci_resolution(1, 1, 3))
+    assert verdict(case, dimension_bound(case)) == verdict(case)
+    assert verdict(case, 124) == Verdict.EXCLUDED_BY_DIMENSION_COUNT
+    assert verdict(case, 125) == Verdict.INCONCLUSIVE_COUNT
+
+
 def test_verdict_is_deterministic():
     case = _case(4, 2, 8, {"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6},
                  grid=(0, 5))
@@ -285,6 +292,11 @@ def test_report_rejects_genus_mismatch():
     ]}
     with pytest.raises(CatalogError, match="genus"):
         generate_report(5, load_catalog(bad))
+
+
+def test_report_rejects_an_empty_grid_naming_the_case():
+    with pytest.raises(CatalogError, match=r"case \(c1=2, c2=8\): .*empty-grid"):
+        generate_report(4, grid_override=range(5, 5))
 
 
 def test_report_rejects_invalid_resolution():

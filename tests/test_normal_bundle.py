@@ -8,9 +8,8 @@ from acmsplit.normal_bundle import (
     kmr_h0_normal,
     kmr_min_pair_argument,
     kmr_negative_pair_total,
-    kmr_parameter_scan,
 )
-from acmsplit.resolutions import h0_structure, parse_resolution
+from acmsplit.resolutions import h0_structure, parse_resolution, scan_constant, scan_points
 from conftest import ci_resolution, resolved_points
 
 RESOLVED = list(resolved_points())
@@ -55,9 +54,14 @@ def test_constant_resolutions(shape, expected):
     assert kmr_h0_normal(parse_resolution(shape)) == expected
 
 
+def kmr_scan(res, grid):
+    """h^0(N_S) through the shared scan: constant over the grid's points."""
+    return scan_constant(lambda x: kmr_h0_normal(res, x), scan_points(res, grid), "h^0(N_S)")
+
+
 def test_octic_family_scan():
     res = parse_resolution(DEG8)
-    assert kmr_parameter_scan(res, range(0, 6)) == 54
+    assert kmr_scan(res, range(0, 6)) == 54
 
 
 def test_two_parameter_families_scan():
@@ -65,15 +69,15 @@ def test_two_parameter_families_scan():
 
     res11, rel11 = resolve_parameters(parse_resolution(DEG11))
     assert str(rel11) == "c = b - 2"
-    assert kmr_parameter_scan(res11, range(2, 6)) == 83
+    assert kmr_scan(res11, range(2, 6)) == 83
 
     res12, rel12 = resolve_parameters(parse_resolution(DEG12))
     assert str(rel12) == "b = c - 1"
-    assert kmr_parameter_scan(res12, range(1, 3)) == 81
+    assert kmr_scan(res12, range(1, 3)) == 81
 
 
 def test_scan_on_constant_resolution_is_a_single_evaluation():
-    assert kmr_parameter_scan(parse_resolution(ci_resolution(1, 1, 2)), range(0, 6)) == 17
+    assert kmr_scan(parse_resolution(ci_resolution(1, 1, 2)), range(0, 6)) == 17
 
 
 def test_scan_rejects_empty_grid_and_nonconstant_values():
@@ -82,9 +86,9 @@ def test_scan_rejects_empty_grid_and_nonconstant_values():
     assert kmr_h0_normal(stretched, 5) == 35
     assert kmr_h0_normal(stretched, 2) == 2
     with pytest.raises(NonConstantScanError):
-        kmr_parameter_scan(stretched, range(2, 6))
+        kmr_scan(stretched, range(2, 6))
     with pytest.raises(ValueError):
-        kmr_parameter_scan(stretched, range(5, 5))
+        kmr_scan(stretched, range(5, 5))
 
 
 def test_negative_total_refused():
