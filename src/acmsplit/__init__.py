@@ -38,11 +38,8 @@ from .incidence import (
 )
 from .normal_bundle import (
     ConventionViolation,
-    KmrInput,
     NonConstantScanError,
     kmr_h0_normal,
-    kmr_min_pair_argument,
-    kmr_negative_pair_total,
 )
 from .proj_cohomology import (
     AMBIENT_DIM,
@@ -84,7 +81,6 @@ __all__ = [
     "EulerNumber",
     "GorensteinResolution",
     "HypersurfaceContext",
-    "KmrInput",
     "NonConstantScanError",
     "ParityError",
     "PinningError",
@@ -110,8 +106,6 @@ __all__ = [
     "h0_structure",
     "hi_pn",
     "kmr_h0_normal",
-    "kmr_min_pair_argument",
-    "kmr_negative_pair_total",
     "load_catalog",
     "load_catalog_file",
     "moduli_dim",

@@ -26,6 +26,7 @@ from .proj_cohomology import HypersurfaceContext
 from .resolutions import (
     AffineExpr,
     GorensteinResolution,
+    SurfaceInvariants,
     degree_balance_form,
     h0_ideal,
     parse_resolution,
@@ -169,12 +170,14 @@ def resolve_parameters(
 
 def checked_resolution(
     res: GorensteinResolution, grid: range | None = None, label: str | None = None
-) -> tuple[GorensteinResolution, list[int | None]]:
-    """Balance a resolution, validate it, and return it with its scan points.
+) -> tuple[GorensteinResolution, list[int | None], list[SurfaceInvariants]]:
+    """Balance and validate a resolution; return it, its scan points and invariants.
 
     This is the one path from raw twist data to counts: report
-    preparation and the kmr and hilbert commands all take it.  Problems
-    raise CatalogError, naming the case when a label is given.
+    preparation and the kmr and hilbert commands all take it.  Invalid
+    twist data raises CatalogError, naming the case when a label is
+    given; data whose Hilbert polynomial describes no surface raises
+    DegenerateResolutionError.  The invariants are those at each point.
     """
     res, _ = resolve_parameters(res)
     problems = validate(res, grid)
@@ -183,14 +186,13 @@ def checked_resolution(
         raise CatalogError(
             f"{where}invalid resolution: " + "; ".join(str(p) for p in problems)
         )
-    return res, scan_points(res, grid)
+    points = scan_points(res, grid)
+    return res, points, [surface_invariants(res, x) for x in points]
 
 
 def _incidence_counts(case: CaseRecord) -> tuple[Count, Count]:
-    """h^0(I_S(r)) and h^0(N_S), each constant across the case's scan points."""
-    if case.resolution is None:
-        raise CatalogError(f"case {case.label} has no resolution to count with")
-    res, _ = resolve_parameters(case.resolution)
+    """h^0(I_S(r)) and h^0(N_S) of a balanced case, each constant across its scan points."""
+    res = case.resolution
     points = scan_points(res, case.parameter_grid)
     ideal = scan_constant(
         lambda x: h0_ideal(res, case.r, x),
@@ -206,10 +208,13 @@ def _incidence_counts(case: CaseRecord) -> tuple[Count, Count]:
 def dimension_bound(case: CaseRecord) -> Count:
     """h^0(I_S(r)) - 1 + h^0(N_S), the incidence-variety dimension bound.
 
-    Parametric cases are scanned over their grid; both ingredients must
-    be constant across it.
+    The case's resolution is balanced first.  Parametric cases are
+    scanned over their grid; both ingredients must be constant across it.
     """
-    ideal, normal = _incidence_counts(case)
+    if case.resolution is None:
+        raise CatalogError(f"case {case.label} has no resolution to count with")
+    res, _ = resolve_parameters(case.resolution)
+    ideal, normal = _incidence_counts(replace(case, resolution=res))
     return ideal - 1 + normal
 
 
@@ -363,21 +368,20 @@ def _prepare_case(case: CaseRecord) -> CaseRecord:
     """Apply the balance relation and validate; raise naming the case."""
     if case.resolution is None:
         return case
-    resolution, points = checked_resolution(
+    resolution, _, invariants = checked_resolution(
         case.resolution, case.parameter_grid, case.label
     )
-    for x in points:
-        invariants = surface_invariants(resolution, x)
-        if invariants.degree != case.c2:
+    for found in invariants:
+        if found.degree != case.c2:
             raise CatalogError(
                 f"case {case.label}: resolution has surface degree"
-                f" {invariants.degree}, not c2"
+                f" {found.degree}, not c2"
             )
         expected_genus = sectional_genus(case.r, case.c1, case.c2)
-        if invariants.sectional_genus != expected_genus:
+        if found.sectional_genus != expected_genus:
             raise CatalogError(
                 f"case {case.label}: resolution sectional genus"
-                f" {invariants.sectional_genus} != {expected_genus} from the Chern pair"
+                f" {found.sectional_genus} != {expected_genus} from the Chern pair"
             )
     return replace(case, resolution=resolution)
 

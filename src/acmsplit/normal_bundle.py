@@ -18,10 +18,9 @@ would inject a spurious signed term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .combinatorics import Count, binom_trunc
-from .resolutions import GorensteinResolution, h0_structure
+from .proj_cohomology import AMBIENT_DIM, h0_pn
+from .resolutions import GorensteinResolution, term_sum
 from .resolutions import NonConstantScanError  # noqa: F401  (re-exported)
 
 
@@ -29,77 +28,41 @@ class ConventionViolation(ArithmeticError):
     """The formula produced a negative section count; a convention bug."""
 
 
-@dataclass(frozen=True)
-class KmrInput:
-    """Sorted twist data feeding the closed formula.
-
-    Sorting is part of the formula, not a convenience: generators
-    ascending, syzygies descending, so dual twists face each other.
-    """
-
-    resolution: GorensteinResolution
-    parameter: int | None
-    sorted_gens: tuple[int, ...]
-    sorted_syz: tuple[int, ...]
-
-    @classmethod
-    def from_resolution(
-        cls, res: GorensteinResolution, x: int | None = None
-    ) -> "KmrInput":
-        gens, syz = res.expand(x)
-        return cls(
-            resolution=res,
-            parameter=x,
-            sorted_gens=tuple(sorted(gens)),
-            sorted_syz=tuple(sorted(syz, reverse=True)),
-        )
-
-    @property
-    def rank(self) -> int:
-        return len(self.sorted_gens)
-
-    def pair_arguments(self) -> list[tuple[int, int]]:
-        """Binomial arguments (-n_i + m_j + 5, n_i - m_j + 5) over i < j."""
-        n, m = self.sorted_gens, self.sorted_syz
-        return [
-            (-n[i] + m[j] + 5, n[i] - m[j] + 5)
-            for i in range(self.rank)
-            for j in range(i + 1, self.rank)
-        ]
+def _pairs_before(a: int, b: int) -> int:
+    """#{(i, j) : 0 <= i < a, 0 <= j < b, i < j}."""
+    if b <= a:
+        return b * (b - 1) // 2
+    return a * (a - 1) // 2 + (b - a) * a
 
 
 def kmr_h0_normal(res: GorensteinResolution, x: int | None = None) -> Count:
-    """h^0(N_S) from the resolution twists alone."""
-    data = KmrInput.from_resolution(res, x)
-    total = sum(h0_structure(res, n, x) for n in data.sorted_gens)
-    for pos_arg, neg_arg in data.pair_arguments():
-        total += binom_trunc(pos_arg, 5)
-        total -= binom_trunc(neg_arg, 5)
-    total -= sum(binom_trunc(n + 5, 5) for n in data.sorted_gens)
+    """h^0(N_S) from the resolution twists alone.
+
+    The sums run block against block, so a point costs O(blocks^2)
+    whatever the multiplicities.  A generator block at ascending
+    positions [i0, i1) and a syzygy block at descending positions
+    [j0, j1) share exactly the i < j pairs counted by inclusion-exclusion
+    over _pairs_before, which equals the positional sum on any input.
+    """
+    gens, syz = res.blocks(x)
+    socle = res.socle_twist
+    total = 0
+    i0 = 0
+    for n, count in gens:
+        i1 = i0 + count
+        if n >= 0:
+            total += count * (h0_pn(AMBIENT_DIM, n) - term_sum(h0_pn, gens, syz, socle, n))
+        total -= count * binom_trunc(n + 5, 5)
+        j0 = 0
+        for m, syz_count in reversed(syz):
+            j1 = j0 + syz_count
+            pairs = (
+                _pairs_before(i1, j1) - _pairs_before(i0, j1)
+                - _pairs_before(i1, j0) + _pairs_before(i0, j0)
+            )
+            total += pairs * (binom_trunc(-n + m + 5, 5) - binom_trunc(n - m + 5, 5))
+            j0 = j1
+        i0 = i1
     if total < 0:
         raise ConventionViolation(f"h^0(N_S) computed as {total} < 0")
     return total
-
-
-def kmr_negative_pair_total(res: GorensteinResolution, x: int | None = None) -> Count:
-    """The subtracted pair sum sum_{i<j} C(n_i - m_j + 5, 5) on its own.
-
-    Zero on every non-parametric built-in resolution; genuinely nonzero
-    at larger parameter values of the parametric families, where it is
-    needed to keep the total constant.
-    """
-    data = KmrInput.from_resolution(res, x)
-    return sum(binom_trunc(neg_arg, 5) for _, neg_arg in data.pair_arguments())
-
-
-def kmr_min_pair_argument(res: GorensteinResolution, x: int | None = None) -> int:
-    """Smallest binomial argument over both pair sums.
-
-    Non-negative on the whole built-in catalog, which is what makes the
-    truncated and polynomial binomial conventions agree there.
-    """
-    data = KmrInput.from_resolution(res, x)
-    pairs = data.pair_arguments()
-    if not pairs:
-        return 0
-    return min(min(pos, neg) for pos, neg in pairs)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .combinatorics import Count, EulerNumber
@@ -40,6 +41,9 @@ class NonConstantScanError(ArithmeticError):
 
 #: Parameter values scanned for a parametric resolution with no grid of its own.
 DEFAULT_GRID = range(0, 6)
+
+#: Widest grid scan_points accepts; a wider one is refused rather than walked.
+MAX_SCAN_POINTS = 100_000
 
 
 _TERM_RE = re.compile(
@@ -163,6 +167,9 @@ def parse_multiplicity(value: int | str) -> AffineExpr:
 #: Twist/multiplicity pairs; the multiset of twists after expansion.
 TwistVector = tuple[tuple[int, AffineExpr], ...]
 
+#: (twist, count) pairs at one parameter value: sorted, merged, counts > 0.
+Blocks = list[tuple[int, int]]
+
 
 def _parse_twist_vector(raw: object, label: str) -> TwistVector:
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
@@ -212,8 +219,13 @@ class GorensteinResolution:
             socle_twist=self.socle_twist,
         )
 
-    def expand(self, x: int | None = None) -> tuple[list[int], list[int]]:
-        """Multiplicity-expanded twist lists (generators, syzygies) at x."""
+    def blocks(self, x: int | None = None) -> tuple[Blocks, Blocks]:
+        """Twist/count blocks (generators, syzygies) at x.
+
+        Each list is sorted by twist, with equal twists merged and zero
+        counts dropped.  This is the one place multiplicities are
+        evaluated and checked; every count is a sum over these blocks.
+        """
         names = self.free_parameters()
         if len(names) > 1:
             raise UnresolvedParameterError(
@@ -221,18 +233,24 @@ class GorensteinResolution:
                 + ", ".join(sorted(names))
                 + "; apply the balance relation before evaluating"
             )
-        out: list[list[int]] = []
+        out: list[Blocks] = []
         for vector in (self.generators, self.syzygies):
-            twists: list[int] = []
+            merged: dict[int, int] = {}
             for twist, mult in vector:
                 count = mult.evaluate(x)
                 if count < 0:
                     raise ResolutionValidationError(
                         f"multiplicity {mult} of twist {twist} is {count} at x={x}"
                     )
-                twists.extend([twist] * count)
-            out.append(twists)
+                if count:
+                    merged[twist] = merged.get(twist, 0) + count
+            out.append(sorted(merged.items()))
         return out[0], out[1]
+
+    def expand(self, x: int | None = None) -> tuple[list[int], list[int]]:
+        """Multiplicity-expanded twist lists (generators, syzygies) at x, ascending."""
+        gens, syz = self.blocks(x)
+        return [t for t, c in gens for _ in range(c)], [t for t, c in syz for _ in range(c)]
 
 
 def parse_resolution(data: Mapping) -> GorensteinResolution:
@@ -289,13 +307,16 @@ def scan_points(
 
     [None] for a non-parametric resolution; otherwise the grid, or
     DEFAULT_GRID when there is none.  An empty grid is refused, since it
-    would certify nothing.
+    would certify nothing, and so is one of more than MAX_SCAN_POINTS
+    points, before it is materialised.
     """
     if not res.is_parametric:
         return [None]
-    points = list(DEFAULT_GRID if grid is None else grid)
+    points = list(islice(DEFAULT_GRID if grid is None else grid, MAX_SCAN_POINTS + 1))
     if not points:
         raise ValueError("parameter grid is empty")
+    if len(points) > MAX_SCAN_POINTS:
+        raise ValueError(f"parameter grid has more than {MAX_SCAN_POINTS} points")
     return points
 
 
@@ -343,26 +364,27 @@ def validate(
 
     try:
         points = scan_points(res, grid)
-    except ValueError:
+    except ValueError as exc:
+        if "more than" in str(exc):
+            return [Violation("wide-grid", None, str(exc))]
         return [Violation("empty-grid", None, "parametric resolution needs a grid")]
 
     dual_shift = res.subcanonical_e + 6
     for x in points:
         try:
-            gens, syz = res.expand(x)
+            gens, syz = res.blocks(x)
         except ResolutionValidationError as exc:
             violations.append(Violation("negative-multiplicity", x, str(exc)))
             continue
         if not gens:
             violations.append(Violation("trivial-rank", x, "no generators"))
             continue
-        if len(gens) != len(syz):
+        rank, syz_rank = sum(c for _, c in gens), sum(c for _, c in syz)
+        if rank != syz_rank:
             violations.append(
-                Violation(
-                    "rank-balance", x, f"{len(gens)} generators vs {len(syz)} syzygies"
-                )
+                Violation("rank-balance", x, f"{rank} generators vs {syz_rank} syzygies")
             )
-        if sorted(syz) != sorted(dual_shift - n for n in gens):
+        if syz != sorted((dual_shift - n, c) for n, c in gens):
             violations.append(
                 Violation(
                     "self-duality",
@@ -373,17 +395,26 @@ def validate(
     return violations
 
 
+def term_sum(
+    value: Callable[[int, int], int], gens: Blocks, syz: Blocks, socle: int, t: int
+) -> int:
+    """sum_i value(t - n_i) - sum_j value(t - m_j) + value(t - socle) over P^5.
+
+    The alternating sum over the resolution of I_S, taken block by
+    block: a block of count c contributes c times its term.
+    """
+    total = sum(c * value(AMBIENT_DIM, t - n) for n, c in gens)
+    total -= sum(c * value(AMBIENT_DIM, t - m) for m, c in syz)
+    return total + value(AMBIENT_DIM, t - socle)
+
+
 def h0_ideal(res: GorensteinResolution, t: int, x: int | None = None) -> Count:
     """h^0(I_S(t)), exact alternating sum over the resolution terms.
 
     Exactness holds because h^1 and h^2 of line bundles on P^5 vanish,
     so both kernel corrections in the section-count chase are zero.
     """
-    gens, syz = res.expand(x)
-    total = sum(h0_pn(AMBIENT_DIM, t - n) for n in gens)
-    total -= sum(h0_pn(AMBIENT_DIM, t - m) for m in syz)
-    total += h0_pn(AMBIENT_DIM, t - res.socle_twist)
-    return total
+    return term_sum(h0_pn, *res.blocks(x), res.socle_twist, t)
 
 
 def h0_structure(res: GorensteinResolution, t: int, x: int | None = None) -> Count:
@@ -393,13 +424,13 @@ def h0_structure(res: GorensteinResolution, t: int, x: int | None = None) -> Cou
     return h0_pn(AMBIENT_DIM, t) - h0_ideal(res, t, x)
 
 
+def _chi_structure(gens: Blocks, syz: Blocks, socle: int, t: int) -> EulerNumber:
+    return chi_pn(AMBIENT_DIM, t) - term_sum(chi_pn, gens, syz, socle, t)
+
+
 def chi_structure_poly(res: GorensteinResolution, t: int, x: int | None = None) -> EulerNumber:
     """chi(O_S(t)) continued polynomially to every integer twist."""
-    gens, syz = res.expand(x)
-    chi_ideal = sum(chi_pn(AMBIENT_DIM, t - n) for n in gens)
-    chi_ideal -= sum(chi_pn(AMBIENT_DIM, t - m) for m in syz)
-    chi_ideal += chi_pn(AMBIENT_DIM, t - res.socle_twist)
-    return chi_pn(AMBIENT_DIM, t) - chi_ideal
+    return _chi_structure(*res.blocks(x), res.socle_twist, t)
 
 
 @dataclass(frozen=True)
@@ -419,7 +450,8 @@ def surface_invariants(res: GorensteinResolution, x: int | None = None) -> Surfa
     consecutive zero third differences) and its leading difference, the
     surface degree, is positive.
     """
-    values = [chi_structure_poly(res, t, x) for t in range(-2, 4)]
+    gens, syz = res.blocks(x)
+    values = [_chi_structure(gens, syz, res.socle_twist, t) for t in range(-2, 4)]
     third = [
         values[i + 3] - 3 * values[i + 2] + 3 * values[i + 1] - values[i]
         for i in range(3)

@@ -4,8 +4,16 @@ import itertools
 from collections import Counter
 
 from acmsplit.catalog import BUILTIN_CATALOGS
+from acmsplit.combinatorics import binom_trunc
 from acmsplit.incidence import builtin_catalog, resolve_parameters
-from acmsplit.resolutions import scan_points
+from acmsplit.proj_cohomology import chi_pn, h0_pn
+from acmsplit.resolutions import (
+    ResolutionValidationError,
+    UnresolvedParameterError,
+    Violation,
+    degree_balance_form,
+    scan_points,
+)
 
 #: Complete-intersection types appearing in the built-in catalogs.
 CI_TYPES = [(1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 1, 4), (1, 2, 3)]
@@ -70,3 +78,126 @@ def resolved_points():
         res, points = case_points(case)
         for x in points:
             yield case, res, x
+
+
+# ------------------------------------------------ flat reference formulas
+#
+# The positional O(rank^2) formulas over multiplicity-expanded twist
+# lists.  The package counts block by block; these are the oracle it is
+# compared against.
+
+
+def flat_twists(res, x=None):
+    """(generators, syzygies) expanded entry by entry, in record order."""
+    if len(res.free_parameters()) > 1:
+        raise UnresolvedParameterError("apply the balance relation first")
+    out = []
+    for vector in (res.generators, res.syzygies):
+        twists = []
+        for twist, mult in vector:
+            count = mult.evaluate(x)
+            if count < 0:
+                raise ResolutionValidationError(
+                    f"multiplicity {mult} of twist {twist} is {count} at x={x}"
+                )
+            twists.extend([twist] * count)
+        out.append(twists)
+    return out[0], out[1]
+
+
+def _flat_alternating_sum(value, res, t, x):
+    gens, syz = flat_twists(res, x)
+    total = sum(value(5, t - n) for n in gens)
+    total -= sum(value(5, t - m) for m in syz)
+    return total + value(5, t - res.socle_twist)
+
+
+def flat_h0_ideal(res, t, x=None):
+    return _flat_alternating_sum(h0_pn, res, t, x)
+
+
+def flat_h0_structure(res, t, x=None):
+    return 0 if t < 0 else h0_pn(5, t) - flat_h0_ideal(res, t, x)
+
+
+def flat_chi_structure_poly(res, t, x=None):
+    return chi_pn(5, t) - _flat_alternating_sum(chi_pn, res, t, x)
+
+
+def sorted_twists(res, x=None):
+    """Generators ascending, syzygies descending, so dual twists face each other."""
+    gens, syz = flat_twists(res, x)
+    return sorted(gens), sorted(syz, reverse=True)
+
+
+def pair_arguments(res, x=None):
+    """Binomial arguments (-n_i + m_j + 5, n_i - m_j + 5) over positions i < j."""
+    n, m = sorted_twists(res, x)
+    return [
+        (-n[i] + m[j] + 5, n[i] - m[j] + 5)
+        for i in range(len(n))
+        for j in range(i + 1, len(m))
+    ]
+
+
+def flat_kmr_total(res, x=None):
+    """The KMR sum term by term; negative totals are returned, not refused."""
+    gens, _ = sorted_twists(res, x)
+    total = sum(flat_h0_structure(res, n, x) for n in gens)
+    for positive, negative in pair_arguments(res, x):
+        total += binom_trunc(positive, 5) - binom_trunc(negative, 5)
+    return total - sum(binom_trunc(n + 5, 5) for n in gens)
+
+
+def kmr_negative_pair_total(res, x=None):
+    """The subtracted pair sum sum_{i<j} C(n_i - m_j + 5, 5) on its own."""
+    return sum(binom_trunc(negative, 5) for _, negative in pair_arguments(res, x))
+
+
+def kmr_min_pair_argument(res, x=None):
+    """Smallest binomial argument over both pair sums (0 with no pairs)."""
+    pairs = pair_arguments(res, x)
+    return min((min(pair) for pair in pairs), default=0)
+
+
+def flat_validate(res, grid=None):
+    """validate() with the per-point checks on flat twist lists."""
+    names = res.free_parameters()
+    if len(names) > 1:
+        return [
+            Violation(
+                "unresolved-parameters",
+                None,
+                "parameters " + ", ".join(sorted(names)) + " need a balance relation first",
+            )
+        ]
+    violations = []
+    const, coeffs = degree_balance_form(res)
+    if const != 0 or coeffs:
+        residual = " ".join([str(const)] + [f"{v:+d}*{k}" for k, v in sorted(coeffs.items())])
+        violations.append(
+            Violation("degree-balance", None, f"twist sums leave residual {residual}")
+        )
+    dual_shift = res.socle_twist
+    for x in scan_points(res, grid):
+        try:
+            gens, syz = flat_twists(res, x)
+        except ResolutionValidationError as exc:
+            violations.append(Violation("negative-multiplicity", x, str(exc)))
+            continue
+        if not gens:
+            violations.append(Violation("trivial-rank", x, "no generators"))
+            continue
+        if len(gens) != len(syz):
+            violations.append(
+                Violation("rank-balance", x, f"{len(gens)} generators vs {len(syz)} syzygies")
+            )
+        if sorted(syz) != sorted(dual_shift - n for n in gens):
+            violations.append(
+                Violation(
+                    "self-duality",
+                    x,
+                    f"syzygy twists differ from {dual_shift} minus generator twists",
+                )
+            )
+    return violations

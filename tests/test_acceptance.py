@@ -18,10 +18,16 @@ from acmsplit.incidence import (
     solve_balance,
     verdict,
 )
-from acmsplit.normal_bundle import kmr_h0_normal, kmr_min_pair_argument
+from acmsplit.normal_bundle import kmr_h0_normal
 from acmsplit.proj_cohomology import HypersurfaceContext, moduli_dim
 from acmsplit.resolutions import h0_ideal, parse_resolution, surface_invariants
-from conftest import CI_TYPES, case_points, ci_resolution, koszul_ideal_dim
+from conftest import (
+    CI_TYPES,
+    case_points,
+    ci_resolution,
+    kmr_min_pair_argument,
+    koszul_ideal_dim,
+)
 
 
 def _case(degree, c1, c2):

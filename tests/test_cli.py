@@ -12,6 +12,9 @@ QUADRIC = json.dumps(ci_resolution(1, 1, 2))
 NESTED = '{"gens": ' + "[" * 5000 + "]" * 5000 + ', "syz": [], "socle": 5}'
 #: Neither degree-balanced nor self-dual, though the KMR sum still evaluates.
 UNBALANCED = '{"gens":[[1,1],[2,1]],"syz":[[3,1],[9,1]],"socle":5}'
+#: Balanced and self-dual, but its Hilbert polynomial has degree 0.
+DEGENERATE = '{"gens":[[0,1]],"syz":[[4,1]],"socle":4}'
+OCTIC = json.dumps({"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6})
 
 
 def invoke(capsys, *argv):
@@ -65,11 +68,28 @@ def test_kmr_inline_and_from_file(tmp_path, capsys):
 
 
 def test_kmr_parametric_grid(capsys):
-    octic = json.dumps(
-        {"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6}
-    )
-    code, out, _ = invoke(capsys, "kmr", "--resolution", octic, "--grid", "0..5")
+    code, out, _ = invoke(capsys, "kmr", "--resolution", OCTIC, "--grid", "0..5")
     assert (code, out) == (0, "54\n")
+
+
+def test_kmr_at_a_billion_cubics(capsys):
+    code, out, _ = invoke(
+        capsys, "kmr", "--resolution", OCTIC, "--grid", "1000000000..1000000000"
+    )
+    assert (code, out) == (0, "54\n")
+
+
+def test_too_wide_grid_is_refused_before_it_is_walked(capsys):
+    code, out, err = invoke(capsys, "kmr", "--resolution", OCTIC, "--grid", "0..100000")
+    assert (code, out) == (2, "")
+    assert "wide-grid: parameter grid has more than 100000 points" in err
+
+
+@pytest.mark.parametrize("command", [["kmr"], ["hilbert", "--twist", "2"]])
+def test_degenerate_resolution_is_refused(capsys, command):
+    code, out, err = invoke(capsys, *command, "--resolution", DEGENERATE)
+    assert (code, out) == (2, "")
+    assert "Hilbert polynomial has degree < 2" in err
 
 
 def test_solve_c2(capsys):
@@ -164,12 +184,15 @@ def test_custom_catalog(tmp_path, capsys):
         ["kmr", "--resolution", NESTED],
         ["kmr", "--resolution", UNBALANCED],
         ["hilbert", "--resolution", UNBALANCED, "--twist", "3"],
+        ["kmr", "--resolution", DEGENERATE],
+        ["hilbert", "--resolution", DEGENERATE, "--twist", "2"],
+        ["kmr", "--resolution", OCTIC, "--grid", "0..1000000000000"],
     ],
     ids=[
         "degree-range", "degree-type", "degree-missing", "grid-empty",
         "grid-grammar", "unknown-flag", "unknown-command", "bad-resolution",
         "missing-file", "bad-degree", "nested-resolution", "kmr-unvalidated",
-        "hilbert-unvalidated",
+        "hilbert-unvalidated", "kmr-degenerate", "hilbert-degenerate", "grid-too-wide",
     ],
 )
 def test_input_errors_exit_2(capsys, argv):

@@ -118,6 +118,24 @@ def test_dimension_bound_needs_a_resolution():
         dimension_bound(_case(4, 1, 3))
 
 
+def test_dimension_bound_balances_a_raw_two_parameter_case():
+    assert dimension_bound(_case(5, 2, 11, DEG11, grid=(2, 5))) == 217
+
+
+def test_report_balances_each_case_once(monkeypatch):
+    import acmsplit.incidence as incidence
+
+    calls = []
+
+    def counted(res):
+        calls.append(res)
+        return resolve_parameters(res)
+
+    monkeypatch.setattr(incidence, "resolve_parameters", counted)
+    generate_report(5)
+    assert len(calls) == sum(c.resolution is not None for c in builtin_catalog(5))
+
+
 def test_case_record_validation():
     with pytest.raises(CatalogError):
         _case(4, 1, 0)

@@ -1,16 +1,35 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acmsplit.combinatorics import binom_poly, binom_trunc
-from acmsplit.normal_bundle import (
-    ConventionViolation,
-    KmrInput,
-    NonConstantScanError,
-    kmr_h0_normal,
+from acmsplit.normal_bundle import ConventionViolation, NonConstantScanError, kmr_h0_normal
+from acmsplit.resolutions import (
+    AffineExpr,
+    GorensteinResolution,
+    ResolutionValidationError,
+    chi_structure_poly,
+    h0_ideal,
+    h0_structure,
+    parse_resolution,
+    scan_constant,
+    scan_points,
+    validate,
+)
+from conftest import (
+    ci_resolution,
+    flat_chi_structure_poly,
+    flat_h0_ideal,
+    flat_kmr_total,
+    flat_validate,
     kmr_min_pair_argument,
     kmr_negative_pair_total,
+    pair_arguments,
+    resolved_points,
+    sorted_twists,
 )
-from acmsplit.resolutions import h0_structure, parse_resolution, scan_constant, scan_points
-from conftest import ci_resolution, resolved_points
 
 RESOLVED = list(resolved_points())
 RESOLVED_IDS = [f"r{c.r}-c1_{c.c1}-c2_{c.c2}-x_{x}" for c, _, x in RESOLVED]
@@ -25,11 +44,9 @@ QUINTIC = {"gens": [[2, 5]], "syz": [[3, 5]], "socle": 5}
 
 
 def test_input_ordering():
-    inp = KmrInput.from_resolution(parse_resolution(ci_resolution(1, 1, 2)))
-    assert inp.sorted_gens == (1, 1, 2)
-    assert inp.sorted_syz == (3, 3, 2)
-    assert inp.rank == 3
-    assert inp.pair_arguments() == [(7, 3), (6, 4), (6, 4)]
+    res = parse_resolution(ci_resolution(1, 1, 2))
+    assert sorted_twists(res) == ([1, 1, 2], [3, 3, 2])
+    assert pair_arguments(res) == [(7, 3), (6, 4), (6, 4)]
 
 
 @pytest.mark.parametrize(
@@ -62,6 +79,11 @@ def kmr_scan(res, grid):
 def test_octic_family_scan():
     res = parse_resolution(DEG8)
     assert kmr_scan(res, range(0, 6)) == 54
+
+
+def test_octic_family_at_a_billion_cubics():
+    """Blockwise counting never builds the rank-10^9 twist lists."""
+    assert kmr_h0_normal(parse_resolution(DEG8), 10**9) == 54
 
 
 def test_two_parameter_families_scan():
@@ -108,11 +130,11 @@ def test_no_pair_argument_goes_negative(case, res, x):
 
 @pytest.mark.parametrize("case, res, x", RESOLVED, ids=RESOLVED_IDS)
 def test_truncated_and_polynomial_conventions_agree(case, res, x):
-    inp = KmrInput.from_resolution(res, x)
-    total = sum(h0_structure(res, n, x) for n in inp.sorted_gens)
-    for positive, negative in inp.pair_arguments():
+    gens, _ = sorted_twists(res, x)
+    total = sum(h0_structure(res, n, x) for n in gens)
+    for positive, negative in pair_arguments(res, x):
         total += binom_poly(positive, 5) - binom_poly(negative, 5)
-    total -= sum(binom_trunc(n + 5, 5) for n in inp.sorted_gens)
+    total -= sum(binom_trunc(n + 5, 5) for n in gens)
     assert total == kmr_h0_normal(res, x)
 
 
@@ -148,3 +170,55 @@ def test_subtracted_pair_sums_vary_but_the_total_does_not(shape, param, expected
 )
 def test_subtracted_pair_sums_vanish_without_parameters(shape):
     assert kmr_negative_pair_total(parse_resolution(shape)) == 0
+
+
+# ---------------------------------------------- blockwise against flat
+
+_BLOCKS = st.lists(
+    st.tuples(st.integers(-2, 8), st.integers(0, 30), st.integers(-1, 2)),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def block_resolutions(draw):
+    """Random twist blocks with duplicate twists, in random order.
+
+    Multiplicities are c + k*x; half the draws are self-dual (syzygies
+    at socle minus each generator twist, shuffled), half are not.
+    """
+    gens = draw(_BLOCKS)
+    socle = draw(st.integers(0, 14))
+    if draw(st.booleans()):
+        syz = draw(st.permutations([(socle - n, c, k) for n, c, k in gens]))
+    else:
+        syz = draw(_BLOCKS)
+
+    def vector(blocks):
+        return tuple((t, AffineExpr(const=c, coeff=k, param="x" if k else None))
+                     for t, c, k in blocks)
+
+    res = GorensteinResolution(vector(gens), vector(syz), socle)
+    return res, draw(st.integers(0, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_resolutions())
+def test_blockwise_counts_match_the_flat_reference(drawn):
+    res, x = drawn
+    assert validate(res, range(0, 6)) == flat_validate(res, range(0, 6))
+    try:
+        expected = flat_kmr_total(res, x)
+    except ResolutionValidationError as exc:
+        with pytest.raises(ResolutionValidationError, match=re.escape(str(exc))):
+            kmr_h0_normal(res, x)
+        return
+    for t in range(-2, 10):
+        assert h0_ideal(res, t, x) == flat_h0_ideal(res, t, x)
+        assert chi_structure_poly(res, t, x) == flat_chi_structure_poly(res, t, x)
+    if expected < 0:
+        with pytest.raises(ConventionViolation, match=f"computed as {expected} < 0"):
+            kmr_h0_normal(res, x)
+    else:
+        assert kmr_h0_normal(res, x) == expected

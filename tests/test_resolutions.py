@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from acmsplit.proj_cohomology import h0_pn, hi_pn
@@ -6,6 +8,7 @@ from acmsplit.resolutions import (
     DegenerateResolutionError,
     GorensteinResolution,
     ResolutionValidationError,
+    MAX_SCAN_POINTS,
     UnresolvedParameterError,
     chi_structure_poly,
     h0_ideal,
@@ -13,6 +16,7 @@ from acmsplit.resolutions import (
     parse_affine,
     parse_multiplicity,
     parse_resolution,
+    scan_points,
     surface_invariants,
     validate,
 )
@@ -102,6 +106,33 @@ def test_expand_and_parameters():
     assert syz == [3, 3, 4, 4, 4]
     with pytest.raises(ResolutionValidationError):
         family.expand(-1)
+
+
+def test_blocks_merge_sort_and_drop_empty_twists():
+    res = GorensteinResolution(
+        generators=((3, parse_affine("x")), (2, AffineExpr(const=2)), (3, AffineExpr(const=1)),
+                    (4, AffineExpr(const=0))),
+        syzygies=((4, AffineExpr(const=1)), (3, parse_affine("x")), (4, AffineExpr(const=2))),
+        socle_twist=6,
+    )
+    assert res.blocks(2) == ([(2, 2), (3, 3)], [(3, 2), (4, 3)])
+    assert res.blocks(0) == ([(2, 2), (3, 1)], [(4, 3)])
+    assert res.expand(2) == ([2, 2, 3, 3, 3], [3, 3, 4, 4, 4])
+    with pytest.raises(ResolutionValidationError, match="multiplicity x of twist 3 is -1 at x=-1"):
+        res.blocks(-1)
+    with pytest.raises(UnresolvedParameterError):
+        res.blocks()
+
+
+def test_scan_points_refuses_a_grid_past_the_cap():
+    family = parse_resolution({"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6})
+    assert len(scan_points(family, range(MAX_SCAN_POINTS))) == MAX_SCAN_POINTS
+    for grid in (range(MAX_SCAN_POINTS + 1), range(10**30), itertools.count()):
+        with pytest.raises(ValueError, match="more than 100000 points"):
+            scan_points(family, grid)
+    assert [v.invariant for v in validate(family, range(10**12))] == ["wide-grid"]
+    # a non-parametric resolution is evaluated once, whatever the grid
+    assert scan_points(parse_resolution(ci_resolution(1, 1, 2)), range(10**12)) == [None]
 
 
 def test_expand_refuses_two_parameters():
