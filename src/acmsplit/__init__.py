@@ -9,7 +9,6 @@ hypersurface of degree 3, 4 or 5.
 
 from .combinatorics import Count, EulerNumber, binom_poly, binom_trunc
 from .euler import (
-    BundleNumerics,
     ParityError,
     PinningError,
     c1_candidate_range,
@@ -17,7 +16,6 @@ from .euler import (
     pfaffian_c2,
     sectional_genus,
     solve_c2_boundary,
-    stability_index,
 )
 from .incidence import (
     CatalogError,
@@ -72,7 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AMBIENT_DIM",
     "AffineExpr",
-    "BundleNumerics",
     "CaseRecord",
     "CatalogError",
     "ConventionViolation",
@@ -118,7 +115,6 @@ __all__ = [
     "sectional_genus",
     "solve_balance",
     "solve_c2_boundary",
-    "stability_index",
     "surface_invariants",
     "validate",
     "verdict",

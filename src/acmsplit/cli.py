@@ -172,14 +172,14 @@ def _cmd_check_case(config: RunConfig) -> int:
 
 
 def _cmd_kmr(config: RunConfig) -> int:
-    res, points, _ = checked_resolution(_load_resolution(config.resolution_spec), config.grid)
+    res, points = checked_resolution(_load_resolution(config.resolution_spec), config.grid)
     value = scan_constant(lambda x: kmr_h0_normal(res, x), points, "h^0(N_S)")
     _emit(_scalar_text(config, {"h0_normal": value}, "h0_normal"), config.out_path)
     return 0
 
 
 def _cmd_hilbert(config: RunConfig) -> int:
-    res, points, _ = checked_resolution(_load_resolution(config.resolution_spec), config.grid)
+    res, points = checked_resolution(_load_resolution(config.resolution_spec), config.grid)
     twist = config.twist
     payload = {
         "twist": twist,

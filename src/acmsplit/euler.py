@@ -8,8 +8,6 @@ becomes a two-point linear system for the degree of S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .combinatorics import Count
 from .proj_cohomology import HypersurfaceContext, chi_hyp, h0_hyp
 
@@ -20,32 +18,6 @@ class ParityError(ArithmeticError):
 
 class PinningError(ValueError):
     """chi of the requested twist is not determined by ACM data alone."""
-
-
-@dataclass(frozen=True)
-class BundleNumerics:
-    """Chern data (c1, c2) of a rank-2 bundle, with normalization offset b."""
-
-    ctx: HypersurfaceContext
-    c1: int
-    c2: int
-    b: int = 0
-
-    def __post_init__(self) -> None:
-        if self.c2 < 1:
-            raise ValueError(f"c2 must be at least 1, got {self.c2}")
-
-    @property
-    def is_normalized(self) -> bool:
-        return self.b == 0
-
-    def sectional_genus(self) -> int:
-        return sectional_genus(self.ctx.degree, self.c1, self.c2)
-
-
-def stability_index(bundle: BundleNumerics) -> int:
-    """2b - c1: negative for stable, zero on the strictly semistable wall."""
-    return 2 * bundle.b - bundle.c1
 
 
 def sectional_genus(r: int, c1: int, c2: int) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import catalog as _catalog
 from .combinatorics import Count
@@ -27,6 +27,7 @@ from .resolutions import (
     AffineExpr,
     GorensteinResolution,
     SurfaceInvariants,
+    certified,
     degree_balance_form,
     h0_ideal,
     parse_resolution,
@@ -169,15 +170,20 @@ def resolve_parameters(
 
 
 def checked_resolution(
-    res: GorensteinResolution, grid: range | None = None, label: str | None = None
-) -> tuple[GorensteinResolution, list[int | None], list[SurfaceInvariants]]:
-    """Balance and validate a resolution; return it, its scan points and invariants.
+    res: GorensteinResolution,
+    grid: range | None = None,
+    label: str | None = None,
+    check: Callable[[SurfaceInvariants], None] = lambda found: None,
+) -> tuple[GorensteinResolution, list[int | None]]:
+    """Balance and validate a resolution; return it and its scan points.
 
     This is the one path from raw twist data to counts: report
-    preparation and the kmr and hilbert commands all take it.  Invalid
-    twist data raises CatalogError, naming the case when a label is
-    given; data whose Hilbert polynomial describes no surface raises
-    DegenerateResolutionError.  The invariants are those at each point.
+    preparation, dimension_bound and the kmr and hilbert commands all
+    take it.  Invalid twist data raises CatalogError, naming the case
+    when a label is given; data whose Hilbert polynomial describes no
+    surface at any scan point (see certified) raises
+    DegenerateResolutionError before check may refuse a point's
+    invariants by raising.
     """
     res, _ = resolve_parameters(res)
     problems = validate(res, grid)
@@ -187,7 +193,13 @@ def checked_resolution(
             f"{where}invalid resolution: " + "; ".join(str(p) for p in problems)
         )
     points = scan_points(res, grid)
-    return res, points, [surface_invariants(res, x) for x in points]
+
+    def walk(pts: list[int | None]) -> None:
+        for found in [surface_invariants(res, x) for x in pts]:
+            check(found)
+
+    certified(walk, points)
+    return res, points
 
 
 def _incidence_counts(case: CaseRecord) -> tuple[Count, Count]:
@@ -208,12 +220,13 @@ def _incidence_counts(case: CaseRecord) -> tuple[Count, Count]:
 def dimension_bound(case: CaseRecord) -> Count:
     """h^0(I_S(r)) - 1 + h^0(N_S), the incidence-variety dimension bound.
 
-    The case's resolution is balanced first.  Parametric cases are
-    scanned over their grid; both ingredients must be constant across it.
+    The case's resolution is balanced and validated first (see
+    checked_resolution).  Parametric cases are scanned over their grid;
+    both ingredients must be constant across it.
     """
     if case.resolution is None:
         raise CatalogError(f"case {case.label} has no resolution to count with")
-    res, _ = resolve_parameters(case.resolution)
+    res, _ = checked_resolution(case.resolution, case.parameter_grid, case.label)
     ideal, normal = _incidence_counts(replace(case, resolution=res))
     return ideal - 1 + normal
 
@@ -368,10 +381,8 @@ def _prepare_case(case: CaseRecord) -> CaseRecord:
     """Apply the balance relation and validate; raise naming the case."""
     if case.resolution is None:
         return case
-    resolution, _, invariants = checked_resolution(
-        case.resolution, case.parameter_grid, case.label
-    )
-    for found in invariants:
+
+    def check(found: SurfaceInvariants) -> None:
         if found.degree != case.c2:
             raise CatalogError(
                 f"case {case.label}: resolution has surface degree"
@@ -383,6 +394,10 @@ def _prepare_case(case: CaseRecord) -> CaseRecord:
                 f"case {case.label}: resolution sectional genus"
                 f" {found.sectional_genus} != {expected_genus} from the Chern pair"
             )
+
+    resolution, _ = checked_resolution(
+        case.resolution, case.parameter_grid, case.label, check
+    )
     return replace(case, resolution=resolution)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .combinatorics import Count, EulerNumber
 from .proj_cohomology import AMBIENT_DIM, chi_pn, h0_pn
@@ -37,6 +37,9 @@ class DegenerateResolutionError(ValueError):
 
 class NonConstantScanError(ArithmeticError):
     """A quantity that must not depend on the family parameter did."""
+
+
+T = TypeVar("T")
 
 
 #: Parameter values scanned for a parametric resolution with no grid of its own.
@@ -320,20 +323,59 @@ def scan_points(
     return points
 
 
+def certified(
+    walk: Callable[[list[int | None]], T],
+    points: list[int | None],
+    accept: Callable[[T], bool] = lambda result: True,
+) -> T:
+    """walk over the lowest, a middle and the highest distinct point.
+
+    These three certify every point for the counts of a balanced
+    one-parameter resolution that validate accepts at both ends:
+    - every multiplicity is affine in x and >= 0 at both ends, so it is
+      >= 0 on the whole hull of the grid;
+    - so the merged block counts, ranks, term_sums, h0_ideal,
+      chi_structure_poly and the degree, genus and third differences of
+      surface_invariants are affine in x;
+    - kmr_h0_normal is quadratic: by self-duality the partial sums of the
+      ascending generator blocks equal those of the descending syzygy
+      blocks, so each _pairs_before(a, b) stays on one branch, and the two
+      branches agree at a = b;
+    - a polynomial of degree <= 2 with one value at three points is
+      constant, and an affine check passing at both ends passes between.
+    When a certificate point raises or its result is not accepted, every
+    point is walked in order, so a failure is the one a full walk meets.
+    """
+    distinct = sorted(set(points))
+    if len(distinct) > 3:
+        try:
+            result = walk([distinct[0], distinct[len(distinct) // 2], distinct[-1]])
+        except (ArithmeticError, ValueError):  # the full walk raises it at its first point
+            pass
+        else:
+            if accept(result):
+                return result
+    return walk(points)
+
+
 def scan_constant(
     evaluate: Callable[[int | None], int], points: Iterable[int | None], what: str
 ) -> int:
-    """Evaluate at every scan point and return the value, which must be constant.
+    """The value at the scan points (see certified), which must be constant.
 
     The family parameter counts resolution terms that cancel; a value
     that moves with it means corrupted twist data, so it is reported
     rather than averaged away.
     """
-    values = {x: evaluate(x) for x in points}
-    distinct = set(values.values())
-    if len(distinct) != 1:
-        raise NonConstantScanError(f"{what} varies across the parameter grid: {values}")
-    return distinct.pop()
+
+    def walk(pts: list[int | None]) -> int:
+        values = {x: evaluate(x) for x in pts}
+        distinct = set(values.values())
+        if len(distinct) != 1:
+            raise NonConstantScanError(f"{what} varies across the parameter grid: {values}")
+        return distinct.pop()
+
+    return certified(walk, list(points))
 
 
 def validate(
@@ -341,8 +383,8 @@ def validate(
 ) -> list[Violation]:
     """Check self-duality, rank balance and degree balance; never raises.
 
-    Parametric resolutions are checked at every scan point (see
-    scan_points); non-parametric ones once.  Returns every violation found.
+    Parametric resolutions are checked at the scan points (see
+    certified); non-parametric ones once.  Returns every violation found.
     """
     violations: list[Violation] = []
     names = res.free_parameters()
@@ -370,29 +412,34 @@ def validate(
         return [Violation("empty-grid", None, "parametric resolution needs a grid")]
 
     dual_shift = res.subcanonical_e + 6
-    for x in points:
-        try:
-            gens, syz = res.blocks(x)
-        except ResolutionValidationError as exc:
-            violations.append(Violation("negative-multiplicity", x, str(exc)))
-            continue
-        if not gens:
-            violations.append(Violation("trivial-rank", x, "no generators"))
-            continue
-        rank, syz_rank = sum(c for _, c in gens), sum(c for _, c in syz)
-        if rank != syz_rank:
-            violations.append(
-                Violation("rank-balance", x, f"{rank} generators vs {syz_rank} syzygies")
-            )
-        if syz != sorted((dual_shift - n, c) for n, c in gens):
-            violations.append(
-                Violation(
-                    "self-duality",
-                    x,
-                    f"syzygy twists differ from {dual_shift} minus generator twists",
+
+    def walk(pts: list[int | None]) -> list[Violation]:
+        found: list[Violation] = []
+        for x in pts:
+            try:
+                gens, syz = res.blocks(x)
+            except ResolutionValidationError as exc:
+                found.append(Violation("negative-multiplicity", x, str(exc)))
+                continue
+            if not gens:
+                found.append(Violation("trivial-rank", x, "no generators"))
+                continue
+            rank, syz_rank = sum(c for _, c in gens), sum(c for _, c in syz)
+            if rank != syz_rank:
+                found.append(
+                    Violation("rank-balance", x, f"{rank} generators vs {syz_rank} syzygies")
                 )
-            )
-    return violations
+            if syz != sorted((dual_shift - n, c) for n, c in gens):
+                found.append(
+                    Violation(
+                        "self-duality",
+                        x,
+                        f"syzygy twists differ from {dual_shift} minus generator twists",
+                    )
+                )
+        return found
+
+    return violations + certified(walk, points, lambda found: not found)
 
 
 def term_sum(

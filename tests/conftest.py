@@ -2,13 +2,17 @@
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 
 from acmsplit.catalog import BUILTIN_CATALOGS
 from acmsplit.combinatorics import binom_trunc
+from acmsplit.euler import sectional_genus
 from acmsplit.incidence import builtin_catalog, resolve_parameters
-from acmsplit.proj_cohomology import chi_pn, h0_pn
+from acmsplit.proj_cohomology import HypersurfaceContext, chi_pn, h0_pn
 from acmsplit.resolutions import (
+    DegenerateResolutionError,
     ResolutionValidationError,
+    SurfaceInvariants,
     UnresolvedParameterError,
     Violation,
     degree_balance_form,
@@ -124,6 +128,22 @@ def flat_chi_structure_poly(res, t, x=None):
     return chi_pn(5, t) - _flat_alternating_sum(chi_pn, res, t, x)
 
 
+def flat_surface_invariants(res, x=None):
+    """surface_invariants() from the flat chi values, with the same refusals."""
+    values = [flat_chi_structure_poly(res, t, x) for t in range(-2, 4)]
+    third = [values[i + 3] - 3 * values[i + 2] + 3 * values[i + 1] - values[i] for i in range(3)]
+    if any(third):
+        raise DegenerateResolutionError(
+            f"Hilbert polynomial has degree > 2 (third differences {third})"
+        )
+    degree = values[3] - 2 * values[2] + values[1]
+    if degree <= 0:
+        raise DegenerateResolutionError(
+            f"Hilbert polynomial has degree < 2 (leading difference {degree})"
+        )
+    return SurfaceInvariants(degree, 1 - (values[2] - values[1]), values[2])
+
+
 def sorted_twists(res, x=None):
     """Generators ascending, syzygies descending, so dual twists face each other."""
     gens, syz = flat_twists(res, x)
@@ -201,3 +221,32 @@ def flat_validate(res, grid=None):
                 )
             )
     return violations
+
+
+# ------------------------------------------------ bundle diagnostics
+
+
+@dataclass(frozen=True)
+class BundleNumerics:
+    """Chern data (c1, c2) of a rank-2 bundle, with normalization offset b."""
+
+    ctx: HypersurfaceContext
+    c1: int
+    c2: int
+    b: int = 0
+
+    def __post_init__(self) -> None:
+        if self.c2 < 1:
+            raise ValueError(f"c2 must be at least 1, got {self.c2}")
+
+    @property
+    def is_normalized(self) -> bool:
+        return self.b == 0
+
+    def sectional_genus(self) -> int:
+        return sectional_genus(self.ctx.degree, self.c1, self.c2)
+
+
+def stability_index(bundle: BundleNumerics) -> int:
+    """2b - c1: negative for stable, zero on the strictly semistable wall."""
+    return 2 * bundle.b - bundle.c1

@@ -85,6 +85,25 @@ def test_too_wide_grid_is_refused_before_it_is_walked(capsys):
     assert "wide-grid: parameter grid has more than 100000 points" in err
 
 
+def test_kmr_cost_does_not_grow_with_the_grid(capsys, monkeypatch):
+    """validate, surface_invariants and kmr_h0_normal each take three points."""
+    from acmsplit.resolutions import GorensteinResolution
+
+    seen = []
+    blocks = GorensteinResolution.blocks
+
+    def counted(self, x=None):
+        seen.append(x)
+        return blocks(self, x)
+
+    monkeypatch.setattr(GorensteinResolution, "blocks", counted)
+    for grid, points in (("0..9", [0, 5, 9]), ("0..99999", [0, 50_000, 99_999])):
+        seen.clear()
+        assert invoke(capsys, "kmr", "--resolution", OCTIC, "--grid", grid) == (0, "54\n", "")
+        assert len(seen) == 9
+        assert sorted(set(seen)) == points
+
+
 @pytest.mark.parametrize("command", [["kmr"], ["hilbert", "--twist", "2"]])
 def test_degenerate_resolution_is_refused(capsys, command):
     code, out, err = invoke(capsys, *command, "--resolution", DEGENERATE)

@@ -1,7 +1,6 @@
 import pytest
 
 from acmsplit.euler import (
-    BundleNumerics,
     ParityError,
     PinningError,
     c1_candidate_range,
@@ -9,9 +8,10 @@ from acmsplit.euler import (
     pfaffian_c2,
     sectional_genus,
     solve_c2_boundary,
-    stability_index,
 )
 from acmsplit.proj_cohomology import HypersurfaceContext, h0_hyp
+
+from conftest import BundleNumerics, stability_index
 
 
 @pytest.mark.parametrize("r", range(3, 11))

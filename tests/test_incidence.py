@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -6,7 +7,9 @@ from acmsplit.incidence import (
     CatalogError,
     CaseRecord,
     Verdict,
+    _prepare_case,
     builtin_catalog,
+    checked_resolution,
     dimension_bound,
     generate_report,
     load_catalog,
@@ -18,7 +21,13 @@ from acmsplit.incidence import (
     verdict,
 )
 from acmsplit.normal_bundle import kmr_h0_normal
-from acmsplit.resolutions import h0_ideal, parse_resolution, validate
+from acmsplit.resolutions import (
+    DegenerateResolutionError,
+    h0_ideal,
+    parse_resolution,
+    surface_invariants,
+    validate,
+)
 from conftest import case_points, ci_resolution
 
 DEG11 = {"gens": [[2, 3], [3, "c"], [4, "b"]], "syz": [[3, "b"], [4, "c"], [5, 3]], "socle": 7}
@@ -323,6 +332,54 @@ def test_report_rejects_invalid_resolution():
     ]}
     with pytest.raises(CatalogError, match="invalid resolution"):
         generate_report(4, load_catalog(bad))
+
+
+#: Valid on range(-3, 1), with degree 4 and 2 at x = -3 and -2, and none at x = -1.
+DEGENERATES_PARTWAY = parse_resolution(
+    {
+        "gens": [[4, "2*x+7"], [5, "-2*x"], [1, "-x+5"]],
+        "syz": [[2, "2*x+7"], [1, "-2*x"], [5, "-x+5"]],
+        "socle": 6,
+    }
+)
+DEGENERATE_MESSAGE = "Hilbert polynomial has degree < 2 (leading difference 0)"
+
+
+def test_checked_resolution_names_the_first_degenerate_point():
+    res = DEGENERATES_PARTWAY
+    assert validate(res, range(-3, 1)) == []
+    assert [surface_invariants(res, x).degree for x in (-3, -2)] == [4, 2]
+    with pytest.raises(DegenerateResolutionError, match=re.escape(DEGENERATE_MESSAGE)):
+        checked_resolution(res, range(-3, 1))
+
+
+def test_degeneracy_is_reported_before_a_degree_mismatch():
+    """c2 = 4 fails at x = -2, but the point that degenerates at x = -1 is named."""
+    case = CaseRecord(r=5, c1=1, c2=4, resolution=DEGENERATES_PARTWAY, parameter_grid=range(-3, 1))
+    with pytest.raises(DegenerateResolutionError, match=re.escape(DEGENERATE_MESSAGE)):
+        _prepare_case(case)
+
+
+def test_prepare_case_refuses_a_degree_that_moves_with_the_parameter():
+    """The degree is 64 - 2x: it equals c2 = 58 only at x = 3, inside the grid."""
+    res = parse_resolution(
+        {
+            "gens": [[5, "5-x"], [6, "x"], [4, "x+3"], [7, "x+5"]],
+            "syz": [[7, "5-x"], [6, "x"], [8, "x+3"], [5, "x+5"]],
+            "socle": 12,
+        }
+    )
+    assert validate(res, range(0, 6)) == []
+    case = CaseRecord(r=5, c1=1, c2=58, resolution=res, parameter_grid=range(0, 6))
+    with pytest.raises(CatalogError, match=r"resolution has surface degree 64, not c2"):
+        _prepare_case(case)
+
+
+def test_a_wide_grid_renders_the_default_report():
+    wide = generate_report(5, grid_override=range(2, 100_001))
+    default = generate_report(5)
+    assert render_report_markdown(wide) == render_report_markdown(default)
+    assert render_report_json(wide) == render_report_json(default)
 
 
 def test_arithmetically_impossible_in_a_report():

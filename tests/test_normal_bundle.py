@@ -113,6 +113,23 @@ def test_scan_rejects_empty_grid_and_nonconstant_values():
         kmr_scan(stretched, range(5, 5))
 
 
+def test_nonconstant_scan_names_every_grid_point():
+    stretched = parse_resolution({"gens": [[2, "x"]], "syz": [[3, "x"]], "socle": 5})
+    message = "h^0(N_S) varies across the parameter grid: {2: 2, 3: 9, 4: 20, 5: 35}"
+    with pytest.raises(NonConstantScanError, match=re.escape(message)):
+        kmr_scan(stretched, range(2, 6))
+
+
+def test_scan_refuses_a_family_equal_at_both_ends_of_its_grid():
+    """KMR is quadratic in x, so two end points do not certify it; the middle does."""
+    gens = [[1, 3], [-1, "2*x+16"], [4, "2*x+16"], [4, "x+12"], [1, "5*x+60"]]
+    res = parse_resolution({"gens": gens, "syz": [[3 - n, m] for n, m in gens], "socle": 3})
+    assert validate(res, range(0, 5)) == []
+    message = "varies across the parameter grid: {0: 441, 1: 447, 2: 449, 3: 447, 4: 441}"
+    with pytest.raises(NonConstantScanError, match=re.escape(message)):
+        kmr_scan(res, range(0, 5))
+
+
 def test_negative_total_refused():
     # a single degree-5 generator: the formula goes below zero
     res = parse_resolution({"gens": [[5, 1]], "syz": [[6, 1]], "socle": 11})

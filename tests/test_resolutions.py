@@ -1,14 +1,21 @@
 import itertools
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from acmsplit.incidence import CatalogError, checked_resolution
+from acmsplit.normal_bundle import ConventionViolation, kmr_h0_normal
 from acmsplit.proj_cohomology import h0_pn, hi_pn
 from acmsplit.resolutions import (
     AffineExpr,
     DegenerateResolutionError,
     GorensteinResolution,
+    NonConstantScanError,
     ResolutionValidationError,
     MAX_SCAN_POINTS,
+    SurfaceInvariants,
     UnresolvedParameterError,
     chi_structure_poly,
     h0_ideal,
@@ -16,11 +23,22 @@ from acmsplit.resolutions import (
     parse_affine,
     parse_multiplicity,
     parse_resolution,
+    scan_constant,
     scan_points,
     surface_invariants,
     validate,
 )
-from conftest import CI_TYPES, ci_resolution, koszul_ideal_dim, resolved_points
+from conftest import (
+    CI_TYPES,
+    ci_resolution,
+    flat_chi_structure_poly,
+    flat_h0_ideal,
+    flat_kmr_total,
+    flat_surface_invariants,
+    flat_validate,
+    koszul_ideal_dim,
+    resolved_points,
+)
 
 RESOLVED = list(resolved_points())
 RESOLVED_IDS = [f"r{c.r}-c1_{c.c1}-c2_{c.c2}-x_{x}" for c, _, x in RESOLVED]
@@ -316,3 +334,135 @@ def test_unit_ideal_rejected():
     res = parse_resolution({"gens": [[0, 1]], "syz": [[4, 1]], "socle": 4})
     with pytest.raises(DegenerateResolutionError):
         surface_invariants(res)
+
+
+# -------------------------------------------------- parameter certificate
+
+
+def _count(const, coeff):
+    return AffineExpr(const=const, coeff=coeff, param="x" if coeff else None)
+
+
+@st.composite
+def certificate_families(draw):
+    """A balanced, self-dual one-parameter resolution and a grid.
+
+    A complete intersection (a, b, c) with socle s = a + b + c carries
+    ghost pairs, twists n and s - n with one affine count, which move
+    only the KMR count, and free pairs, twists n1 > s/2 > n2 with counts
+    (|w2| y, w1 y) / gcd(w1, w2) for w = 2n - s and y affine, which keep
+    the degree balance but move the Hilbert polynomial.  The grid is an
+    arithmetic progression, ascending or descending, on which every
+    count is >= 0, or one that runs past that range, anywhere or by one
+    step beyond one end.
+    """
+    a, b, c = draw(st.tuples(*[st.integers(1, 3)] * 3))
+    socle = a + b + c
+    gens = [(a, _count(1, 0)), (b, _count(1, 0)), (c, _count(1, 0))]
+    for _ in range(draw(st.integers(0, 2))):
+        n, u, k = draw(st.integers(0, socle)), draw(st.integers(0, 5)), draw(st.sampled_from([-1, 1]))
+        gens += [(n, _count(u, k)), (socle - n, _count(u, k))]
+    if draw(st.booleans()):
+        n1 = socle // 2 + draw(st.integers(1, 2))
+        n2 = (socle + 1) // 2 - draw(st.integers(1, 2))
+        w1, w2 = 2 * n1 - socle, socle - 2 * n2
+        u, t = draw(st.integers(0, 5)), draw(st.sampled_from([-1, 1]))
+        g = gcd(w1, w2)
+        gens += [(n1, _count(w2 // g * u, w2 // g * t)), (n2, _count(w1 // g * u, w1 // g * t))]
+    syz = draw(st.permutations([(socle - n, mult) for n, mult in gens]))
+    res = GorensteinResolution(tuple(gens), tuple(syz), socle)
+
+    low, high = -6, 6
+    for _, mult in gens:
+        if mult.coeff > 0:
+            low = max(low, -(mult.const // mult.coeff))
+        elif mult.coeff < 0:
+            high = min(high, mult.const // -mult.coeff)
+    mode = draw(st.sampled_from(["inside", "inside", "past", "one-step-past"]))
+    if low > high or mode == "past":
+        low, high = -6, 6
+    step = draw(st.integers(1, 2))
+    size = min(draw(st.integers(1, 12)), (high - low) // step + 1)
+    start = draw(st.integers(low, high - (size - 1) * step))
+    if mode == "one-step-past":
+        # the range itself and one point beyond one of its ends
+        size = (high - low) // step + 2
+        start = low - step if draw(st.booleans()) else low
+    grid = range(start, start + size * step, step)
+    return res, grid[::-1] if draw(st.booleans()) else grid, draw(st.integers(0, 8))
+
+
+def _outcome(call):
+    """The value of call(), or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _walk_constant(evaluate, points, what):
+    """scan_constant as a plain walk over every point."""
+    values = {x: evaluate(x) for x in points}
+    if len(set(values.values())) != 1:
+        raise NonConstantScanError(f"{what} varies across the parameter grid: {values}")
+    return values[points[0]]
+
+
+def _flat_kmr(res, x):
+    total = flat_kmr_total(res, x)
+    if total < 0:
+        raise ConventionViolation(f"h^0(N_S) computed as {total} < 0")
+    return total
+
+
+def _walk_checked_resolution(res, grid, check):
+    """checked_resolution as a plain walk over every point, on the flat references."""
+    problems = flat_validate(res, grid)
+    if problems:
+        raise CatalogError("invalid resolution: " + "; ".join(str(p) for p in problems))
+    points = scan_points(res, grid)
+    for found in [flat_surface_invariants(res, x) for x in points]:
+        check(found)
+    return res, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificate_families())
+def test_certificate_agrees_with_the_full_walk(drawn):
+    res, grid, pin = drawn
+    problems = flat_validate(res, grid)
+    assert validate(res, grid) == problems
+
+    # refuse every degree but the one at a drawn point, as _prepare_case refuses c2
+    pinned = _outcome(lambda: flat_surface_invariants(res, grid[pin % len(grid)]))
+
+    def check(found):
+        if isinstance(pinned, SurfaceInvariants) and found.degree != pinned.degree:
+            raise CatalogError(f"resolution has surface degree {found.degree}, not c2")
+
+    assert _outcome(lambda: checked_resolution(res, grid, check=check)) == _outcome(
+        lambda: _walk_checked_resolution(res, grid, check)
+    )
+    if problems:
+        return
+
+    points = scan_points(res, grid)
+    quantities = [("h^0(N_S)", lambda x: kmr_h0_normal(res, x), lambda x: _flat_kmr(res, x))]
+    for t in (1, 3, 5):
+        quantities += [
+            (f"h^0(I_S({t}))", lambda x, t=t: h0_ideal(res, t, x),
+             lambda x, t=t: flat_h0_ideal(res, t, x)),
+            (f"chi(O_S({t}))", lambda x, t=t: chi_structure_poly(res, t, x),
+             lambda x, t=t: flat_chi_structure_poly(res, t, x)),
+        ]
+    for what, package, flat in quantities:
+        assert _outcome(lambda: scan_constant(package, points, what)) == _outcome(
+            lambda: _walk_constant(flat, points, what)
+        )
+
+    # the degree <= 2 fact the certificate rests on, at equally spaced points
+    totals = [flat_kmr_total(res, x) for x in points]
+    assert all(
+        totals[i + 3] - 3 * totals[i + 2] + 3 * totals[i + 1] - totals[i] == 0
+        for i in range(len(totals) - 3)
+    )
