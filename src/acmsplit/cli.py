@@ -18,7 +18,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .euler import solve_c2_boundary
@@ -46,37 +45,6 @@ from .resolutions import (
 )
 
 _GRID_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation; fields a subcommand does not use stay None."""
-
-    command: str
-    output_format: str = "markdown"
-    out_path: str | None = None
-    degree: int | None = None
-    catalog_path: str | None = None
-    grid: range | None = None
-    c1: int | None = None
-    c2: int | None = None
-    twist: int | None = None
-    resolution_spec: str | None = None
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        output_format=args.format,
-        out_path=args.out,
-        degree=getattr(args, "degree", None),
-        catalog_path=getattr(args, "catalog", None),
-        grid=getattr(args, "grid", None),
-        c1=getattr(args, "c1", None),
-        c2=getattr(args, "c2", None),
-        twist=getattr(args, "twist", None),
-        resolution_spec=getattr(args, "resolution", None),
-    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,45 +85,45 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _scalar_text(config: RunConfig, payload: dict, key: str) -> str:
-    if config.output_format == "json":
+def _scalar_text(args: argparse.Namespace, payload: dict, key: str) -> str:
+    if args.format == "json":
         return json.dumps(payload, indent=2) + "\n"
     return f"{payload[key]}\n"
 
 
-def _cmd_report(config: RunConfig) -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
     cases = None
-    if config.catalog_path is not None:
-        cases = load_catalog_file(config.catalog_path, config.degree)
-    report = generate_report(config.degree, cases, grid_override=config.grid)
-    if config.output_format == "json":
+    if args.catalog is not None:
+        cases = load_catalog_file(args.catalog, args.degree)
+    report = generate_report(args.degree, cases, grid_override=args.grid)
+    if args.format == "json":
         text = render_report_json(report)
     else:
         text = render_report_markdown(report)
-    _emit(text, config.out_path)
+    _emit(text, args.out)
     return 0 if report.conclusive else 1
 
 
-def _cmd_check_case(config: RunConfig) -> int:
+def _cmd_check_case(args: argparse.Namespace) -> int:
     cases = None
-    if config.catalog_path is not None:
-        cases = load_catalog_file(config.catalog_path, config.degree)
-    for case in report_cases(config.degree, cases, grid_override=config.grid):
-        if (case.c1, case.c2) == (config.c1, config.c2):
+    if args.catalog is not None:
+        cases = load_catalog_file(args.catalog, args.degree)
+    for case in report_cases(args.degree, cases, grid_override=args.grid):
+        if (case.c1, case.c2) == (args.c1, args.c2):
             break
     else:
         raise CatalogError(
-            f"no case (c1={config.c1}, c2={config.c2}) in the degree-{config.degree}"
+            f"no case (c1={args.c1}, c2={args.c2}) in the degree-{args.degree}"
             " catalog"
         )
     row = evaluate_case(case)
-    if config.output_format == "json":
-        payload = {"degree": config.degree, "moduli_dim": row.moduli_dim, **row_to_jsonable(row)}
+    if args.format == "json":
+        payload = {"degree": args.degree, "moduli_dim": row.moduli_dim, **row_to_jsonable(row)}
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [
-            f"case (c1={config.c1}, c2={config.c2}) on the general"
-            f" degree-{config.degree} hypersurface",
+            f"case (c1={args.c1}, c2={args.c2}) on the general"
+            f" degree-{args.degree} hypersurface",
             f"verdict: {row.verdict}",
         ]
         if row.genus is not None:
@@ -167,20 +135,20 @@ def _cmd_check_case(config: RunConfig) -> int:
             )
         lines.extend(f"note: {note}" for note in row.notes)
         text = "\n".join(lines) + "\n"
-    _emit(text, config.out_path)
+    _emit(text, args.out)
     return 0 if row.verdict in CONCLUSIVE_VERDICTS else 1
 
 
-def _cmd_kmr(config: RunConfig) -> int:
-    res, points = checked_resolution(_load_resolution(config.resolution_spec), config.grid)
+def _cmd_kmr(args: argparse.Namespace) -> int:
+    res, points = checked_resolution(_load_resolution(args.resolution), args.grid)
     value = scan_constant(lambda x: kmr_h0_normal(res, x), points, "h^0(N_S)")
-    _emit(_scalar_text(config, {"h0_normal": value}, "h0_normal"), config.out_path)
+    _emit(_scalar_text(args, {"h0_normal": value}, "h0_normal"), args.out)
     return 0
 
 
-def _cmd_hilbert(config: RunConfig) -> int:
-    res, points = checked_resolution(_load_resolution(config.resolution_spec), config.grid)
-    twist = config.twist
+def _cmd_hilbert(args: argparse.Namespace) -> int:
+    res, points = checked_resolution(_load_resolution(args.resolution), args.grid)
+    twist = args.twist
     payload = {
         "twist": twist,
         "h0_ideal": scan_constant(
@@ -193,18 +161,18 @@ def _cmd_hilbert(config: RunConfig) -> int:
             lambda x: chi_structure_poly(res, twist, x), points, f"chi(O_S({twist}))"
         ),
     }
-    _emit(_scalar_text(config, payload, "h0_ideal"), config.out_path)
+    _emit(_scalar_text(args, payload, "h0_ideal"), args.out)
     return 0
 
 
-def _cmd_solve_c2(config: RunConfig) -> int:
-    ctx = HypersurfaceContext(config.degree)
-    value = solve_c2_boundary(ctx, config.c1)
-    _emit(_scalar_text(config, {"c1": config.c1, "c2": value}, "c2"), config.out_path)
+def _cmd_solve_c2(args: argparse.Namespace) -> int:
+    ctx = HypersurfaceContext(args.degree)
+    value = solve_c2_boundary(ctx, args.c1)
+    _emit(_scalar_text(args, {"c1": args.c1, "c2": value}, "c2"), args.out)
     return 0
 
 
-_COMMANDS: dict[str, Callable[[RunConfig], int]] = {
+_COMMANDS: dict[str, Callable[[argparse.Namespace], int]] = {
     "report": _cmd_report,
     "check-case": _cmd_check_case,
     "kmr": _cmd_kmr,
@@ -293,11 +261,11 @@ def build_parser() -> _Parser:
 def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        config = _config_from_args(parser.parse_args(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except (ValueError, ArithmeticError, OSError, RecursionError) as exc:
         print(f"acmsplit: error: {exc}", file=sys.stderr)
         return 2

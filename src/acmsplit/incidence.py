@@ -26,6 +26,7 @@ from .proj_cohomology import HypersurfaceContext
 from .resolutions import (
     AffineExpr,
     GorensteinResolution,
+    ScanPoints,
     SurfaceInvariants,
     certified,
     degree_balance_form,
@@ -174,7 +175,7 @@ def checked_resolution(
     grid: range | None = None,
     label: str | None = None,
     check: Callable[[SurfaceInvariants], None] = lambda found: None,
-) -> tuple[GorensteinResolution, list[int | None]]:
+) -> tuple[GorensteinResolution, ScanPoints]:
     """Balance and validate a resolution; return it and its scan points.
 
     This is the one path from raw twist data to counts: report
@@ -194,7 +195,7 @@ def checked_resolution(
         )
     points = scan_points(res, grid)
 
-    def walk(pts: list[int | None]) -> None:
+    def walk(pts: Sequence[int | None]) -> None:
         for found in [surface_invariants(res, x) for x in pts]:
             check(found)
 

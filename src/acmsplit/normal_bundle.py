@@ -21,7 +21,6 @@ from __future__ import annotations
 from .combinatorics import Count, binom_trunc
 from .proj_cohomology import AMBIENT_DIM, h0_pn
 from .resolutions import GorensteinResolution, term_sum
-from .resolutions import NonConstantScanError  # noqa: F401  (re-exported)
 
 
 class ConventionViolation(ArithmeticError):

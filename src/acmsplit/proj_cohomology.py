@@ -80,8 +80,3 @@ def h0_hyp(ctx: HypersurfaceContext, n: int) -> Count:
 def chi_hyp(ctx: HypersurfaceContext, n: int) -> EulerNumber:
     """chi(O_X(n)) as the difference of two ambient Euler characteristics."""
     return chi_pn(AMBIENT_DIM, n) - chi_pn(AMBIENT_DIM, n - ctx.degree)
-
-
-def moduli_dim(ctx: HypersurfaceContext) -> Count:
-    """Dimension of the family of degree-r hypersurfaces, binom(r+5,5) - 1."""
-    return ctx.moduli_dim

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .combinatorics import Count, EulerNumber
 from .proj_cohomology import AMBIENT_DIM, chi_pn, h0_pn
@@ -47,6 +46,9 @@ DEFAULT_GRID = range(0, 6)
 
 #: Widest grid scan_points accepts; a wider one is refused rather than walked.
 MAX_SCAN_POINTS = 100_000
+
+#: The values a resolution is scanned at: its grid, or [None] without a parameter.
+ScanPoints = range | list[None]
 
 
 _TERM_RE = re.compile(
@@ -303,32 +305,30 @@ class Violation:
         return f"{self.invariant}{where}: {self.detail}"
 
 
-def scan_points(
-    res: GorensteinResolution, grid: Iterable[int] | None = None
-) -> list[int | None]:
+def scan_points(res: GorensteinResolution, grid: range | None = None) -> ScanPoints:
     """The parameter values a resolution is evaluated at.
 
-    [None] for a non-parametric resolution; otherwise the grid, or
-    DEFAULT_GRID when there is none.  An empty grid is refused, since it
-    would certify nothing, and so is one of more than MAX_SCAN_POINTS
-    points, before it is materialised.
+    [None] for a non-parametric resolution; otherwise the grid itself,
+    or DEFAULT_GRID when there is none.  An empty grid is refused, since
+    it would certify nothing, and so is one of more than MAX_SCAN_POINTS
+    points, whose fallback walk (see certified) would be too long.
     """
     if not res.is_parametric:
         return [None]
-    points = list(islice(DEFAULT_GRID if grid is None else grid, MAX_SCAN_POINTS + 1))
+    points = DEFAULT_GRID if grid is None else grid
     if not points:
         raise ValueError("parameter grid is empty")
-    if len(points) > MAX_SCAN_POINTS:
+    if points[MAX_SCAN_POINTS:]:  # len() overflows on a range past sys.maxsize
         raise ValueError(f"parameter grid has more than {MAX_SCAN_POINTS} points")
     return points
 
 
 def certified(
-    walk: Callable[[list[int | None]], T],
-    points: list[int | None],
+    walk: Callable[[Sequence[int | None]], T],
+    points: ScanPoints,
     accept: Callable[[T], bool] = lambda result: True,
 ) -> T:
-    """walk over the lowest, a middle and the highest distinct point.
+    """walk over both ends and a middle point of the grid.
 
     These three certify every point for the counts of a balanced
     one-parameter resolution that validate accepts at both ends:
@@ -346,10 +346,9 @@ def certified(
     When a certificate point raises or its result is not accepted, every
     point is walked in order, so a failure is the one a full walk meets.
     """
-    distinct = sorted(set(points))
-    if len(distinct) > 3:
+    if len(points) > 3:
         try:
-            result = walk([distinct[0], distinct[len(distinct) // 2], distinct[-1]])
+            result = walk([points[0], points[len(points) // 2], points[-1]])
         except (ArithmeticError, ValueError):  # the full walk raises it at its first point
             pass
         else:
@@ -359,7 +358,7 @@ def certified(
 
 
 def scan_constant(
-    evaluate: Callable[[int | None], int], points: Iterable[int | None], what: str
+    evaluate: Callable[[int | None], int], points: ScanPoints, what: str
 ) -> int:
     """The value at the scan points (see certified), which must be constant.
 
@@ -368,19 +367,17 @@ def scan_constant(
     rather than averaged away.
     """
 
-    def walk(pts: list[int | None]) -> int:
+    def walk(pts: Sequence[int | None]) -> int:
         values = {x: evaluate(x) for x in pts}
         distinct = set(values.values())
         if len(distinct) != 1:
             raise NonConstantScanError(f"{what} varies across the parameter grid: {values}")
         return distinct.pop()
 
-    return certified(walk, list(points))
+    return certified(walk, points)
 
 
-def validate(
-    res: GorensteinResolution, grid: Iterable[int] | None = None
-) -> list[Violation]:
+def validate(res: GorensteinResolution, grid: range | None = None) -> list[Violation]:
     """Check self-duality, rank balance and degree balance; never raises.
 
     Parametric resolutions are checked at the scan points (see
@@ -413,7 +410,7 @@ def validate(
 
     dual_shift = res.subcanonical_e + 6
 
-    def walk(pts: list[int | None]) -> list[Violation]:
+    def walk(pts: Sequence[int | None]) -> list[Violation]:
         found: list[Violation] = []
         for x in pts:
             try:

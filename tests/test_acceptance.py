@@ -19,7 +19,7 @@ from acmsplit.incidence import (
     verdict,
 )
 from acmsplit.normal_bundle import kmr_h0_normal
-from acmsplit.proj_cohomology import HypersurfaceContext, moduli_dim
+from acmsplit.proj_cohomology import HypersurfaceContext
 from acmsplit.resolutions import h0_ideal, parse_resolution, surface_invariants
 from conftest import (
     CI_TYPES,
@@ -42,9 +42,9 @@ def _scan(degree, c1, c2, func):
 
 
 def test_criterion_01_moduli_dimensions():
-    assert moduli_dim(HypersurfaceContext(4)) == 125
-    assert moduli_dim(HypersurfaceContext(5)) == 251
-    assert moduli_dim(HypersurfaceContext(3)) == 55
+    assert HypersurfaceContext(4).moduli_dim == 125
+    assert HypersurfaceContext(5).moduli_dim == 251
+    assert HypersurfaceContext(3).moduli_dim == 55
     print("CRITERION 1: PASS")
 
 

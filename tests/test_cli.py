@@ -80,9 +80,11 @@ def test_kmr_at_a_billion_cubics(capsys):
 
 
 def test_too_wide_grid_is_refused_before_it_is_walked(capsys):
-    code, out, err = invoke(capsys, "kmr", "--resolution", OCTIC, "--grid", "0..100000")
-    assert (code, out) == (2, "")
-    assert "wide-grid: parameter grid has more than 100000 points" in err
+    # 0..10**30 is past sys.maxsize, where len() of the range overflows
+    for grid in ("0..100000", f"0..{10**30}"):
+        code, out, err = invoke(capsys, "kmr", "--resolution", OCTIC, "--grid", grid)
+        assert (code, out) == (2, "")
+        assert "wide-grid: parameter grid has more than 100000 points" in err
 
 
 def test_kmr_cost_does_not_grow_with_the_grid(capsys, monkeypatch):
@@ -206,12 +208,14 @@ def test_custom_catalog(tmp_path, capsys):
         ["kmr", "--resolution", DEGENERATE],
         ["hilbert", "--resolution", DEGENERATE, "--twist", "2"],
         ["kmr", "--resolution", OCTIC, "--grid", "0..1000000000000"],
+        ["kmr", "--resolution", OCTIC, "--grid", "0..1000000000000000000000000000000"],
     ],
     ids=[
         "degree-range", "degree-type", "degree-missing", "grid-empty",
         "grid-grammar", "unknown-flag", "unknown-command", "bad-resolution",
         "missing-file", "bad-degree", "nested-resolution", "kmr-unvalidated",
         "hilbert-unvalidated", "kmr-degenerate", "hilbert-degenerate", "grid-too-wide",
+        "grid-past-maxsize",
     ],
 )
 def test_input_errors_exit_2(capsys, argv):
@@ -297,3 +301,18 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "ExcludedByDimensionCount" in proc.stdout
+
+
+def test_public_api_is_what_the_readme_uses():
+    """acmsplit exports only the Library names the README documents."""
+    import acmsplit
+
+    assert sorted(acmsplit.__all__) == [
+        "CaseRecord", "CatalogError", "GorensteinResolution", "HypersurfaceContext",
+        "NonConstantScanError", "Report", "ReportRow", "Verdict", "builtin_catalog",
+        "dimension_bound", "generate_report", "h0_ideal", "kmr_h0_normal",
+        "parse_resolution", "pfaffian_c2", "render_report_json", "render_report_markdown",
+        "sectional_genus", "solve_c2_boundary", "validate", "verdict",
+    ]
+    for name in acmsplit.__all__:
+        assert getattr(acmsplit, name) is not None

@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acmsplit.combinatorics import binom_poly, binom_trunc
-from acmsplit.normal_bundle import ConventionViolation, NonConstantScanError, kmr_h0_normal
+from acmsplit.normal_bundle import ConventionViolation, kmr_h0_normal
 from acmsplit.resolutions import (
     AffineExpr,
     GorensteinResolution,
+    NonConstantScanError,
     ResolutionValidationError,
     chi_structure_poly,
     h0_ideal,

@@ -10,7 +10,6 @@ from acmsplit.proj_cohomology import (
     h0_hyp,
     h0_pn,
     hi_pn,
-    moduli_dim,
 )
 from conftest import count_monomials
 
@@ -67,7 +66,8 @@ def test_degree_out_of_range_rejected():
 def test_moduli_dimension(degree, expected):
     ctx = HypersurfaceContext(degree)
     assert ctx.moduli_dim == expected
-    assert moduli_dim(ctx) == expected
+    # the degree-r forms in 6 variables, counted one monomial at a time
+    assert ctx.moduli_dim == count_monomials(6, degree, lambda e: True) - 1
 
 
 def test_context_validation_and_twist():
