@@ -18,7 +18,7 @@ import argparse
 import json
 import re
 import sys
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .euler import solve_c2_boundary
 from .incidence import (

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Mapping, Sequence
+from typing import NamedTuple
 
 from . import catalog as _catalog
 from .combinatorics import Count
@@ -65,33 +66,36 @@ CONCLUSIVE_VERDICTS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class CaseRecord:
-    """One candidate Chern pair on a degree-r hypersurface."""
+class CaseRecord(namedtuple("CaseRecord", "r c1 c2 resolution parameter_grid provenance fallback")):
+    """One candidate Chern pair on a degree-r hypersurface.
 
-    r: int
-    c1: int
-    c2: int
-    resolution: GorensteinResolution | None = None
-    parameter_grid: range | None = None
-    provenance: str = ""
-    fallback: str | None = None
+    __new__ checks c2 and the fallback tag; _replace skips those checks.
+    """
 
-    def __post_init__(self) -> None:
-        if self.c2 < 1:
-            raise CatalogError(f"case ({self.c1}, {self.c2}): c2 must be >= 1")
-        if self.fallback is not None and self.fallback not in FALLBACK_TAGS:
-            raise CatalogError(
-                f"case ({self.c1}, {self.c2}): unknown fallback {self.fallback!r}"
-            )
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        r: int,
+        c1: int,
+        c2: int,
+        resolution: GorensteinResolution | None = None,
+        parameter_grid: range | None = None,
+        provenance: str = "",
+        fallback: str | None = None,
+    ) -> CaseRecord:
+        if c2 < 1:
+            raise CatalogError(f"case ({c1}, {c2}): c2 must be >= 1")
+        if fallback is not None and fallback not in FALLBACK_TAGS:
+            raise CatalogError(f"case ({c1}, {c2}): unknown fallback {fallback!r}")
+        return super().__new__(cls, r, c1, c2, resolution, parameter_grid, provenance, fallback)
 
     @property
     def label(self) -> str:
         return f"(c1={self.c1}, c2={self.c2})"
 
 
-@dataclass(frozen=True)
-class BalanceRelation:
+class BalanceRelation(NamedTuple):
     """The linear relation among resolution parameters forced by balance.
 
     A trivial relation (dependent None) means the twist data balances
@@ -228,7 +232,7 @@ def dimension_bound(case: CaseRecord) -> Count:
     if case.resolution is None:
         raise CatalogError(f"case {case.label} has no resolution to count with")
     res, _ = checked_resolution(case.resolution, case.parameter_grid, case.label)
-    ideal, normal = _incidence_counts(replace(case, resolution=res))
+    ideal, normal = _incidence_counts(case._replace(resolution=res))
     return ideal - 1 + normal
 
 
@@ -261,8 +265,7 @@ def verdict(case: CaseRecord, bound: Count | None = None) -> Verdict:
     return Verdict.INCONCLUSIVE_COUNT
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """One line of the case report; None marks a quantity with no meaning."""
 
     case: CaseRecord | None
@@ -275,8 +278,7 @@ class ReportRow:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     degree: int
     moduli_dim: Count
     rows: tuple[ReportRow, ...]
@@ -399,7 +401,7 @@ def _prepare_case(case: CaseRecord) -> CaseRecord:
     resolution, _ = checked_resolution(
         case.resolution, case.parameter_grid, case.label, check
     )
-    return replace(case, resolution=resolution)
+    return case._replace(resolution=resolution)
 
 
 def _boundary_cases(ctx: HypersurfaceContext) -> list[CaseRecord]:
@@ -506,7 +508,7 @@ def report_cases(
             raise CatalogError(f"case {case.label} is for degree {case.r}, not {degree}")
     if grid_override is not None:
         cases = [
-            replace(c, parameter_grid=grid_override)
+            c._replace(parameter_grid=grid_override)
             if c.resolution is not None and c.resolution.is_parametric
             else c
             for c in cases

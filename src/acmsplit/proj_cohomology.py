@@ -1,6 +1,6 @@
 """Line-bundle cohomology on projective space and on hypersurfaces in P^5.
 
-Everything is a closed-form binomial evaluation: h^0 and h^N on P^N come
+Everything is a closed-form binomial evaluation: h^0 and chi on P^N come
 from Bott's formula, the middle cohomology of line bundles vanishes, and
 twists on an ACM hypersurface are computed through its defining short
 exact sequence.
@@ -8,7 +8,7 @@ exact sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .combinatorics import Count, EulerNumber, binom_poly, binom_trunc
 
@@ -16,24 +16,19 @@ from .combinatorics import Count, EulerNumber, binom_poly, binom_trunc
 AMBIENT_DIM = 5
 
 
-@dataclass(frozen=True)
-class HypersurfaceContext:
+class HypersurfaceContext(namedtuple("HypersurfaceContext", "degree")):
     """A general smooth degree-r hypersurface in P^5.
 
     Carries only the degree; generality assumptions (no planes, not
     pfaffian for r >= 3) enter through verdict annotations, not here.
     """
 
-    degree: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError(f"degree must be positive, got {self.degree}")
-
-    @property
-    def canonical_twist(self) -> int:
-        """Twist t with omega_X = O_X(t); adjunction gives r - 6."""
-        return self.degree - 6
+    def __new__(cls, degree: int) -> HypersurfaceContext:
+        if degree < 1:
+            raise ValueError(f"degree must be positive, got {degree}")
+        return super().__new__(cls, degree)
 
     @property
     def moduli_dim(self) -> Count:
@@ -46,19 +41,6 @@ def h0_pn(n: int, k: int) -> Count:
     if n < 1:
         raise ValueError(f"projective dimension must be >= 1, got {n}")
     return binom_trunc(k + n, n)
-
-
-def hi_pn(n: int, k: int, i: int) -> Count:
-    """h^i(O_{P^n}(k)) by Bott: only i = 0 and i = n can be nonzero."""
-    if n < 1:
-        raise ValueError(f"projective dimension must be >= 1, got {n}")
-    if not 0 <= i <= n:
-        raise ValueError(f"cohomological degree must lie in [0, {n}], got {i}")
-    if i == 0:
-        return binom_trunc(k + n, n)
-    if i == n:
-        return binom_trunc(-k - 1, n)
-    return 0
 
 
 def chi_pn(n: int, k: int) -> EulerNumber:

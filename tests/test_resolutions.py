@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from acmsplit.incidence import CatalogError, checked_resolution
 from acmsplit.normal_bundle import ConventionViolation, kmr_h0_normal
-from acmsplit.proj_cohomology import h0_pn, hi_pn
+from acmsplit.proj_cohomology import h0_pn
 from acmsplit.resolutions import (
     AffineExpr,
     DegenerateResolutionError,
@@ -35,6 +35,7 @@ from conftest import (
     flat_kmr_total,
     flat_surface_invariants,
     flat_validate,
+    hi_pn,
     koszul_ideal_dim,
     resolved_points,
 )
