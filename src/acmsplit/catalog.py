@@ -26,7 +26,7 @@ _CI_123 = {"gens": [[1, 1], [2, 1], [3, 1]], "syz": [[3, 1], [4, 1], [5, 1]], "s
 _ELLIPTIC_QUINTIC = {"gens": [[2, 5]], "syz": [[3, 5]], "socle": 5}
 
 # Degree-8 family: x counts a cancelling block of cubic generators and
-# cubic syzygies; x = 0..5 all occur.
+# cubic syzygies, so every x >= 0 gives the same counts.
 _DEG8_FAMILY = {"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6}
 
 #: The complete-intersection resolution attached to the synthesized
@@ -41,9 +41,7 @@ BUILTIN_CATALOGS = {
                 "c1": 2,
                 "c2": 5,
                 "resolution": None,
-                "grid": None,
                 "provenance": "cubic threefold classification; pfaffian Chern pair",
-                "fallback": None,
             },
         ],
     },
@@ -54,45 +52,35 @@ BUILTIN_CATALOGS = {
                 "c1": 1,
                 "c2": 3,
                 "resolution": _CI_113,
-                "grid": None,
                 "provenance": "quartic threefold classification: plane cubic section,"
                 " lifting to a (1,1,3) complete intersection surface",
-                "fallback": None,
             },
             {
                 "c1": 1,
                 "c2": 4,
                 "resolution": _CI_122,
-                "grid": None,
                 "provenance": "quartic threefold classification: quartic curve in a"
                 " 3-space section, lifting to a (1,2,2) complete intersection",
-                "fallback": None,
             },
             {
                 "c1": 1,
                 "c2": 5,
                 "resolution": _ELLIPTIC_QUINTIC,
-                "grid": None,
                 "provenance": "quartic threefold classification: elliptic quintic"
                 " curve, resolution lifts twist for twist",
-                "fallback": None,
             },
             {
                 "c1": 2,
                 "c2": 8,
                 "resolution": _DEG8_FAMILY,
-                "grid": [0, 5],
                 "provenance": "quartic threefold classification: degree-8 sections;"
                 " cubic generator count enters as the free parameter x",
-                "fallback": None,
             },
             {
                 "c1": 3,
                 "c2": 14,
                 "resolution": None,
-                "grid": None,
                 "provenance": "quartic threefold classification; pfaffian Chern pair",
-                "fallback": None,
             },
         ],
     },
@@ -103,55 +91,43 @@ BUILTIN_CATALOGS = {
                 "c1": 0,
                 "c2": 3,
                 "resolution": _CI_113,
-                "grid": None,
                 "provenance": "quintic threefold classification: plane cubic section,"
                 " cubic surface in a 3-space",
-                "fallback": None,
             },
             {
                 "c1": 0,
                 "c2": 4,
                 "resolution": _CI_122,
-                "grid": None,
                 "provenance": "quintic threefold classification: (2,2) curve section,"
                 " lifting to a (1,2,2) complete intersection",
-                "fallback": None,
             },
             {
                 "c1": 0,
                 "c2": 5,
                 "resolution": _ELLIPTIC_QUINTIC,
-                "grid": None,
                 "provenance": "quintic threefold classification: elliptic quintic"
                 " curve, resolution lifts twist for twist",
-                "fallback": None,
             },
             {
                 "c1": 1,
                 "c2": 4,
                 "resolution": _CI_114,
-                "grid": None,
                 "provenance": "quintic threefold classification: plane quartic"
                 " section, lifting to a (1,1,4) complete intersection",
-                "fallback": None,
             },
             {
                 "c1": 1,
                 "c2": 6,
                 "resolution": _CI_123,
-                "grid": None,
                 "provenance": "quintic threefold classification: (2,3) curve section,"
                 " lifting to a (1,2,3) complete intersection",
-                "fallback": None,
             },
             {
                 "c1": 1,
                 "c2": 8,
                 "resolution": _DEG8_FAMILY,
-                "grid": [0, 5],
                 "provenance": "quintic threefold classification: degree-8 sections,"
                 " same parametric shape as the quartic degree-8 family",
-                "fallback": None,
             },
             {
                 "c1": 2,
@@ -161,11 +137,9 @@ BUILTIN_CATALOGS = {
                     "syz": [[3, "b"], [4, "c"], [5, 3]],
                     "socle": 7,
                 },
-                "grid": [2, 5],
                 "provenance": "quintic threefold classification: degree-11 sections;"
                 " generator counts b, c linked by the degree balance c = b - 2,"
-                " grid on the free parameter b",
-                "fallback": None,
+                " free parameter b >= 2",
             },
             {
                 "c1": 2,
@@ -175,11 +149,8 @@ BUILTIN_CATALOGS = {
                     "syz": [[3, "b"], [4, "c"], [5, 2]],
                     "socle": 7,
                 },
-                "grid": [1, 2],
                 "provenance": "quintic threefold classification: degree-12 sections;"
-                " counts linked by b = c - 1, grid on the free parameter c"
-                " (c = 1, 2 realizes b = 0, 1)",
-                "fallback": None,
+                " counts linked by b = c - 1, free parameter c >= 1",
             },
             {
                 "c1": 2,
@@ -189,28 +160,22 @@ BUILTIN_CATALOGS = {
                     "syz": [[4, 4], [5, 1]],
                     "socle": 7,
                 },
-                "grid": None,
                 "provenance": "quintic threefold classification: degree-13 sections,"
                 " one quadric and four cubic generators",
-                "fallback": None,
             },
             {
                 "c1": 2,
                 "c2": 14,
                 "resolution": {"gens": [[3, 7]], "syz": [[4, 7]], "socle": 7},
-                "grid": None,
                 "provenance": "quintic threefold classification: degree-14 sections,"
                 " seven cubic generators",
-                "fallback": None,
             },
             {
                 "c1": 3,
                 "c2": 20,
                 "resolution": {"gens": [[3, 4]], "syz": [[5, 4]], "socle": 8},
-                "grid": None,
                 "provenance": "quintic threefold classification: degree-20 sections,"
                 " four cubic generators",
-                "fallback": None,
             },
         ],
     },

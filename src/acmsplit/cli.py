@@ -200,7 +200,8 @@ def build_parser() -> _Parser:
         "--grid",
         type=_parse_grid,
         metavar="LO..HI",
-        help="inclusive parameter grid for parametric resolutions",
+        help="inclusive parameter grid for parametric resolutions"
+        " (default: every value that keeps each multiplicity >= 0)",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 

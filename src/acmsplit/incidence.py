@@ -26,10 +26,10 @@ from .normal_bundle import kmr_h0_normal
 from .proj_cohomology import HypersurfaceContext
 from .resolutions import (
     AffineExpr,
+    DegenerateResolutionError,
     GorensteinResolution,
-    ScanPoints,
     SurfaceInvariants,
-    certified,
+    admissible,
     degree_balance_form,
     h0_ideal,
     parse_resolution,
@@ -179,16 +179,16 @@ def checked_resolution(
     grid: range | None = None,
     label: str | None = None,
     check: Callable[[SurfaceInvariants], None] = lambda found: None,
-) -> tuple[GorensteinResolution, ScanPoints]:
+) -> tuple[GorensteinResolution, list[int | None]]:
     """Balance and validate a resolution; return it and its scan points.
 
     This is the one path from raw twist data to counts: report
     preparation, dimension_bound and the kmr and hilbert commands all
     take it.  Invalid twist data raises CatalogError, naming the case
-    when a label is given; data whose Hilbert polynomial describes no
-    surface at any scan point (see certified) raises
-    DegenerateResolutionError before check may refuse a point's
-    invariants by raising.
+    when a label is given.  A Hilbert polynomial that is no surface at a
+    scan point, or whose degree falls toward the open end of a half-line
+    (see scan_points), raises DegenerateResolutionError before check may
+    refuse a point's invariants by raising.
     """
     res, _ = resolve_parameters(res)
     problems = validate(res, grid)
@@ -198,12 +198,16 @@ def checked_resolution(
             f"{where}invalid resolution: " + "; ".join(str(p) for p in problems)
         )
     points = scan_points(res, grid)
-
-    def walk(pts: Sequence[int | None]) -> None:
-        for found in [surface_invariants(res, x) for x in pts]:
-            check(found)
-
-    certified(walk, points)
+    found = [surface_invariants(res, x) for x in points]
+    # points run outward from a half-line's finite end: a falling degree reaches 0
+    if len(found) > 1 and grid is None and None in admissible(res):
+        if found[1].degree < found[0].degree:
+            raise DegenerateResolutionError(
+                f"surface degree falls from {found[0].degree} at x={points[0]}"
+                f" to {found[1].degree} at x={points[1]}, so it is <= 0 further out"
+            )
+    for invariants in found:
+        check(invariants)
     return res, points
 
 
@@ -226,8 +230,8 @@ def dimension_bound(case: CaseRecord) -> Count:
     """h^0(I_S(r)) - 1 + h^0(N_S), the incidence-variety dimension bound.
 
     The case's resolution is balanced and validated first (see
-    checked_resolution).  Parametric cases are scanned over their grid;
-    both ingredients must be constant across it.
+    checked_resolution).  Parametric cases are evaluated at their scan
+    points (see scan_points); both ingredients must be constant there.
     """
     if case.resolution is None:
         raise CatalogError(f"case {case.label} has no resolution to count with")

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Callable, Mapping, Sequence
-from typing import NamedTuple, TypeVar
+from typing import NamedTuple
 
 from .combinatorics import Count, EulerNumber
 from .proj_cohomology import AMBIENT_DIM, chi_pn, h0_pn
@@ -37,19 +37,6 @@ class DegenerateResolutionError(ValueError):
 
 class NonConstantScanError(ArithmeticError):
     """A quantity that must not depend on the family parameter did."""
-
-
-T = TypeVar("T")
-
-
-#: Parameter values scanned for a parametric resolution with no grid of its own.
-DEFAULT_GRID = range(0, 6)
-
-#: Widest grid scan_points accepts; a wider one is refused rather than walked.
-MAX_SCAN_POINTS = 100_000
-
-#: The values a resolution is scanned at: its grid, or [None] without a parameter.
-ScanPoints = range | list[None]
 
 
 _TERM_RE = re.compile(
@@ -289,149 +276,157 @@ def degree_balance_form(res: GorensteinResolution) -> tuple[int, dict[str, int]]
 
 
 class Violation(NamedTuple):
-    """One failed structural invariant, located at a parameter value."""
+    """One failed structural invariant, located at a parameter value or range."""
 
     invariant: str
-    param_value: int | None
+    param_value: int | range | None
     detail: str
 
     def __str__(self) -> str:
-        where = "" if self.param_value is None else f" at x={self.param_value}"
+        x = self.param_value
+        if isinstance(x, range):
+            x = f"{x[0]}..{x[-1]}" + ("" if x.step == 1 else f" step {x.step}")
+        where = "" if x is None else f" at x={x}"
         return f"{self.invariant}{where}: {self.detail}"
 
 
-def scan_points(res: GorensteinResolution, grid: range | None = None) -> ScanPoints:
-    """The parameter values a resolution is evaluated at.
+def admissible(res: GorensteinResolution) -> tuple[int | None, int | None]:
+    """The interval {x : every multiplicity >= 0} as (lo, hi), lo > hi when empty.
 
-    [None] for a non-parametric resolution; otherwise the grid itself,
-    or DEFAULT_GRID when there is none.  An empty grid is refused, since
-    it would certify nothing, and so is one of more than MAX_SCAN_POINTS
-    points, whose fallback walk (see certified) would be too long.
+    None marks an open end: no multiplicity bounds x on that side.
+    """
+    mults = [mult for _, mult in res.generators + res.syzygies]
+    lows = [-(m.const // m.coeff) for m in mults if m.coeff > 0]  # ceil(-const / coeff)
+    highs = [m.const // -m.coeff for m in mults if m.coeff < 0]
+    return max(lows, default=None), min(highs, default=None)
+
+
+def _negative_span(mult: AffineExpr, grid: range) -> range:
+    """The grid points, ascending, where mult < 0: a prefix or a suffix, as mult is affine."""
+    if grid.step < 0:
+        grid = grid[::-1]
+    value, slope = mult.evaluate(grid[0]), mult.coeff * grid.step
+    if slope > 0:  # negative for i < -value / slope
+        return grid[: max(0, -(value // slope))]
+    if slope < 0:  # negative for i > value / -slope
+        return grid[max(0, value // -slope + 1) :]
+    return grid if value < 0 else grid[:0]
+
+
+def scan_points(res: GorensteinResolution, grid: range | None = None) -> list[int | None]:
+    """The certificate points a resolution is evaluated at: [None] without a parameter.
+
+    The scan domain is the grid, which validate requires to lie inside
+    the admissible interval, or else that interval itself.  Its points
+    are both ends and a middle point of a bounded domain, or the finite
+    end and the next two values of a half-line.  They certify the whole
+    domain of a balanced one-parameter resolution that validate accepts:
+    - every multiplicity is affine in x and >= 0 on the domain, so block
+      counts, ranks, h0_ideal, chi_structure_poly and the degree, genus
+      and third differences of surface_invariants are affine there;
+    - kmr_h0_normal is quadratic: by self-duality the partial sums of the
+      ascending generator blocks equal those of the descending syzygy
+      blocks, so each _pairs_before(a, b) stays on one branch, and the
+      two branches agree at a = b;
+    - so each identity checked (rank balance, self-duality per twist,
+      zero third differences, degree = c2, genus, and constancy of
+      h0_ideal, chi_structure_poly and kmr_h0_normal) is a polynomial of
+      degree <= 2 in x, which vanishes on the domain when it vanishes at
+      three distinct points;
+    - the one inequality, surface degree > 0, is affine: it holds between
+      the ends of a bounded domain, and on a half-line it also needs the
+      degree not to fall toward the open end, which checked_resolution
+      checks.  A rank, a sum of multiplicities, cannot fall to 0 there.
+    Points are computed, not listed, so a grid past sys.maxsize costs
+    what a short one does.  An empty domain raises ValueError.
     """
     if not res.is_parametric:
         return [None]
-    points = DEFAULT_GRID if grid is None else grid
-    if not points:
-        raise ValueError("parameter grid is empty")
-    if points[MAX_SCAN_POINTS:]:  # len() overflows on a range past sys.maxsize
-        raise ValueError(f"parameter grid has more than {MAX_SCAN_POINTS} points")
-    return points
-
-
-def certified(
-    walk: Callable[[Sequence[int | None]], T],
-    points: ScanPoints,
-    accept: Callable[[T], bool] = lambda result: True,
-) -> T:
-    """walk over both ends and a middle point of the grid.
-
-    These three certify every point for the counts of a balanced
-    one-parameter resolution that validate accepts at both ends:
-    - every multiplicity is affine in x and >= 0 at both ends, so it is
-      >= 0 on the whole hull of the grid;
-    - so the merged block counts, ranks, term_sums, h0_ideal,
-      chi_structure_poly and the degree, genus and third differences of
-      surface_invariants are affine in x;
-    - kmr_h0_normal is quadratic: by self-duality the partial sums of the
-      ascending generator blocks equal those of the descending syzygy
-      blocks, so each _pairs_before(a, b) stays on one branch, and the two
-      branches agree at a = b;
-    - a polynomial of degree <= 2 with one value at three points is
-      constant, and an affine check passing at both ends passes between.
-    When a certificate point raises or its result is not accepted, every
-    point is walked in order, so a failure is the one a full walk meets.
-    """
-    if len(points) > 3:
-        try:
-            result = walk([points[0], points[len(points) // 2], points[-1]])
-        except (ArithmeticError, ValueError):  # the full walk raises it at its first point
-            pass
-        else:
-            if accept(result):
-                return result
-    return walk(points)
+    if grid is not None:
+        if not grid:
+            raise ValueError("parameter grid is empty")
+        (lo, hi), step = sorted((grid[0], grid[-1])), abs(grid.step)
+    else:
+        (lo, hi), step = admissible(res), 1
+        if hi is None:
+            return [lo, lo + 1, lo + 2]
+        if lo is None:
+            return [hi, hi - 1, hi - 2]
+        if lo > hi:
+            (name,) = res.free_parameters()
+            raise ValueError(
+                f"no value of {name} makes every multiplicity >= 0"
+                f" ({lo} <= {name} <= {hi} is empty)"
+            )
+    middle = lo + step * (((hi - lo) // step + 1) // 2)
+    return list(dict.fromkeys([lo, middle, hi]))
 
 
 def scan_constant(
-    evaluate: Callable[[int | None], int], points: ScanPoints, what: str
+    evaluate: Callable[[int | None], int], points: list[int | None], what: str
 ) -> int:
-    """The value at the scan points (see certified), which must be constant.
+    """The value at the scan points (see scan_points), which must be constant.
 
     The family parameter counts resolution terms that cancel; a value
     that moves with it means corrupted twist data, so it is reported
     rather than averaged away.
     """
-
-    def walk(pts: Sequence[int | None]) -> int:
-        values = {x: evaluate(x) for x in pts}
-        distinct = set(values.values())
-        if len(distinct) != 1:
-            raise NonConstantScanError(f"{what} varies across the parameter grid: {values}")
-        return distinct.pop()
-
-    return certified(walk, points)
+    values = {x: evaluate(x) for x in points}
+    distinct = set(values.values())
+    if len(distinct) != 1:
+        raise NonConstantScanError(f"{what} varies across the certificate points: {values}")
+    return distinct.pop()
 
 
 def validate(res: GorensteinResolution, grid: range | None = None) -> list[Violation]:
     """Check self-duality, rank balance and degree balance; never raises.
 
-    Parametric resolutions are checked at the scan points (see
-    certified); non-parametric ones once.  Returns every violation found.
+    A negative multiplicity is reported once per expression, with the
+    grid points where it is negative; the rest is checked at the scan
+    points (see scan_points).  Returns every violation found.
     """
     violations: list[Violation] = []
     names = res.free_parameters()
     if len(names) > 1:
-        return [
-            Violation(
-                "unresolved-parameters",
-                None,
-                "parameters " + ", ".join(sorted(names)) + " need a balance relation first",
-            )
-        ]
+        detail = "parameters " + ", ".join(sorted(names)) + " need a balance relation first"
+        return [Violation("unresolved-parameters", None, detail)]
 
     const, coeffs = degree_balance_form(res)
     if const != 0 or coeffs:
         residual = " ".join([str(const)] + [f"{v:+d}*{k}" for k, v in sorted(coeffs.items())])
-        violations.append(
-            Violation("degree-balance", None, f"twist sums leave residual {residual}")
-        )
+        detail = f"twist sums leave residual {residual}"
+        violations.append(Violation("degree-balance", None, detail))
 
     try:
         points = scan_points(res, grid)
     except ValueError as exc:
-        if "more than" in str(exc):
-            return [Violation("wide-grid", None, str(exc))]
-        return [Violation("empty-grid", None, "parametric resolution needs a grid")]
+        tag = "empty-domain" if grid is None else "empty-grid"
+        return violations + [Violation(tag, None, str(exc))]
+
+    negative = []
+    for twist, mult in res.generators + res.syzygies:
+        # off a grid the scan points are admissible, so only a constant can be negative
+        where = _negative_span(mult, grid) if names and grid is not None else None
+        if where or (where is None and mult.evaluate(points[0]) < 0):
+            detail = f"multiplicity {mult} of twist {twist} is negative"
+            negative.append(Violation("negative-multiplicity", where, detail))
+    if negative:
+        return violations + negative
 
     dual_shift = res.subcanonical_e + 6
-
-    def walk(pts: Sequence[int | None]) -> list[Violation]:
-        found: list[Violation] = []
-        for x in pts:
-            try:
-                gens, syz = res.blocks(x)
-            except ResolutionValidationError as exc:
-                found.append(Violation("negative-multiplicity", x, str(exc)))
-                continue
-            if not gens:
-                found.append(Violation("trivial-rank", x, "no generators"))
-                continue
-            rank, syz_rank = sum(c for _, c in gens), sum(c for _, c in syz)
-            if rank != syz_rank:
-                found.append(
-                    Violation("rank-balance", x, f"{rank} generators vs {syz_rank} syzygies")
-                )
-            if syz != sorted((dual_shift - n, c) for n, c in gens):
-                found.append(
-                    Violation(
-                        "self-duality",
-                        x,
-                        f"syzygy twists differ from {dual_shift} minus generator twists",
-                    )
-                )
-        return found
-
-    return violations + certified(walk, points, lambda found: not found)
+    for x in points:
+        gens, syz = res.blocks(x)
+        if not gens:
+            violations.append(Violation("trivial-rank", x, "no generators"))
+            continue
+        rank, syz_rank = sum(c for _, c in gens), sum(c for _, c in syz)
+        if rank != syz_rank:
+            detail = f"{rank} generators vs {syz_rank} syzygies"
+            violations.append(Violation("rank-balance", x, detail))
+        if syz != sorted((dual_shift - n, c) for n, c in gens):
+            detail = f"syzygy twists differ from {dual_shift} minus generator twists"
+            violations.append(Violation("self-duality", x, detail))
+    return violations
 
 
 def term_sum(

@@ -16,11 +16,24 @@ from acmsplit.resolutions import (
     UnresolvedParameterError,
     Violation,
     degree_balance_form,
-    scan_points,
 )
 
 #: Complete-intersection types appearing in the built-in catalogs.
 CI_TYPES = [(1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 1, 4), (1, 2, 3)]
+
+#: Surface degree 8 - x on the admissible half-line x >= 0: a surface for x <= 7 only.
+FALLING_DEGREE = {
+    "gens": [[1, 1], [2, 1], [4, 1], [4, "3*x"], [2, "x"]],
+    "syz": [[6, 1], [5, 1], [3, 1], [3, "3*x"], [5, "x"]],
+    "socle": 7,
+}
+
+#: Multiplicities x and -x - 1 are never both >= 0: the admissible interval is empty.
+EMPTY_DOMAIN = {
+    "gens": [[2, 3], [3, "x"], [3, "-x-1"]],
+    "syz": [[3, "x"], [3, "-x-1"], [4, 3]],
+    "socle": 6,
+}
 
 
 def _group(twists):
@@ -68,10 +81,41 @@ def builtin_cases():
         yield from builtin_catalog(degree)
 
 
+#: Parameter values searched for admissible points; the built-in and drawn
+#: families have their finite ends well inside it.
+WINDOW = range(-100, 101)
+
+
+def admissible_search(res):
+    """Every x in WINDOW at which each multiplicity evaluates to >= 0."""
+    mults = [mult for _, mult in res.generators + res.syzygies]
+    return [x for x in WINDOW if all(mult.evaluate(x) >= 0 for mult in mults)]
+
+
+def is_half_line(res):
+    """Whether the admissible values of a family run off an edge of WINDOW."""
+    found = admissible_search(res)
+    return bool(found) and (found[0] == WINDOW[0] or found[-1] == WINDOW[-1])
+
+
+def walk_points(res, grid=None, count=40):
+    """The points a plain walk visits, independent of the package's scan.
+
+    [None] without a parameter; else every point of the grid, or without
+    one the first count admissible values from the finite end.
+    """
+    if not res.is_parametric:
+        return [None]
+    if grid is not None:
+        return grid
+    found = admissible_search(res)
+    return found[::-1][:count] if found[:1] == [WINDOW[0]] else found[:count]
+
+
 def case_points(case):
-    """Grid points to scan for one case, after parameter resolution."""
+    """Points to walk for one case, after parameter resolution: six without a grid."""
     res, _ = resolve_parameters(case.resolution)
-    return res, scan_points(res, case.parameter_grid)
+    return res, walk_points(res, case.parameter_grid, 6)
 
 
 def resolved_points():
@@ -184,9 +228,10 @@ def pair_arguments(res, x=None):
 def flat_kmr_total(res, x=None):
     """The KMR sum term by term; negative totals are returned, not refused."""
     gens, _ = sorted_twists(res, x)
-    total = sum(flat_h0_structure(res, n, x) for n in gens)
-    for positive, negative in pair_arguments(res, x):
-        total += binom_trunc(positive, 5) - binom_trunc(negative, 5)
+    structure = {n: flat_h0_structure(res, n, x) for n in set(gens)}  # one sum per twist
+    total = sum(structure[n] for n in gens)
+    for (positive, negative), count in Counter(pair_arguments(res, x)).items():  # terms repeat
+        total += count * (binom_trunc(positive, 5) - binom_trunc(negative, 5))
     return total - sum(binom_trunc(n + 5, 5) for n in gens)
 
 
@@ -202,7 +247,11 @@ def kmr_min_pair_argument(res, x=None):
 
 
 def flat_validate(res, grid=None):
-    """validate() with the per-point checks on flat twist lists."""
+    """validate() as a walk over walk_points, checking flat twist lists at each point.
+
+    A negative multiplicity is reported at every point and for every
+    expression where it is negative.
+    """
     names = res.free_parameters()
     if len(names) > 1:
         return [
@@ -219,13 +268,25 @@ def flat_validate(res, grid=None):
         violations.append(
             Violation("degree-balance", None, f"twist sums leave residual {residual}")
         )
+    points = walk_points(res, grid)
+    if not points:
+        tag = "empty-domain" if grid is None else "empty-grid"
+        return violations + [Violation(tag, None, "no point to walk")]
     dual_shift = res.socle_twist
-    for x in scan_points(res, grid):
-        try:
-            gens, syz = flat_twists(res, x)
-        except ResolutionValidationError as exc:
-            violations.append(Violation("negative-multiplicity", x, str(exc)))
+    for x in points:
+        negative = [
+            Violation(
+                "negative-multiplicity",
+                x,
+                f"multiplicity {mult} of twist {twist} is {mult.evaluate(x)} at x={x}",
+            )
+            for twist, mult in res.generators + res.syzygies
+            if mult.evaluate(x) < 0
+        ]
+        if negative:
+            violations += negative
             continue
+        gens, syz = flat_twists(res, x)
         if not gens:
             violations.append(Violation("trivial-rank", x, "no generators"))
             continue
@@ -242,6 +303,20 @@ def flat_validate(res, grid=None):
                 )
             )
     return violations
+
+
+def located(violations):
+    """Each violation as (invariant, its points, detail), to compare a scan with a walk.
+
+    A negative multiplicity keeps only its expression: the scan names a
+    range of points once, the walk each point with its value.
+    """
+    out = []
+    for v in violations:
+        points = list(v.param_value) if isinstance(v.param_value, range) else [v.param_value]
+        negative = v.invariant == "negative-multiplicity"
+        out.append((v.invariant, points, v.detail.split(" is ")[0] if negative else v.detail))
+    return out
 
 
 # ------------------------------------------------ bundle diagnostics

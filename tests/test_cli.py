@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from acmsplit.cli import run
-from conftest import ci_resolution
+from conftest import EMPTY_DOMAIN, FALLING_DEGREE, ci_resolution
 
 QUADRIC = json.dumps(ci_resolution(1, 1, 2))
 #: Nested past the JSON decoder's recursion limit.
@@ -16,6 +16,14 @@ UNBALANCED = '{"gens":[[1,1],[2,1]],"syz":[[3,1],[9,1]],"socle":5}'
 #: Balanced and self-dual, but its Hilbert polynomial has degree 0.
 DEGENERATE = '{"gens":[[0,1]],"syz":[[4,1]],"socle":4}'
 OCTIC = json.dumps({"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6})
+#: The README degree-11 family, admissible for b >= 2.
+DEG11 = json.dumps(
+    {"gens": [[2, 3], [3, "b-2"], [4, "b"]], "syz": [[3, "b"], [4, "b-2"], [5, 3]], "socle": 7}
+)
+#: The same family with b replaced by 4 - b, admissible for b <= 2.
+DEG11_REVERSED = json.dumps(
+    {"gens": [[2, 3], [3, "2-b"], [4, "4-b"]], "syz": [[3, "4-b"], [4, "2-b"], [5, 3]], "socle": 7}
+)
 
 
 def invoke(capsys, *argv):
@@ -80,12 +88,13 @@ def test_kmr_at_a_billion_cubics(capsys):
     assert (code, out) == (0, "54\n")
 
 
-def test_too_wide_grid_is_refused_before_it_is_walked(capsys):
+@pytest.mark.parametrize(
+    "grid", ["0..100000", "0..1000000000000", f"0..{10**30}"],
+    ids=["grid-1e5", "grid-1e12", "grid-1e30"],
+)
+def test_a_wide_grid_is_certified(capsys, grid):
     # 0..10**30 is past sys.maxsize, where len() of the range overflows
-    for grid in ("0..100000", f"0..{10**30}"):
-        code, out, err = invoke(capsys, "kmr", "--resolution", OCTIC, "--grid", grid)
-        assert (code, out) == (2, "")
-        assert "wide-grid: parameter grid has more than 100000 points" in err
+    assert invoke(capsys, "kmr", "--resolution", OCTIC, "--grid", grid) == (0, "54\n", "")
 
 
 def test_kmr_cost_does_not_grow_with_the_grid(capsys, monkeypatch):
@@ -100,11 +109,30 @@ def test_kmr_cost_does_not_grow_with_the_grid(capsys, monkeypatch):
         return blocks(self, x)
 
     monkeypatch.setattr(GorensteinResolution, "blocks", counted)
-    for grid, points in (("0..9", [0, 5, 9]), ("0..99999", [0, 50_000, 99_999])):
+    for grid, points in (
+        (["--grid", "0..9"], [0, 5, 9]),
+        (["--grid", "0..99999"], [0, 50_000, 99_999]),
+        (["--grid", f"0..{10**30}"], [0, 5 * 10**29, 10**30]),
+        ([], [0, 1, 2]),  # the admissible half-line x >= 0
+    ):
         seen.clear()
-        assert invoke(capsys, "kmr", "--resolution", OCTIC, "--grid", grid) == (0, "54\n", "")
+        assert invoke(capsys, "kmr", "--resolution", OCTIC, *grid) == (0, "54\n", "")
         assert len(seen) == 9
         assert sorted(set(seen)) == points
+
+
+def test_readme_family_without_a_grid_is_certified_on_its_half_line(capsys):
+    """b - 2 >= 0 bounds the family below, so b runs over 2, 3, 4, ... ."""
+    assert invoke(capsys, "kmr", "--resolution", DEG11) == (0, "83\n", "")
+
+
+def test_negative_multiplicities_are_reported_once_per_expression(capsys):
+    """Each of the four expressions is negative on a sub-range of the grid."""
+    code, out, err = invoke(capsys, "kmr", "--resolution", DEG11_REVERSED, "--grid", "0..99999")
+    assert (code, out) == (2, "")
+    assert err.count("negative-multiplicity") == 4
+    assert "negative-multiplicity at x=3..99999: multiplicity -b + 2 of twist 3 is negative" in err
+    assert len(err.encode()) < 1024
 
 
 @pytest.mark.parametrize("command", [["kmr"], ["hilbert", "--twist", "2"]])
@@ -208,15 +236,15 @@ def test_custom_catalog(tmp_path, capsys):
         ["hilbert", "--resolution", UNBALANCED, "--twist", "3"],
         ["kmr", "--resolution", DEGENERATE],
         ["hilbert", "--resolution", DEGENERATE, "--twist", "2"],
-        ["kmr", "--resolution", OCTIC, "--grid", "0..1000000000000"],
-        ["kmr", "--resolution", OCTIC, "--grid", "0..1000000000000000000000000000000"],
+        ["hilbert", "--resolution", json.dumps(FALLING_DEGREE), "--twist", "0"],
+        ["kmr", "--resolution", json.dumps(EMPTY_DOMAIN)],
     ],
     ids=[
         "degree-range", "degree-type", "degree-missing", "grid-empty",
         "grid-grammar", "unknown-flag", "unknown-command", "bad-resolution",
         "missing-file", "bad-degree", "nested-resolution", "kmr-unvalidated",
-        "hilbert-unvalidated", "kmr-degenerate", "hilbert-degenerate", "grid-too-wide",
-        "grid-past-maxsize",
+        "hilbert-unvalidated", "kmr-degenerate", "hilbert-degenerate", "falling-degree",
+        "empty-domain",
     ],
 )
 def test_input_errors_exit_2(capsys, argv):

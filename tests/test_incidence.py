@@ -28,7 +28,7 @@ from acmsplit.resolutions import (
     surface_invariants,
     validate,
 )
-from conftest import case_points, ci_resolution
+from conftest import FALLING_DEGREE, case_points, ci_resolution
 
 DEG11 = {"gens": [[2, 3], [3, "c"], [4, "b"]], "syz": [[3, "b"], [4, "c"], [5, 3]], "socle": 7}
 DEG12 = {"gens": [[2, 2], [3, "c"], [4, "b"]], "syz": [[3, "b"], [4, "c"], [5, 2]], "socle": 7}
@@ -354,9 +354,24 @@ def test_checked_resolution_names_the_first_degenerate_point():
 
 
 def test_degeneracy_is_reported_before_a_degree_mismatch():
-    """c2 = 4 fails at x = -2, but the point that degenerates at x = -1 is named."""
+    """The degree is c2 = 4 at x = -3, but x = -1 and x = 0 carry no surface at all."""
     case = CaseRecord(r=5, c1=1, c2=4, resolution=DEGENERATES_PARTWAY, parameter_grid=range(-3, 1))
     with pytest.raises(DegenerateResolutionError, match=re.escape(DEGENERATE_MESSAGE)):
+        _prepare_case(case)
+
+
+def test_checked_resolution_refuses_a_degree_falling_on_a_half_line():
+    res = parse_resolution(FALLING_DEGREE)
+    assert validate(res) == []
+    assert [surface_invariants(res, x).degree for x in range(8)] == [8, 7, 6, 5, 4, 3, 2, 1]
+    # a grid that stops before x = 8, such as the old default 0..5, is a surface throughout
+    assert checked_resolution(res, range(0, 8)) == (res, [0, 4, 7])
+    message = "surface degree falls from 8 at x=0 to 7 at x=1, so it is <= 0 further out"
+    with pytest.raises(DegenerateResolutionError, match=re.escape(message)):
+        checked_resolution(res)
+    # a catalog case without a grid is certified on the whole half-line, so it is refused
+    case = CaseRecord(r=5, c1=1, c2=8, resolution=res)
+    with pytest.raises(DegenerateResolutionError, match=re.escape(message)):
         _prepare_case(case)
 
 

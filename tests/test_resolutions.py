@@ -1,7 +1,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acmsplit.incidence import CatalogError, checked_resolution
@@ -13,7 +13,6 @@ from acmsplit.resolutions import (
     GorensteinResolution,
     NonConstantScanError,
     ResolutionValidationError,
-    MAX_SCAN_POINTS,
     SurfaceInvariants,
     UnresolvedParameterError,
     chi_structure_poly,
@@ -29,6 +28,8 @@ from acmsplit.resolutions import (
 )
 from conftest import (
     CI_TYPES,
+    EMPTY_DOMAIN,
+    FALLING_DEGREE,
     ci_resolution,
     flat_chi_structure_poly,
     flat_h0_ideal,
@@ -36,8 +37,11 @@ from conftest import (
     flat_surface_invariants,
     flat_validate,
     hi_pn,
+    is_half_line,
     koszul_ideal_dim,
+    located,
     resolved_points,
+    walk_points,
 )
 
 RESOLVED = list(resolved_points())
@@ -142,17 +146,34 @@ def test_blocks_merge_sort_and_drop_empty_twists():
         res.blocks()
 
 
-def test_scan_points_refuses_a_grid_past_the_cap():
+def test_scan_points_are_the_certificate_points():
     family = parse_resolution({"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6})
-    assert len(scan_points(family, range(MAX_SCAN_POINTS))) == MAX_SCAN_POINTS
-    # the grid itself is the scan domain, not a copy of it
-    assert scan_points(family, range(2, 100_001)) == range(2, 100_001)
-    for grid in (range(MAX_SCAN_POINTS + 1), range(10**30)):
-        with pytest.raises(ValueError, match="more than 100000 points"):
-            scan_points(family, grid)
-    assert [v.invariant for v in validate(family, range(10**12))] == ["wide-grid"]
+    # a grid: both ends and a middle point, in either order, past sys.maxsize too
+    assert scan_points(family, range(0, 10)) == [0, 5, 9]
+    assert scan_points(family, range(9, -1, -1)) == [0, 5, 9]
+    assert scan_points(family, range(0, 10, 3)) == [0, 6, 9]
+    assert scan_points(family, range(10**30)) == [0, 5 * 10**29, 10**30 - 1]
+    assert scan_points(family, range(3, 5)) == [3, 4]
+    assert validate(family, range(10**30)) == []
+    # no grid: the admissible half-line x >= 0 from its finite end
+    assert scan_points(family) == [0, 1, 2]
+    falling = parse_resolution({"gens": [[2, 3], [3, "4-x"]], "syz": [[3, "4-x"], [4, 3]], "socle": 6})
+    assert scan_points(falling) == [4, 3, 2]
+    both = parse_resolution(
+        {"gens": [[2, 3], [3, "x"], [1, "5-x"]], "syz": [[3, "x"], [4, 3], [5, "5-x"]], "socle": 6}
+    )
+    assert scan_points(both) == [0, 3, 5]
     # a non-parametric resolution is evaluated once, whatever the grid
     assert scan_points(parse_resolution(ci_resolution(1, 1, 2)), range(10**12)) == [None]
+
+
+def test_an_empty_admissible_interval_is_one_violation():
+    res = parse_resolution(EMPTY_DOMAIN)
+    assert [str(v) for v in validate(res)] == [
+        "empty-domain: no value of x makes every multiplicity >= 0 (0 <= x <= -1 is empty)"
+    ]
+    with pytest.raises(ValueError, match="no value of x"):
+        scan_points(res)
 
 
 def test_expand_refuses_two_parameters():
@@ -167,7 +188,7 @@ def test_expand_refuses_two_parameters():
 
 @pytest.mark.parametrize("case, res, x", RESOLVED, ids=RESOLVED_IDS)
 def test_builtin_resolutions_validate(case, res, x):
-    assert validate(res, [x] if x is not None else None) == []
+    assert validate(res, None if x is None else range(x, x + 1)) == []
 
 
 def test_degree_balance_violation():
@@ -188,14 +209,29 @@ def test_self_duality_and_rank_violations():
     assert "degree-balance" in tags
 
 
-def test_negative_multiplicity_reported_per_point():
+def test_negative_multiplicity_reported_per_expression():
     raw = parse_resolution(
         {"gens": [[2, 3], [3, "c"], [4, "b"]], "syz": [[3, "b"], [4, "c"], [5, 3]], "socle": 7}
     )
     res = raw.substitute("c", parse_affine("b-2"))
-    bad = [v for v in validate(res, range(0, 6)) if v.invariant == "negative-multiplicity"]
-    assert sorted(v.param_value for v in bad) == [0, 1]
+    assert [str(v) for v in validate(res, range(0, 100_000))] == [
+        f"negative-multiplicity at x=0..1: multiplicity b - 2 of twist {twist} is negative"
+        for twist in (3, 4)
+    ]
+    # on a descending grid with a step, the sub-ranges are ascending
+    assert [str(v) for v in validate(res, range(9, -4, -2))] == [
+        "negative-multiplicity at x=-3..1 step 2: multiplicity b - 2 of twist 3 is negative",
+        "negative-multiplicity at x=-3..-1 step 2: multiplicity b of twist 4 is negative",
+        "negative-multiplicity at x=-3..-1 step 2: multiplicity b of twist 3 is negative",
+        "negative-multiplicity at x=-3..1 step 2: multiplicity b - 2 of twist 4 is negative",
+    ]
     assert validate(res, range(2, 6)) == []
+    assert validate(res) == []
+    # a constant is negative at every point
+    negative = parse_resolution({"gens": [[2, -1]], "syz": [[3, -1]], "socle": 5})
+    assert [str(v) for v in validate(negative) if v.invariant == "negative-multiplicity"] == [
+        f"negative-multiplicity: multiplicity -1 of twist {twist} is negative" for twist in (2, 3)
+    ]
 
 
 def test_unresolved_and_empty_grid():
@@ -356,7 +392,9 @@ def certificate_families(draw):
     the degree balance but move the Hilbert polynomial.  The grid is an
     arithmetic progression, ascending or descending, on which every
     count is >= 0, or one that runs past that range, anywhere or by one
-    step beyond one end.
+    step beyond one end, or None, so that the family is scanned on its
+    admissible interval: a half-line, on which the degree may fall, a
+    bounded interval or an empty one.
     """
     a, b, c = draw(st.tuples(*[st.integers(1, 3)] * 3))
     socle = a + b + c
@@ -380,7 +418,9 @@ def certificate_families(draw):
             low = max(low, -(mult.const // mult.coeff))
         elif mult.coeff < 0:
             high = min(high, mult.const // -mult.coeff)
-    mode = draw(st.sampled_from(["inside", "inside", "past", "one-step-past"]))
+    mode = draw(st.sampled_from(["inside", "inside", "past", "one-step-past", "no-grid"]))
+    if mode == "no-grid":
+        return res, None, draw(st.integers(0, 8))
     if low > high or mode == "past":
         low, high = -6, 6
     step = draw(st.integers(1, 2))
@@ -395,61 +435,88 @@ def certificate_families(draw):
 
 
 def _outcome(call):
-    """The value of call(), or the type and message of what it raised."""
+    """The value of call(), or the type of what it raised."""
     try:
         return call()
     except Exception as exc:
-        return type(exc), str(exc)
+        return type(exc)
 
 
 def _walk_constant(evaluate, points, what):
     """scan_constant as a plain walk over every point."""
     values = {x: evaluate(x) for x in points}
     if len(set(values.values())) != 1:
-        raise NonConstantScanError(f"{what} varies across the parameter grid: {values}")
+        raise NonConstantScanError(f"{what} varies across the walked points: {values}")
     return values[points[0]]
 
 
-def _flat_kmr(res, x):
-    total = flat_kmr_total(res, x)
-    if total < 0:
-        raise ConventionViolation(f"h^0(N_S) computed as {total} < 0")
-    return total
-
-
 def _walk_checked_resolution(res, grid, check):
-    """checked_resolution as a plain walk over every point, on the flat references."""
+    """checked_resolution as a plain walk over walk_points, on the flat references.
+
+    On a half-line the walk cannot reach where a falling degree turns
+    non-positive, so it refuses any fall between walked points.
+    """
     problems = flat_validate(res, grid)
     if problems:
         raise CatalogError("invalid resolution: " + "; ".join(str(p) for p in problems))
-    points = scan_points(res, grid)
-    for found in [flat_surface_invariants(res, x) for x in points]:
-        check(found)
-    return res, points
+    found = [flat_surface_invariants(res, x) for x in walk_points(res, grid)]
+    if grid is None and res.is_parametric and is_half_line(res):
+        if any(later.degree < earlier.degree for earlier, later in zip(found, found[1:])):
+            raise DegenerateResolutionError("surface degree falls along the half-line")
+    for invariants in found:
+        check(invariants)
+    return res
+
+
+def _negative_points(violations):
+    """The points of each negative multiplicity, keyed by its expression."""
+    points = {}
+    for invariant, where, expression in located(violations):
+        if invariant == "negative-multiplicity":
+            points.setdefault(expression, []).extend(where)
+    return {expression: sorted(where) for expression, where in points.items()}
 
 
 @settings(max_examples=200, deadline=None)
 @given(certificate_families())
+@example((parse_resolution(FALLING_DEGREE), None, 0))
+@example((parse_resolution(EMPTY_DOMAIN), None, 0))
 def test_certificate_agrees_with_the_full_walk(drawn):
+    """The certificate accepts when a walk over every point does, with the same values.
+
+    Where both refuse they raise the same exception type, and each
+    negative multiplicity is reported on exactly the grid points where
+    the walk finds it negative.
+    """
     res, grid, pin = drawn
     problems = flat_validate(res, grid)
-    assert validate(res, grid) == problems
+    found = validate(res, grid)
+    assert bool(found) == bool(problems)
+    assert _negative_points(found) == _negative_points(problems)
 
     # refuse every degree but the one at a drawn point, as _prepare_case refuses c2
-    pinned = _outcome(lambda: flat_surface_invariants(res, grid[pin % len(grid)]))
+    walked = walk_points(res, grid)
+    pinned = _outcome(lambda: flat_surface_invariants(res, walked[pin % len(walked)]))
 
-    def check(found):
-        if isinstance(pinned, SurfaceInvariants) and found.degree != pinned.degree:
-            raise CatalogError(f"resolution has surface degree {found.degree}, not c2")
+    def check(invariants):
+        if isinstance(pinned, SurfaceInvariants) and invariants.degree != pinned.degree:
+            raise CatalogError(f"resolution has surface degree {invariants.degree}, not c2")
 
-    assert _outcome(lambda: checked_resolution(res, grid, check=check)) == _outcome(
+    assert _outcome(lambda: checked_resolution(res, grid, check=check)[0]) == _outcome(
         lambda: _walk_checked_resolution(res, grid, check)
     )
     if problems:
         return
 
     points = scan_points(res, grid)
-    quantities = [("h^0(N_S)", lambda x: kmr_h0_normal(res, x), lambda x: _flat_kmr(res, x))]
+    totals = {x: flat_kmr_total(res, x) for x in walked}
+
+    def flat_kmr(x):
+        if totals[x] < 0:
+            raise ConventionViolation(f"h^0(N_S) computed as {totals[x]} < 0")
+        return totals[x]
+
+    quantities = [("h^0(N_S)", lambda x: kmr_h0_normal(res, x), flat_kmr)]
     for t in (1, 3, 5):
         quantities += [
             (f"h^0(I_S({t}))", lambda x, t=t: h0_ideal(res, t, x),
@@ -458,13 +525,16 @@ def test_certificate_agrees_with_the_full_walk(drawn):
              lambda x, t=t: flat_chi_structure_poly(res, t, x)),
         ]
     for what, package, flat in quantities:
-        assert _outcome(lambda: scan_constant(package, points, what)) == _outcome(
-            lambda: _walk_constant(flat, points, what)
+        certificate = _outcome(lambda: scan_constant(package, points, what))
+        walk = _outcome(lambda: _walk_constant(flat, walked, what))
+        # a walk can meet a negative KMR total before it sees the value move
+        assert certificate == walk or (certificate, walk) == (
+            NonConstantScanError, ConventionViolation
         )
 
     # the degree <= 2 fact the certificate rests on, at equally spaced points
-    totals = [flat_kmr_total(res, x) for x in points]
+    values = list(totals.values())
     assert all(
-        totals[i + 3] - 3 * totals[i + 2] + 3 * totals[i + 1] - totals[i] == 0
-        for i in range(len(totals) - 3)
+        values[i + 3] - 3 * values[i + 2] + 3 * values[i + 1] - values[i] == 0
+        for i in range(len(values) - 3)
     )
