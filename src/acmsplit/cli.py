@@ -140,14 +140,14 @@ def _cmd_check_case(args: argparse.Namespace) -> int:
 
 
 def _cmd_kmr(args: argparse.Namespace) -> int:
-    res, points = checked_resolution(_load_resolution(args.resolution), args.grid)
+    res, points, _ = checked_resolution(_load_resolution(args.resolution), args.grid)
     value = scan_constant(lambda x: kmr_h0_normal(res, x), points, "h^0(N_S)")
     _emit(_scalar_text(args, {"h0_normal": value}, "h0_normal"), args.out)
     return 0
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> int:
-    res, points = checked_resolution(_load_resolution(args.resolution), args.grid)
+    res, points, _ = checked_resolution(_load_resolution(args.resolution), args.grid)
     twist = args.twist
     payload = {
         "twist": twist,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import json
 from collections import namedtuple
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from typing import NamedTuple
 
 from . import catalog as _catalog
@@ -178,37 +178,36 @@ def checked_resolution(
     res: GorensteinResolution,
     grid: range | None = None,
     label: str | None = None,
-    check: Callable[[SurfaceInvariants], None] = lambda found: None,
-) -> tuple[GorensteinResolution, list[int | None]]:
-    """Balance and validate a resolution; return it and its scan points.
+) -> tuple[GorensteinResolution, list[int | None], list[SurfaceInvariants]]:
+    """Balance and validate a resolution; return it, its scan points and their invariants.
 
-    This is the one path from raw twist data to counts: report
-    preparation, dimension_bound and the kmr and hilbert commands all
-    take it.  Invalid twist data raises CatalogError, naming the case
-    when a label is given.  A Hilbert polynomial that is no surface at a
-    scan point, or whose degree falls toward the open end of a half-line
-    (see scan_points), raises DegenerateResolutionError before check may
-    refuse a point's invariants by raising.
+    This is the one path from raw twist data to counts: case preparation
+    and the kmr and hilbert commands take it.  Invalid twist data raises
+    CatalogError; a Hilbert polynomial that is no surface at a scan point,
+    or whose degree falls toward the open end of a half-line (see
+    scan_points), raises DegenerateResolutionError.  Both name the case
+    when a label is given.
     """
     res, _ = resolve_parameters(res)
+    where = "" if label is None else f"case {label}: "
     problems = validate(res, grid)
     if problems:
-        where = "" if label is None else f"case {label}: "
         raise CatalogError(
             f"{where}invalid resolution: " + "; ".join(str(p) for p in problems)
         )
     points = scan_points(res, grid)
-    found = [surface_invariants(res, x) for x in points]
+    try:
+        found = [surface_invariants(res, x) for x in points]
+    except DegenerateResolutionError as exc:
+        raise DegenerateResolutionError(f"{where}{exc}") from exc
     # points run outward from a half-line's finite end: a falling degree reaches 0
     if len(found) > 1 and grid is None and None in admissible(res):
         if found[1].degree < found[0].degree:
             raise DegenerateResolutionError(
-                f"surface degree falls from {found[0].degree} at x={points[0]}"
+                f"{where}surface degree falls from {found[0].degree} at x={points[0]}"
                 f" to {found[1].degree} at x={points[1]}, so it is <= 0 further out"
             )
-    for invariants in found:
-        check(invariants)
-    return res, points
+    return res, points, found
 
 
 def _incidence_counts(case: CaseRecord) -> tuple[Count, Count]:
@@ -229,14 +228,14 @@ def _incidence_counts(case: CaseRecord) -> tuple[Count, Count]:
 def dimension_bound(case: CaseRecord) -> Count:
     """h^0(I_S(r)) - 1 + h^0(N_S), the incidence-variety dimension bound.
 
-    The case's resolution is balanced and validated first (see
-    checked_resolution).  Parametric cases are evaluated at their scan
-    points (see scan_points); both ingredients must be constant there.
+    The case is prepared as the report prepares it (see _prepare_case),
+    so a resolution whose degree or genus is not the Chern pair's raises
+    CatalogError.  Parametric cases are evaluated at their scan points
+    (see scan_points); both ingredients must be constant there.
     """
     if case.resolution is None:
         raise CatalogError(f"case {case.label} has no resolution to count with")
-    res, _ = checked_resolution(case.resolution, case.parameter_grid, case.label)
-    ideal, normal = _incidence_counts(case._replace(resolution=res))
+    ideal, normal = _incidence_counts(_prepare_case(case))
     return ideal - 1 + normal
 
 
@@ -385,26 +384,25 @@ def builtin_catalog(degree: int) -> list[CaseRecord]:
 
 
 def _prepare_case(case: CaseRecord) -> CaseRecord:
-    """Apply the balance relation and validate; raise naming the case."""
+    """Balance and validate; refuse a degree or genus not the case's, naming it.
+
+    A scan point with no surface is refused before any degree is compared.
+    """
     if case.resolution is None:
         return case
-
-    def check(found: SurfaceInvariants) -> None:
-        if found.degree != case.c2:
+    resolution, _, found = checked_resolution(case.resolution, case.parameter_grid, case.label)
+    for invariants in found:
+        if invariants.degree != case.c2:
             raise CatalogError(
                 f"case {case.label}: resolution has surface degree"
-                f" {found.degree}, not c2"
+                f" {invariants.degree}, not c2"
             )
         expected_genus = sectional_genus(case.r, case.c1, case.c2)
-        if found.sectional_genus != expected_genus:
+        if invariants.sectional_genus != expected_genus:
             raise CatalogError(
                 f"case {case.label}: resolution sectional genus"
-                f" {found.sectional_genus} != {expected_genus} from the Chern pair"
+                f" {invariants.sectional_genus} != {expected_genus} from the Chern pair"
             )
-
-    resolution, _ = checked_resolution(
-        case.resolution, case.parameter_grid, case.label, check
-    )
     return case._replace(resolution=resolution)
 
 

@@ -63,10 +63,6 @@ class AffineExpr(namedtuple("AffineExpr", "const coeff param")):
         # normalize k*x with k = 0 down to a constant
         return super().__new__(cls, const, coeff, param if coeff else None)
 
-    @property
-    def is_constant(self) -> bool:
-        return self.param is None
-
     def evaluate(self, x: int | None = None) -> int:
         if self.param is None:
             return self.const
@@ -200,6 +196,16 @@ class GorensteinResolution(NamedTuple):
     def is_parametric(self) -> bool:
         return bool(self.free_parameters())
 
+    def parameter(self) -> str | None:
+        """The one free parameter, or None; two or more must be balanced first."""
+        names = sorted(self.free_parameters())
+        if len(names) > 1:
+            raise UnresolvedParameterError(
+                f"resolution has parameters {', '.join(names)};"
+                " apply the balance relation before evaluating"
+            )
+        return names[0] if names else None
+
     def substitute(self, name: str, replacement: AffineExpr) -> "GorensteinResolution":
         return GorensteinResolution(
             generators=tuple((t, m.substitute(name, replacement)) for t, m in self.generators),
@@ -214,13 +220,7 @@ class GorensteinResolution(NamedTuple):
         counts dropped.  This is the one place multiplicities are
         evaluated and checked; every count is a sum over these blocks.
         """
-        names = self.free_parameters()
-        if len(names) > 1:
-            raise UnresolvedParameterError(
-                "resolution has parameters "
-                + ", ".join(sorted(names))
-                + "; apply the balance relation before evaluating"
-            )
+        self.parameter()
         out: list[Blocks] = []
         for vector in (self.generators, self.syzygies):
             merged: dict[int, int] = {}
@@ -293,8 +293,10 @@ class Violation(NamedTuple):
 def admissible(res: GorensteinResolution) -> tuple[int | None, int | None]:
     """The interval {x : every multiplicity >= 0} as (lo, hi), lo > hi when empty.
 
-    None marks an open end: no multiplicity bounds x on that side.
+    None marks an open end: no multiplicity bounds x on that side.  The
+    bounds are on one parameter, so two raise UnresolvedParameterError.
     """
+    res.parameter()
     mults = [mult for _, mult in res.generators + res.syzygies]
     lows = [-(m.const // m.coeff) for m in mults if m.coeff > 0]  # ceil(-const / coeff)
     highs = [m.const // -m.coeff for m in mults if m.coeff < 0]
@@ -340,7 +342,8 @@ def scan_points(res: GorensteinResolution, grid: range | None = None) -> list[in
     Points are computed, not listed, so a grid past sys.maxsize costs
     what a short one does.  An empty domain raises ValueError.
     """
-    if not res.is_parametric:
+    name = res.parameter()
+    if name is None:
         return [None]
     if grid is not None:
         if not grid:
@@ -353,7 +356,6 @@ def scan_points(res: GorensteinResolution, grid: range | None = None) -> list[in
         if lo is None:
             return [hi, hi - 1, hi - 2]
         if lo > hi:
-            (name,) = res.free_parameters()
             raise ValueError(
                 f"no value of {name} makes every multiplicity >= 0"
                 f" ({lo} <= {name} <= {hi} is empty)"

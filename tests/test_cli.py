@@ -253,6 +253,24 @@ def test_input_errors_exit_2(capsys, argv):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "c1, c2, shape, message",
+    [
+        (1, 8, FALLING_DEGREE,
+         "surface degree falls from 8 at x=0 to 7 at x=1, so it is <= 0 further out"),
+        (1, 2, json.loads(DEGENERATE), "Hilbert polynomial has degree < 2 (leading difference 0)"),
+    ],
+    ids=["falling-degree", "no-surface"],
+)
+def test_a_degenerate_catalog_case_is_named(tmp_path, capsys, c1, c2, shape, message):
+    path = tmp_path / "catalog.json"
+    doc = {"degree": 5, "cases": [{"c1": c1, "c2": c2, "resolution": shape}]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = invoke(capsys, "report", "--degree", "5", "--catalog", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"acmsplit: error: case (c1={c1}, c2={c2}): {message}\n"
+
+
 def test_malformed_catalog_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

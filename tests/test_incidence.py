@@ -131,6 +131,26 @@ def test_dimension_bound_balances_a_raw_two_parameter_case():
     assert dimension_bound(_case(5, 2, 11, DEG11, grid=(2, 5))) == 217
 
 
+OCTIC = {"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6}
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        (_case(5, 2, 11, DEG12), "case (c1=2, c2=11): resolution has surface degree 12, not c2"),
+        (_case(5, 0, 3, DEG14), "case (c1=0, c2=3): resolution has surface degree 14, not c2"),
+        (_case(5, 3, 8, OCTIC),
+         "case (c1=3, c2=8): resolution sectional genus 5 != 13 from the Chern pair"),
+    ],
+    ids=["degree-12-as-11", "degree-14-as-3", "genus-5-as-13"],
+)
+def test_dimension_bound_and_verdict_refuse_what_the_report_refuses(case, message):
+    """Both prepare a case as generate_report does, with the same error."""
+    for decide in (dimension_bound, verdict, lambda c: generate_report(5, [c])):
+        with pytest.raises(CatalogError, match=re.escape(message)):
+            decide(case)
+
+
 def test_report_balances_each_case_once(monkeypatch):
     import acmsplit.incidence as incidence
 
@@ -365,7 +385,9 @@ def test_checked_resolution_refuses_a_degree_falling_on_a_half_line():
     assert validate(res) == []
     assert [surface_invariants(res, x).degree for x in range(8)] == [8, 7, 6, 5, 4, 3, 2, 1]
     # a grid that stops before x = 8, such as the old default 0..5, is a surface throughout
-    assert checked_resolution(res, range(0, 8)) == (res, [0, 4, 7])
+    assert checked_resolution(res, range(0, 8)) == (
+        res, [0, 4, 7], [surface_invariants(res, x) for x in (0, 4, 7)]
+    )
     message = "surface degree falls from 8 at x=0 to 7 at x=1, so it is <= 0 further out"
     with pytest.raises(DegenerateResolutionError, match=re.escape(message)):
         checked_resolution(res)

@@ -1,3 +1,4 @@
+import re
 from math import gcd
 
 import pytest
@@ -15,6 +16,7 @@ from acmsplit.resolutions import (
     ResolutionValidationError,
     SurfaceInvariants,
     UnresolvedParameterError,
+    admissible,
     chi_structure_poly,
     h0_ideal,
     h0_structure,
@@ -177,11 +179,21 @@ def test_an_empty_admissible_interval_is_one_violation():
 
 
 def test_expand_refuses_two_parameters():
+    """So does every evaluation of a raw two-parameter record, with one message."""
     res = parse_resolution(
         {"gens": [[2, 3], [3, "c"], [4, "b"]], "syz": [[3, "b"], [4, "c"], [5, 3]], "socle": 7}
     )
-    with pytest.raises(UnresolvedParameterError):
-        res.expand(2)
+    message = "resolution has parameters b, c; apply the balance relation before evaluating"
+    for evaluate in (
+        lambda: res.expand(2),
+        lambda: res.blocks(2),
+        lambda: admissible(res),
+        lambda: scan_points(res),
+        lambda: scan_points(res, range(2, 6)),
+    ):
+        with pytest.raises(UnresolvedParameterError, match=re.escape(message)):
+            evaluate()
+    assert [v.invariant for v in validate(res)] == ["unresolved-parameters"]
 
 
 # ------------------------------------------------------------- validation
@@ -451,7 +463,7 @@ def _walk_constant(evaluate, points, what):
 
 
 def _walk_checked_resolution(res, grid, check):
-    """checked_resolution as a plain walk over walk_points, on the flat references.
+    """checked_resolution, then check on each point, as a plain walk on the flat references.
 
     On a half-line the walk cannot reach where a falling degree turns
     non-positive, so it refuses any fall between walked points.
@@ -502,9 +514,13 @@ def test_certificate_agrees_with_the_full_walk(drawn):
         if isinstance(pinned, SurfaceInvariants) and invariants.degree != pinned.degree:
             raise CatalogError(f"resolution has surface degree {invariants.degree}, not c2")
 
-    assert _outcome(lambda: checked_resolution(res, grid, check=check)[0]) == _outcome(
-        lambda: _walk_checked_resolution(res, grid, check)
-    )
+    def certified():
+        checked, _, found = checked_resolution(res, grid)
+        for invariants in found:
+            check(invariants)
+        return checked
+
+    assert _outcome(certified) == _outcome(lambda: _walk_checked_resolution(res, grid, check))
     if problems:
         return
 
