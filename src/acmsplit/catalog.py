@@ -183,8 +183,10 @@ BUILTIN_CATALOGS = {
 }
 
 #: Report-only footnotes keyed by (degree, c1, c2).  These annotate rows
-#: whose printed value supersedes a commonly quoted one.
+#: whose printed value supersedes a commonly quoted one, and the cubic
+#: quadric row, whose bound 56 does not beat 55.
 REPORT_ANNOTATIONS = {
+    (3, 1, 2): ["exclusion falls back on: plane-exclusion"],
     (5, 2, 11): [
         "bound recomputed from its ingredients: 135 - 1 + 83 = 217, superseding"
         " a commonly quoted 214; the exclusion is unaffected (217 < 251)"

@@ -95,7 +95,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     cases = None
     if args.catalog is not None:
         cases = load_catalog_file(args.catalog, args.degree)
-    report = generate_report(args.degree, cases, grid_override=args.grid)
+    report = generate_report(args.degree, cases)
     if args.format == "json":
         text = render_report_json(report)
     else:
@@ -108,7 +108,7 @@ def _cmd_check_case(args: argparse.Namespace) -> int:
     cases = None
     if args.catalog is not None:
         cases = load_catalog_file(args.catalog, args.degree)
-    for case in report_cases(args.degree, cases, grid_override=args.grid):
+    for case in report_cases(args.degree, cases):
         if (case.c1, case.c2) == (args.c1, args.c2):
             break
     else:
@@ -195,8 +195,14 @@ def build_parser() -> _Parser:
         help="output format (markdown keeps scalars as bare numbers)",
     )
     common.add_argument("--out", metavar="FILE", help="write output to FILE")
-    gridded = _Parser(add_help=False)
-    gridded.add_argument(
+    resolved = _Parser(add_help=False)
+    resolved.add_argument(
+        "--resolution",
+        required=True,
+        metavar="FILE_OR_JSON",
+        help="resolution as a JSON file path or an inline JSON object",
+    )
+    resolved.add_argument(
         "--grid",
         type=_parse_grid,
         metavar="LO..HI",
@@ -207,7 +213,7 @@ def build_parser() -> _Parser:
 
     report = sub.add_parser(
         "report",
-        parents=[common, gridded],
+        parents=[common],
         help="evaluate every case for one degree",
     )
     report.add_argument("--degree", type=int, required=True)
@@ -215,7 +221,7 @@ def build_parser() -> _Parser:
 
     check = sub.add_parser(
         "check-case",
-        parents=[common, gridded],
+        parents=[common],
         help="evaluate one (c1, c2) case",
     )
     check.add_argument("--degree", type=int, required=True)
@@ -223,28 +229,16 @@ def build_parser() -> _Parser:
     check.add_argument("--c2", type=int, required=True)
     check.add_argument("--catalog", metavar="FILE", help="JSON case catalog")
 
-    kmr = sub.add_parser(
+    sub.add_parser(
         "kmr",
-        parents=[common, gridded],
+        parents=[common, resolved],
         help="h^0 of the normal bundle from a resolution",
-    )
-    kmr.add_argument(
-        "--resolution",
-        required=True,
-        metavar="FILE_OR_JSON",
-        help="resolution as a JSON file path or an inline JSON object",
     )
 
     hilbert = sub.add_parser(
         "hilbert",
-        parents=[common, gridded],
+        parents=[common, resolved],
         help="h^0 of the twisted ideal sheaf from a resolution",
-    )
-    hilbert.add_argument(
-        "--resolution",
-        required=True,
-        metavar="FILE_OR_JSON",
-        help="resolution as a JSON file path or an inline JSON object",
     )
     hilbert.add_argument("--twist", type=int, required=True)
 

@@ -39,10 +39,6 @@ from .resolutions import (
     validate,
 )
 
-#: Annotation tags a case may carry for when its count is inconclusive.
-FALLBACK_TAGS = ("plane-exclusion", "pfaffian-exclusion", "threefold-reduction")
-
-
 class CatalogError(ValueError):
     """A case catalog is malformed or internally inconsistent."""
 
@@ -66,10 +62,10 @@ CONCLUSIVE_VERDICTS = frozenset(
 )
 
 
-class CaseRecord(namedtuple("CaseRecord", "r c1 c2 resolution parameter_grid provenance fallback")):
+class CaseRecord(namedtuple("CaseRecord", "r c1 c2 resolution parameter_grid provenance")):
     """One candidate Chern pair on a degree-r hypersurface.
 
-    __new__ checks c2 and the fallback tag; _replace skips those checks.
+    __new__ checks c2; _replace skips that check.
     """
 
     __slots__ = ()
@@ -82,13 +78,10 @@ class CaseRecord(namedtuple("CaseRecord", "r c1 c2 resolution parameter_grid pro
         resolution: GorensteinResolution | None = None,
         parameter_grid: range | None = None,
         provenance: str = "",
-        fallback: str | None = None,
     ) -> CaseRecord:
         if c2 < 1:
             raise CatalogError(f"case ({c1}, {c2}): c2 must be >= 1")
-        if fallback is not None and fallback not in FALLBACK_TAGS:
-            raise CatalogError(f"case ({c1}, {c2}): unknown fallback {fallback!r}")
-        return super().__new__(cls, r, c1, c2, resolution, parameter_grid, provenance, fallback)
+        return super().__new__(cls, r, c1, c2, resolution, parameter_grid, provenance)
 
     @property
     def label(self) -> str:
@@ -188,8 +181,11 @@ def checked_resolution(
     scan_points), raises DegenerateResolutionError.  Both name the case
     when a label is given.
     """
-    res, _ = resolve_parameters(res)
     where = "" if label is None else f"case {label}: "
+    try:
+        res, _ = resolve_parameters(res)
+    except CatalogError as exc:
+        raise CatalogError(f"{where}{exc}") from exc
     problems = validate(res, grid)
     if problems:
         raise CatalogError(
@@ -307,28 +303,18 @@ _STRUCTURAL_NOTES = {
 }
 
 
-def _load_grid(raw: object, label: str) -> range | None:
-    if raw is None:
-        return None
-    if (
-        not isinstance(raw, Sequence)
-        or isinstance(raw, (str, bytes))
-        or len(raw) != 2
-        or any(isinstance(v, bool) or not isinstance(v, int) for v in raw)
-    ):
-        raise CatalogError(f"{label}: grid must be [lo, hi] with integer bounds")
-    lo, hi = raw
-    if hi < lo:
-        raise CatalogError(f"{label}: empty grid [{lo}, {hi}]")
-    return range(lo, hi + 1)
-
-
 def load_catalog(data: Mapping, expected_degree: int | None = None) -> list[CaseRecord]:
-    """Parse and shape-check a catalog document into case records."""
+    """Parse and shape-check a catalog document into case records.
+
+    A key the engine does not read, at any level, is refused by name.
+    """
     if not isinstance(data, Mapping):
         raise CatalogError("catalog must be a JSON object")
     if "degree" not in data or "cases" not in data:
         raise CatalogError("catalog needs 'degree' and 'cases' keys")
+    unknown = [key for key in data if key not in ("degree", "cases")]
+    if unknown:
+        raise CatalogError(f"catalog has unknown keys {unknown}; it takes only degree and cases")
     degree = data["degree"]
     if isinstance(degree, bool) or not isinstance(degree, int):
         raise CatalogError("catalog degree must be an integer")
@@ -347,9 +333,19 @@ def load_catalog(data: Mapping, expected_degree: int | None = None) -> list[Case
         for key in ("c1", "c2"):
             if isinstance(raw.get(key), bool) or not isinstance(raw.get(key), int):
                 raise CatalogError(f"{label}: {key} must be an integer")
+        label = f"case #{idx} (c1={raw['c1']}, c2={raw['c2']})"
+        unknown = [key for key in raw if key not in ("c1", "c2", "resolution", "provenance")]
+        if unknown:
+            raise CatalogError(
+                f"{label} has unknown keys {unknown};"
+                " a case takes only c1, c2, resolution and provenance"
+            )
         resolution = None
         if raw.get("resolution") is not None:
-            resolution = parse_resolution(raw["resolution"])
+            try:
+                resolution = parse_resolution(raw["resolution"])
+            except ValueError as exc:
+                raise CatalogError(f"{label}: {exc}") from exc
         provenance = raw.get("provenance", "")
         if not isinstance(provenance, str):
             raise CatalogError(f"{label}: provenance must be a string")
@@ -359,9 +355,7 @@ def load_catalog(data: Mapping, expected_degree: int | None = None) -> list[Case
                 c1=raw["c1"],
                 c2=raw["c2"],
                 resolution=resolution,
-                parameter_grid=_load_grid(raw.get("grid"), label),
                 provenance=provenance,
-                fallback=raw.get("fallback"),
             )
         )
     return cases
@@ -412,8 +406,7 @@ def _boundary_cases(ctx: HypersurfaceContext) -> list[CaseRecord]:
     c1 = 3 - r forces c2 = 1 (a plane).  c1 = 4 - r forces c2 = 2, a
     quadric surface, which is a (1,1,2) complete intersection because
     degree 2 plus the no-planes property forces it to be reduced; the
-    quadric case therefore carries that resolution and a plane-exclusion
-    fallback tag for when its count is inconclusive.
+    quadric case therefore carries that resolution.
     """
     r = ctx.degree
     plane_c2 = solve_c2_boundary(ctx, 3 - r)
@@ -436,7 +429,6 @@ def _boundary_cases(ctx: HypersurfaceContext) -> list[CaseRecord]:
             resolution=parse_resolution(_catalog.QUADRIC_RESOLUTION),
             provenance="boundary case: c2 forced by the two-twist Euler elimination;"
             " the degree-2 locus is a (1,1,2) complete intersection quadric",
-            fallback="plane-exclusion",
         ),
     ]
 
@@ -472,8 +464,6 @@ def evaluate_case(case: CaseRecord) -> ReportRow:
             )
         else:
             notes.append("no resolution is available for a dimension count")
-        if case.fallback is not None:
-            notes.append(f"exclusion falls back on: {case.fallback}")
     notes.extend(_catalog.REPORT_ANNOTATIONS.get((case.r, case.c1, case.c2), ()))
     return ReportRow(
         case=case,
@@ -495,8 +485,9 @@ def report_cases(
     """The prepared cases of one degree, boundary cases included.
 
     Cases are balanced, validated and ordered by (c1, c2); catalog
-    inconsistencies abort with the offending case named.  Degree 6 has
-    none: its report is the single reduction row.
+    inconsistencies, a repeated Chern pair among them, abort with the
+    offending case named.  Degree 6 has none: its report is the single
+    reduction row.
     """
     ctx = HypersurfaceContext(degree)
     if degree == 6:
@@ -516,7 +507,13 @@ def report_cases(
             for c in cases
         ]
     all_cases = _boundary_cases(ctx) + [_prepare_case(c) for c in cases]
-    return sorted(all_cases, key=lambda c: (c.c1, c.c2))
+    all_cases.sort(key=lambda c: (c.c1, c.c2))
+    for case, following in zip(all_cases, all_cases[1:]):
+        if (case.c1, case.c2) == (following.c1, following.c2):
+            raise CatalogError(
+                f"case {case.label} appears twice; boundary cases are derived, not listed"
+            )
+    return all_cases
 
 
 def generate_report(

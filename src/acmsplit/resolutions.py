@@ -242,12 +242,17 @@ class GorensteinResolution(NamedTuple):
 
 
 def parse_resolution(data: Mapping) -> GorensteinResolution:
-    """Build a resolution from {'gens': ..., 'syz': ..., 'socle': int}."""
+    """Build a resolution from {'gens': ..., 'syz': ..., 'socle': int}; refuse other keys."""
     if not isinstance(data, Mapping):
         raise ResolutionValidationError("resolution must be a JSON object")
     missing = {"gens", "syz", "socle"} - set(data)
     if missing:
         raise ResolutionValidationError(f"resolution lacks keys: {sorted(missing)}")
+    unknown = [key for key in data if key not in ("gens", "syz", "socle")]
+    if unknown:
+        raise ResolutionValidationError(
+            f"resolution has unknown keys {unknown}; it takes only gens, syz and socle"
+        )
     socle = data["socle"]
     if isinstance(socle, bool) or not isinstance(socle, int):
         raise ResolutionValidationError("socle must be an integer twist")

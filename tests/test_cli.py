@@ -224,8 +224,12 @@ def test_custom_catalog(tmp_path, capsys):
         ["report", "--degree", "7"],
         ["report", "--degree", "x"],
         ["report"],
-        ["report", "--degree", "4", "--grid", "5..1"],
-        ["report", "--degree", "4", "--grid", "abc"],
+        ["kmr", "--resolution", OCTIC, "--grid", "5..1"],
+        ["kmr", "--resolution", OCTIC, "--grid", "abc"],
+        ["report", "--degree", "5", "--grid", "2..5"],
+        ["check-case", "--degree", "4", "--c1", "1", "--c2", "3", "--grid", "2..5"],
+        ["kmr", "--resolution", '{"gens": [[1, 2], [3, 1]], "syz": [[4, 2], [2, 1]],'
+         ' "socle": 5, "grid": [0, 5]}'],
         ["report", "--degree", "4", "--unknown-flag"],
         ["no-such-command"],
         ["kmr", "--resolution", '{"gens": [[1, 1]], "syz": [[3, 1]]}'],
@@ -241,7 +245,8 @@ def test_custom_catalog(tmp_path, capsys):
     ],
     ids=[
         "degree-range", "degree-type", "degree-missing", "grid-empty",
-        "grid-grammar", "unknown-flag", "unknown-command", "bad-resolution",
+        "grid-grammar", "report-grid", "check-case-grid", "resolution-unknown-key",
+        "unknown-flag", "unknown-command", "bad-resolution",
         "missing-file", "bad-degree", "nested-resolution", "kmr-unvalidated",
         "hilbert-unvalidated", "kmr-degenerate", "hilbert-degenerate", "falling-degree",
         "empty-domain",
@@ -269,6 +274,51 @@ def test_a_degenerate_catalog_case_is_named(tmp_path, capsys, c1, c2, shape, mes
     code, out, err = invoke(capsys, "report", "--degree", "5", "--catalog", str(path))
     assert (code, out) == (2, "")
     assert err == f"acmsplit: error: case (c1={c1}, c2={c2}): {message}\n"
+
+
+#: The degree-11 family with doubled counts: its balance 2*b - 2*c - 1 = 0 has no solution.
+UNSOLVABLE = {"gens": [[2, 3], [3, "2*c"], [4, "2*b"]], "syz": [[3, "2*b"], [4, "2*c"], [5, 3]],
+              "socle": 8}
+
+
+@pytest.mark.parametrize(
+    "cases, message",
+    [
+        ([{"c1": -1, "c2": 2}],
+         "case (c1=-1, c2=2) appears twice; boundary cases are derived, not listed"),
+        ([{"c1": 2, "c2": 14}, {"c1": 2, "c2": 14}],
+         "case (c1=2, c2=14) appears twice; boundary cases are derived, not listed"),
+        ([{"c1": 2, "c2": 11, "resolution": UNSOLVABLE}],
+         "case (c1=2, c2=11): degree balance 2*b -2*c -1 = 0 has no integer solution"
+         " with non-positive offset"),
+        ([{"c1": 0, "c2": 3, "resolution": {"gens": [[1, "1.5"]], "syz": [[4, 1]], "socle": 5}}],
+         "case #0 (c1=0, c2=3): gens: cannot parse multiplicity '1.5'"),
+        ([{"c1": 0, "c2": 3}, {"c1": 2, "c2": 11, "grid": [2, 8]}],
+         "case #1 (c1=2, c2=11) has unknown keys ['grid'];"
+         " a case takes only c1, c2, resolution and provenance"),
+        ([{"c1": 2, "c2": 11, "fallback": "plane-exclusion"}],
+         "case #0 (c1=2, c2=11) has unknown keys ['fallback'];"
+         " a case takes only c1, c2, resolution and provenance"),
+    ],
+    ids=["boundary-repeat", "repeat", "balance", "multiplicity", "grid", "fallback"],
+)
+@pytest.mark.parametrize("command", ["report", "check-case"])
+def test_catalog_errors_name_the_case(tmp_path, capsys, cases, message, command):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"degree": 5, "cases": cases}), encoding="utf-8")
+    argv = [command, "--degree", "5", "--catalog", str(path)]
+    if command == "check-case":
+        argv += ["--c1", "-1", "--c2", "2"]
+    assert invoke(capsys, *argv) == (2, "", f"acmsplit: error: {message}\n")
+
+
+def test_a_document_key_the_engine_does_not_read_exits_2(tmp_path, capsys):
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"degree": 5, "cases": [], "grid": [0, 8]}), encoding="utf-8")
+    message = "catalog has unknown keys ['grid']; it takes only degree and cases"
+    assert invoke(capsys, "report", "--degree", "5", "--catalog", str(path)) == (
+        2, "", f"acmsplit: error: {message}\n"
+    )
 
 
 def test_malformed_catalog_file(tmp_path, capsys):

@@ -65,11 +65,10 @@ def test_resolved_family_is_self_dual_on_its_grid():
 
 # ------------------------------------------------------------ verdicts
 
-def _case(r, c1, c2, shape=None, grid=None, fallback=None):
+def _case(r, c1, c2, shape=None, grid=None):
     res = parse_resolution(shape) if shape is not None else None
     grid_range = range(grid[0], grid[1] + 1) if grid else None
-    return CaseRecord(r=r, c1=c1, c2=c2, resolution=res,
-                      parameter_grid=grid_range, fallback=fallback)
+    return CaseRecord(r=r, c1=c1, c2=c2, resolution=res, parameter_grid=grid_range)
 
 
 @pytest.mark.parametrize(
@@ -168,8 +167,6 @@ def test_report_balances_each_case_once(monkeypatch):
 def test_case_record_validation():
     with pytest.raises(CatalogError):
         _case(4, 1, 0)
-    with pytest.raises(CatalogError):
-        CaseRecord(r=4, c1=1, c2=3, fallback="who-knows")
 
 
 # ------------------------------------------------------------- reports
@@ -198,8 +195,10 @@ def test_cubic_report():
         (2, 5, 1, None, None, None, Verdict.EXCLUDED_PFAFFIAN),
     ]
     assert not report.conclusive
-    quadric_row = report.rows[1]
-    assert any("plane-exclusion" in note for note in quadric_row.notes)
+    assert report.rows[1].notes == (
+        "incidence bound 56 does not beat the moduli dimension 55",
+        "exclusion falls back on: plane-exclusion",
+    )
 
 
 def test_quartic_report():
@@ -308,13 +307,25 @@ def test_load_catalog_shape_errors():
     with pytest.raises(CatalogError):
         load_catalog({"degree": 4, "cases": [{"c1": True, "c2": 3}]})
     with pytest.raises(CatalogError):
-        load_catalog({"degree": 4, "cases": [{"c1": 1, "c2": 3, "grid": [2]}]})
-    with pytest.raises(CatalogError):
-        load_catalog({"degree": 4, "cases": [{"c1": 1, "c2": 3, "grid": [3, 1]}]})
-    with pytest.raises(CatalogError):
-        load_catalog({"degree": 4, "cases": [{"c1": 1, "c2": 3, "fallback": "nope"}]})
-    with pytest.raises(CatalogError):
         load_catalog({"degree": 4, "cases": []}, expected_degree=5)
+    # a key the engine does not read is refused by name, at every level
+    with pytest.raises(CatalogError, match=r"^catalog has unknown keys \['grid'\]"):
+        load_catalog({"degree": 4, "cases": [], "grid": [0, 5]})
+    with pytest.raises(CatalogError, match=r"^case #0 \(c1=1, c2=3\) has unknown keys \['grid'\]"):
+        load_catalog({"degree": 4, "cases": [{"c1": 1, "c2": 3, "grid": [2, 5]}]})
+    with pytest.raises(
+        CatalogError, match=r"^case #0 \(c1=1, c2=3\) has unknown keys \['fallback'\]"
+    ):
+        load_catalog({"degree": 4, "cases": [{"c1": 1, "c2": 3, "fallback": "plane-exclusion"}]})
+    with pytest.raises(CatalogError, match=r"^case #1 \(c1=1, c2=3\) has unknown keys \['gird'\]"):
+        load_catalog(
+            {"degree": 4, "cases": [{"c1": 1, "c2": 4}, {"c1": 1, "c2": 3, "gird": [0, 3]}]}
+        )
+    resolution = {**ci_resolution(1, 1, 3), "grid": [0, 5]}
+    with pytest.raises(
+        CatalogError, match=r"^case #0 \(c1=1, c2=3\): resolution has unknown keys \['grid'\]"
+    ):
+        load_catalog({"degree": 4, "cases": [{"c1": 1, "c2": 3, "resolution": resolution}]})
 
 
 def test_report_rejects_foreign_degree_cases():
@@ -323,10 +334,36 @@ def test_report_rejects_foreign_degree_cases():
         generate_report(4, [case])
 
 
+@pytest.mark.parametrize(
+    "cases, pair",
+    [
+        ([CaseRecord(r=3, c1=1, c2=2)], "(c1=1, c2=2)"),
+        ([CaseRecord(r=3, c1=0, c2=1, provenance="a plane, listed by hand")], "(c1=0, c2=1)"),
+        ([CaseRecord(r=3, c1=2, c2=5), CaseRecord(r=3, c1=2, c2=5)], "(c1=2, c2=5)"),
+    ],
+    ids=["quadric-boundary", "plane-boundary", "listed-twice"],
+)
+def test_report_refuses_a_repeated_chern_pair(cases, pair):
+    with pytest.raises(CatalogError, match=re.escape(f"case {pair} appears twice")):
+        generate_report(3, cases)
+
+
+def test_checked_resolution_names_the_case_of_a_balance_error():
+    unsolvable = parse_resolution(
+        {"gens": [[2, 3], [3, "2*c"], [4, "2*b"]], "syz": [[3, "2*b"], [4, "2*c"], [5, 3]],
+         "socle": 8}
+    )
+    message = "degree balance 2*b -2*c -1 = 0 has no integer solution with non-positive offset"
+    with pytest.raises(CatalogError, match=re.escape(f"case (c1=2, c2=11): {message}")):
+        checked_resolution(unsolvable, label="(c1=2, c2=11)")
+    with pytest.raises(CatalogError, match="^" + re.escape(message) + "$"):
+        checked_resolution(unsolvable)
+
+
 def test_report_names_the_inconsistent_case():
     # c2 brands the case as degree 3, the attached surface has degree 4
     bad = {"degree": 4, "cases": [
-        {"c1": 1, "c2": 3, "resolution": ci_resolution(1, 2, 2), "grid": None}
+        {"c1": 1, "c2": 3, "resolution": ci_resolution(1, 2, 2)}
     ]}
     with pytest.raises(CatalogError, match=r"\(c1=1, c2=3\)"):
         generate_report(4, load_catalog(bad))
@@ -335,7 +372,7 @@ def test_report_names_the_inconsistent_case():
 def test_report_rejects_genus_mismatch():
     # degree matches c2 = 4 but the surface genus 1 is not the pair's 3
     bad = {"degree": 5, "cases": [
-        {"c1": 1, "c2": 4, "resolution": ci_resolution(1, 2, 2), "grid": None}
+        {"c1": 1, "c2": 4, "resolution": ci_resolution(1, 2, 2)}
     ]}
     with pytest.raises(CatalogError, match="genus"):
         generate_report(5, load_catalog(bad))
