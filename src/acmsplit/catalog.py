@@ -4,8 +4,9 @@ Each degree maps to the list of normalized rank-2 ACM candidates coming
 from the hyperplane-section classifications on threefolds of the same
 degree, together with the lifted resolution of the section zero locus
 where one is known.  Boundary cases (c1 = 3 - r and 4 - r) are not
-stored; the engine re-derives them.  Degree 6 has an empty case list:
-its report is a single reduction row.
+stored; the engine re-derives them.  Degree 6 has an empty case list,
+and a degree-6 catalog takes no cases: its report is a single reduction
+row.
 
 Data layout matches the external catalog JSON schema, so a user file
 can override any of these.
@@ -182,12 +183,13 @@ BUILTIN_CATALOGS = {
     6: {"degree": 6, "cases": []},
 }
 
-#: Report-only footnotes keyed by (degree, c1, c2).  These annotate rows
-#: whose printed value supersedes a commonly quoted one, and the cubic
-#: quadric row, whose bound 56 does not beat 55.
+#: Report-only footnotes keyed by (degree, c1, c2, verdict), so a note prints
+#: only on a row whose verdict it describes.  They annotate a printed value
+#: that supersedes a commonly quoted one, and the cubic quadric row, whose
+#: bound 56 does not beat 55.
 REPORT_ANNOTATIONS = {
-    (3, 1, 2): ["exclusion falls back on: plane-exclusion"],
-    (5, 2, 11): [
+    (3, 1, 2, "InconclusiveCount"): ["exclusion falls back on: plane-exclusion"],
+    (5, 2, 11, "ExcludedByDimensionCount"): [
         "bound recomputed from its ingredients: 135 - 1 + 83 = 217, superseding"
         " a commonly quoted 214; the exclusion is unaffected (217 < 251)"
     ],

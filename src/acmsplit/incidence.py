@@ -206,64 +206,6 @@ def checked_resolution(
     return res, points, found
 
 
-def _incidence_counts(case: CaseRecord) -> tuple[Count, Count]:
-    """h^0(I_S(r)) and h^0(N_S) of a balanced case, each constant across its scan points."""
-    res = case.resolution
-    points = scan_points(res, case.parameter_grid)
-    ideal = scan_constant(
-        lambda x: h0_ideal(res, case.r, x),
-        points,
-        f"h^0(I_S({case.r})) for case {case.label}",
-    )
-    normal = scan_constant(
-        lambda x: kmr_h0_normal(res, x), points, f"h^0(N_S) for case {case.label}"
-    )
-    return ideal, normal
-
-
-def dimension_bound(case: CaseRecord) -> Count:
-    """h^0(I_S(r)) - 1 + h^0(N_S), the incidence-variety dimension bound.
-
-    The case is prepared as the report prepares it (see _prepare_case),
-    so a resolution whose degree or genus is not the Chern pair's raises
-    CatalogError.  Parametric cases are evaluated at their scan points
-    (see scan_points); both ingredients must be constant there.
-    """
-    if case.resolution is None:
-        raise CatalogError(f"case {case.label} has no resolution to count with")
-    ideal, normal = _incidence_counts(_prepare_case(case))
-    return ideal - 1 + normal
-
-
-def verdict(case: CaseRecord, bound: Count | None = None) -> Verdict:
-    """Decide one case; total on valid cases and deterministic.
-
-    Cascade: splitting range, plane, pfaffian pair, genus parity,
-    dimension count, degree-6 reduction, inconclusive.  The range test
-    uses the outright-splitting window 2 - r < c1 < r, so the boundary
-    c1 = 3 - r correctly reaches the plane rule rather than being
-    declared split.  ``bound`` is the case's dimension_bound when the
-    caller has already counted it; without it the count is taken here.
-    """
-    r = case.r
-    if not 2 - r < case.c1 < r:
-        return Verdict.SPLITS_BY_RANGE
-    if case.c2 == 1:
-        return Verdict.EXCLUDED_PLANE
-    if case.c1 == r - 1 and case.c2 == pfaffian_c2(r):
-        return Verdict.EXCLUDED_PFAFFIAN
-    if (case.c2 * (case.c1 + r - 5)) % 2:
-        return Verdict.ARITHMETICALLY_IMPOSSIBLE
-    if case.resolution is not None:
-        if bound is None:
-            bound = dimension_bound(case)
-        if bound < HypersurfaceContext(r).moduli_dim:
-            return Verdict.EXCLUDED_BY_DIMENSION_COUNT
-    if r == 6:
-        return Verdict.REDUCED_TO_THREEFOLD
-    return Verdict.INCONCLUSIVE_COUNT
-
-
 class ReportRow(NamedTuple):
     """One line of the case report; None marks a quantity with no meaning."""
 
@@ -285,22 +227,6 @@ class Report(NamedTuple):
     @property
     def conclusive(self) -> bool:
         return all(row.verdict in CONCLUSIVE_VERDICTS for row in self.rows)
-
-
-_STRUCTURAL_NOTES = {
-    Verdict.SPLITS_BY_RANGE: "c1 lies outside the window 2 - r < c1 < r, so the"
-    " bundle splits outright",
-    Verdict.EXCLUDED_PLANE: "a degree-1 zero locus is a plane, and the general"
-    " hypersurface of degree >= 3 contains no planes",
-    Verdict.EXCLUDED_PFAFFIAN: "the Chern pair is the pfaffian pair"
-    " (c1, c2) = (r - 1, r(r-1)(2r-1)/6), and the general hypersurface of"
-    " degree >= 3 is not pfaffian",
-    Verdict.ARITHMETICALLY_IMPOSSIBLE: "the sectional genus of the zero locus"
-    " is not an integer",
-    Verdict.REDUCED_TO_THREEFOLD: "hyperplane sections reduce the sextic"
-    " fourfold to the general sextic threefold, where every rank-2 ACM"
-    " bundle splits",
-}
 
 
 def load_catalog(data: Mapping, expected_degree: int | None = None) -> list[CaseRecord]:
@@ -378,20 +304,25 @@ def builtin_catalog(degree: int) -> list[CaseRecord]:
 
 
 def _prepare_case(case: CaseRecord) -> CaseRecord:
-    """Balance and validate; refuse a degree or genus not the case's, naming it.
+    """Balance and validate; refuse a genus or degree not the case's, naming it.
 
-    A scan point with no surface is refused before any degree is compared.
+    A scan point with no surface is refused first, then a Chern pair
+    whose sectional genus is not an integer, then a surface degree or
+    genus that differs from the pair's.
     """
     if case.resolution is None:
         return case
     resolution, _, found = checked_resolution(case.resolution, case.parameter_grid, case.label)
+    try:
+        expected_genus = sectional_genus(case.r, case.c1, case.c2)
+    except ParityError as exc:
+        raise CatalogError(f"case {case.label}: {exc}") from exc
     for invariants in found:
         if invariants.degree != case.c2:
             raise CatalogError(
                 f"case {case.label}: resolution has surface degree"
                 f" {invariants.degree}, not c2"
             )
-        expected_genus = sectional_genus(case.r, case.c1, case.c2)
         if invariants.sectional_genus != expected_genus:
             raise CatalogError(
                 f"case {case.label}: resolution sectional genus"
@@ -433,11 +364,63 @@ def _boundary_cases(ctx: HypersurfaceContext) -> list[CaseRecord]:
     ]
 
 
-def evaluate_case(case: CaseRecord) -> ReportRow:
-    """One report row for a prepared case (see report_cases).
+#: The note of the degree-6 rule, on its report row and on a cascade verdict alike.
+_REDUCTION_NOTE = (
+    "hyperplane sections reduce the sextic fourfold to the general sextic threefold,"
+    " where every rank-2 ACM bundle splits"
+)
 
-    Each count is taken once, and the verdict cascade consumes the
-    resulting bound.
+
+def _cascade(
+    case: CaseRecord, genus: int | None, ideal: Count | None, normal: Count | None,
+    bound: Count | None, moduli: Count,
+) -> tuple[Verdict, str]:
+    """The verdict of the first cascade rule that decides the case, and the note that proves it.
+
+    Rules in order: splitting range 2 - r < c1 < r (so c1 = 3 - r reaches
+    the plane rule), plane, pfaffian pair, genus parity (genus None),
+    dimension count (bound = ideal - 1 + normal, None without a
+    resolution), degree-6 reduction, inconclusive.
+    """
+    r = case.r
+    if not 2 - r < case.c1 < r:
+        return Verdict.SPLITS_BY_RANGE, (
+            "c1 lies outside the window 2 - r < c1 < r, so the bundle splits outright"
+        )
+    if case.c2 == 1:
+        return Verdict.EXCLUDED_PLANE, (
+            "a degree-1 zero locus is a plane, and the general hypersurface of"
+            " degree >= 3 contains no planes"
+        )
+    if case.c1 == r - 1 and case.c2 == pfaffian_c2(r):
+        return Verdict.EXCLUDED_PFAFFIAN, (
+            "the Chern pair is the pfaffian pair (c1, c2) = (r - 1, r(r-1)(2r-1)/6),"
+            " and the general hypersurface of degree >= 3 is not pfaffian"
+        )
+    if genus is None:
+        return Verdict.ARITHMETICALLY_IMPOSSIBLE, (
+            "the sectional genus of the zero locus is not an integer"
+        )
+    if bound is not None and bound < moduli:
+        return Verdict.EXCLUDED_BY_DIMENSION_COUNT, (
+            f"incidence bound {bound} = {ideal} - 1 + {normal} is below the"
+            f" moduli dimension {moduli}"
+        )
+    if r == 6:
+        return Verdict.REDUCED_TO_THREEFOLD, _REDUCTION_NOTE
+    if bound is None:
+        return Verdict.INCONCLUSIVE_COUNT, "no resolution is available for a dimension count"
+    return Verdict.INCONCLUSIVE_COUNT, (
+        f"incidence bound {bound} does not beat the moduli dimension {moduli}"
+    )
+
+
+def evaluate_case(case: CaseRecord) -> ReportRow:
+    """One report row for a prepared case (see report_cases): counted, decided, explained.
+
+    Each count is taken once.  The row's first note is the one of the
+    cascade rule that decided it; a catalog annotation for the case and
+    that verdict follows.
     """
     moduli = HypersurfaceContext(case.r).moduli_dim
     try:
@@ -445,36 +428,40 @@ def evaluate_case(case: CaseRecord) -> ReportRow:
     except ParityError:
         genus = None
     ideal = normal = bound = None
-    if case.resolution is not None:
-        ideal, normal = _incidence_counts(case)
-        bound = ideal - 1 + normal
-    decided = verdict(case, bound)
-    notes: list[str] = []
-    if decided in _STRUCTURAL_NOTES:
-        notes.append(_STRUCTURAL_NOTES[decided])
-    if decided is Verdict.EXCLUDED_BY_DIMENSION_COUNT:
-        notes.append(
-            f"incidence bound {bound} = {ideal} - 1 + {normal} is below the"
-            f" moduli dimension {moduli}"
+    res = case.resolution
+    if res is not None:
+        points = scan_points(res, case.parameter_grid)
+        ideal = scan_constant(
+            lambda x: h0_ideal(res, case.r, x), points, f"h^0(I_S({case.r})) for case {case.label}"
         )
-    if decided is Verdict.INCONCLUSIVE_COUNT:
-        if bound is not None:
-            notes.append(
-                f"incidence bound {bound} does not beat the moduli dimension {moduli}"
-            )
-        else:
-            notes.append("no resolution is available for a dimension count")
-    notes.extend(_catalog.REPORT_ANNOTATIONS.get((case.r, case.c1, case.c2), ()))
-    return ReportRow(
-        case=case,
-        genus=genus,
-        h0_ideal_at_r=ideal,
-        h0_normal=normal,
-        bound=bound,
-        moduli_dim=moduli,
-        verdict=decided,
-        notes=tuple(notes),
-    )
+        normal = scan_constant(
+            lambda x: kmr_h0_normal(res, x), points, f"h^0(N_S) for case {case.label}"
+        )
+        bound = ideal - 1 + normal
+    decided, note = _cascade(case, genus, ideal, normal, bound, moduli)
+    annotations = _catalog.REPORT_ANNOTATIONS.get((case.r, case.c1, case.c2, decided.value), ())
+    return ReportRow(case, genus, ideal, normal, bound, moduli, decided, (note, *annotations))
+
+
+def verdict(case: CaseRecord) -> Verdict:
+    """The verdict the report prints for the case; total on valid cases and deterministic.
+
+    The case is prepared as the report prepares it (see _prepare_case),
+    so a resolution whose degree or genus is not the Chern pair's raises
+    CatalogError naming the case.
+    """
+    return evaluate_case(_prepare_case(case)).verdict
+
+
+def dimension_bound(case: CaseRecord) -> Count:
+    """h^0(I_S(r)) - 1 + h^0(N_S), the incidence-variety bound the report prints for the case.
+
+    The case is prepared as verdict prepares it; a case without a
+    resolution has no bound and raises CatalogError.
+    """
+    if case.resolution is None:
+        raise CatalogError(f"case {case.label} has no resolution to count with")
+    return evaluate_case(_prepare_case(case)).bound
 
 
 def report_cases(
@@ -486,11 +473,16 @@ def report_cases(
 
     Cases are balanced, validated and ordered by (c1, c2); catalog
     inconsistencies, a repeated Chern pair among them, abort with the
-    offending case named.  Degree 6 has none: its report is the single
-    reduction row.
+    offending case named.  Degree 6 has none, and refuses any: its
+    report is the single reduction row.
     """
     ctx = HypersurfaceContext(degree)
     if degree == 6:
+        if cases:
+            raise CatalogError(
+                "degree 6 is decided by reduction to the sextic threefold,"
+                " so its catalog takes no cases"
+            )
         return []
     if degree < 3:
         raise CatalogError(f"reports cover degrees 3 through 6, not {degree}")
@@ -528,20 +520,13 @@ def generate_report(
     offending case named.
     """
     moduli = HypersurfaceContext(degree).moduli_dim
+    prepared = report_cases(degree, cases, grid_override)
     if degree == 6:
-        row = ReportRow(
-            case=None,
-            genus=None,
-            h0_ideal_at_r=None,
-            h0_normal=None,
-            bound=None,
-            moduli_dim=moduli,
-            verdict=Verdict.REDUCED_TO_THREEFOLD,
-            notes=(_STRUCTURAL_NOTES[Verdict.REDUCED_TO_THREEFOLD],),
+        reduction = ReportRow(
+            None, None, None, None, None, moduli, Verdict.REDUCED_TO_THREEFOLD, (_REDUCTION_NOTE,)
         )
-        return Report(degree=degree, moduli_dim=moduli, rows=(row,))
-    rows = tuple(evaluate_case(c) for c in report_cases(degree, cases, grid_override))
-    return Report(degree=degree, moduli_dim=moduli, rows=rows)
+        return Report(degree, moduli, (reduction,))
+    return Report(degree, moduli, tuple(evaluate_case(c) for c in prepared))
 
 
 def _cell(value: object) -> str:

@@ -386,11 +386,14 @@ def scan_constant(
 
 
 def validate(res: GorensteinResolution, grid: range | None = None) -> list[Violation]:
-    """Check self-duality, rank balance and degree balance; never raises.
+    """Check self-duality, rank balance, degree balance and twist range; never raises.
 
     A negative multiplicity is reported once per expression, with the
     grid points where it is negative; the rest is checked at the scan
-    points (see scan_points).  Returns every violation found.
+    points (see scan_points).  An ideal sheaf of a surface has no
+    sections in degree <= 0, so a generator twist is >= 1 and, dually,
+    a syzygy twist is below the socle; outside that range the KMR pair
+    sum is wrong.  Returns every violation found.
     """
     violations: list[Violation] = []
     names = res.free_parameters()
@@ -420,7 +423,7 @@ def validate(res: GorensteinResolution, grid: range | None = None) -> list[Viola
     if negative:
         return violations + negative
 
-    dual_shift = res.subcanonical_e + 6
+    socle = res.socle_twist
     for x in points:
         gens, syz = res.blocks(x)
         if not gens:
@@ -430,9 +433,12 @@ def validate(res: GorensteinResolution, grid: range | None = None) -> list[Viola
         if rank != syz_rank:
             detail = f"{rank} generators vs {syz_rank} syzygies"
             violations.append(Violation("rank-balance", x, detail))
-        if syz != sorted((dual_shift - n, c) for n, c in gens):
-            detail = f"syzygy twists differ from {dual_shift} minus generator twists"
+        if syz != sorted((socle - n, c) for n, c in gens):
+            detail = f"syzygy twists differ from {socle} minus generator twists"
             violations.append(Violation("self-duality", x, detail))
+        low = [f"generator twist {n} is below 1" for n, _ in gens if n < 1]
+        high = [f"syzygy twist {m} is not below the socle {socle}" for m, _ in syz if m >= socle]
+        violations += [Violation("twist-range", x, detail) for detail in low + high]
     return violations
 
 

@@ -28,6 +28,13 @@ FALLING_DEGREE = {
     "socle": 7,
 }
 
+#: Admissible on -3 <= x <= 0, with degree 4 and 2 at x = -3 and -2, and no surface at x = -1.
+DEGENERATES_PARTWAY = {
+    "gens": [[4, "2*x+7"], [5, "-2*x"], [1, "-x+5"]],
+    "syz": [[2, "2*x+7"], [1, "-2*x"], [5, "-x+5"]],
+    "socle": 6,
+}
+
 #: Multiplicities x and -x - 1 are never both >= 0: the admissible interval is empty.
 EMPTY_DOMAIN = {
     "gens": [[2, 3], [3, "x"], [3, "-x-1"]],
@@ -250,7 +257,9 @@ def flat_validate(res, grid=None):
     """validate() as a walk over walk_points, checking flat twist lists at each point.
 
     A negative multiplicity is reported at every point and for every
-    expression where it is negative.
+    expression where it is negative.  A generator twist below 1, or a
+    syzygy twist at or above the socle, is reported once per distinct
+    twist at each point.
     """
     names = res.free_parameters()
     if len(names) > 1:
@@ -302,6 +311,16 @@ def flat_validate(res, grid=None):
                     f"syzygy twists differ from {dual_shift} minus generator twists",
                 )
             )
+        violations += [
+            Violation("twist-range", x, f"generator twist {n} is below 1")
+            for n in sorted(set(gens))
+            if n < 1
+        ]
+        violations += [
+            Violation("twist-range", x, f"syzygy twist {m} is not below the socle {dual_shift}")
+            for m in sorted(set(syz))
+            if m >= dual_shift
+        ]
     return violations
 
 

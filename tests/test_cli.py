@@ -6,15 +6,15 @@ import sys
 import pytest
 
 from acmsplit.cli import run
-from conftest import EMPTY_DOMAIN, FALLING_DEGREE, ci_resolution
+from conftest import DEGENERATES_PARTWAY, EMPTY_DOMAIN, FALLING_DEGREE, ci_resolution
 
 QUADRIC = json.dumps(ci_resolution(1, 1, 2))
 #: Nested past the JSON decoder's recursion limit.
 NESTED = '{"gens": ' + "[" * 5000 + "]" * 5000 + ', "syz": [], "socle": 5}'
 #: Neither degree-balanced nor self-dual, though the KMR sum still evaluates.
 UNBALANCED = '{"gens":[[1,1],[2,1]],"syz":[[3,1],[9,1]],"socle":5}'
-#: Balanced and self-dual, but its Hilbert polynomial has degree 0.
-DEGENERATE = '{"gens":[[0,1]],"syz":[[4,1]],"socle":4}'
+#: A family with positive twists whose Hilbert polynomial has degree 0 at x = -1.
+PARTWAY = json.dumps(DEGENERATES_PARTWAY)
 OCTIC = json.dumps({"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6})
 #: The README degree-11 family, admissible for b >= 2.
 DEG11 = json.dumps(
@@ -137,9 +137,34 @@ def test_negative_multiplicities_are_reported_once_per_expression(capsys):
 
 @pytest.mark.parametrize("command", [["kmr"], ["hilbert", "--twist", "2"]])
 def test_degenerate_resolution_is_refused(capsys, command):
-    code, out, err = invoke(capsys, *command, "--resolution", DEGENERATE)
+    code, out, err = invoke(capsys, *command, "--resolution", PARTWAY)
     assert (code, out) == (2, "")
     assert "Hilbert polynomial has degree < 2" in err
+
+
+#: The refusal of ghost twists 0 and 4, the socle, on both sides of the quadric.
+GHOST_AT_0 = "generator twist 0 is below 1; twist-range: syzygy twist 4 is not below the socle 4"
+
+
+@pytest.mark.parametrize("t, refused", [
+    (1, None), (2, None), (3, None), (0, GHOST_AT_0), (4, GHOST_AT_0),
+    (-1, "generator twist -1 is below 1; twist-range: syzygy twist 5 is not below the socle 4"),
+])
+def test_a_ghost_pair_outside_the_twist_range_is_refused(capsys, t, refused):
+    """Ghost twists t and 4 - t on both sides keep the quadric self-dual; KMR needs 1 <= t <= 3.
+
+    Outside that range the positional pair sum is wrong: KMR gives 16 at t = 0, 11 at t = -1.
+    """
+    quadric = ci_resolution(1, 1, 2)
+    ghost = [[t, 1], [4 - t, 1]]
+    text = json.dumps({"gens": quadric["gens"] + ghost, "syz": quadric["syz"] + ghost, "socle": 4})
+    kmr = invoke(capsys, "kmr", "--resolution", text)
+    hilbert = invoke(capsys, "hilbert", "--resolution", text, "--twist", "4")
+    if refused is None:
+        assert (kmr, hilbert) == ((0, "17\n", ""), (0, "101\n", ""))
+    else:
+        err = f"acmsplit: error: invalid resolution: twist-range: {refused}\n"
+        assert kmr == hilbert == (2, "", err)
 
 
 def test_solve_c2(capsys):
@@ -238,8 +263,8 @@ def test_custom_catalog(tmp_path, capsys):
         ["kmr", "--resolution", NESTED],
         ["kmr", "--resolution", UNBALANCED],
         ["hilbert", "--resolution", UNBALANCED, "--twist", "3"],
-        ["kmr", "--resolution", DEGENERATE],
-        ["hilbert", "--resolution", DEGENERATE, "--twist", "2"],
+        ["kmr", "--resolution", PARTWAY],
+        ["hilbert", "--resolution", PARTWAY, "--twist", "2"],
         ["hilbert", "--resolution", json.dumps(FALLING_DEGREE), "--twist", "0"],
         ["kmr", "--resolution", json.dumps(EMPTY_DOMAIN)],
     ],
@@ -263,7 +288,7 @@ def test_input_errors_exit_2(capsys, argv):
     [
         (1, 8, FALLING_DEGREE,
          "surface degree falls from 8 at x=0 to 7 at x=1, so it is <= 0 further out"),
-        (1, 2, json.loads(DEGENERATE), "Hilbert polynomial has degree < 2 (leading difference 0)"),
+        (1, 2, DEGENERATES_PARTWAY, "Hilbert polynomial has degree < 2 (leading difference 0)"),
     ],
     ids=["falling-degree", "no-surface"],
 )
@@ -299,8 +324,10 @@ UNSOLVABLE = {"gens": [[2, 3], [3, "2*c"], [4, "2*b"]], "syz": [[3, "2*b"], [4, 
         ([{"c1": 2, "c2": 11, "fallback": "plane-exclusion"}],
          "case #0 (c1=2, c2=11) has unknown keys ['fallback'];"
          " a case takes only c1, c2, resolution and provenance"),
+        ([{"c1": 1, "c2": 3, "resolution": ci_resolution(1, 1, 3)}],
+         "case (c1=1, c2=3): c2 (c1 + r - 5) = 3 is odd; sectional genus is not integral"),
     ],
-    ids=["boundary-repeat", "repeat", "balance", "multiplicity", "grid", "fallback"],
+    ids=["boundary-repeat", "repeat", "balance", "multiplicity", "grid", "fallback", "odd-genus"],
 )
 @pytest.mark.parametrize("command", ["report", "check-case"])
 def test_catalog_errors_name_the_case(tmp_path, capsys, cases, message, command):
@@ -310,6 +337,42 @@ def test_catalog_errors_name_the_case(tmp_path, capsys, cases, message, command)
     if command == "check-case":
         argv += ["--c1", "-1", "--c2", "2"]
     assert invoke(capsys, *argv) == (2, "", f"acmsplit: error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["report", "check-case"])
+def test_a_degree_6_catalog_takes_no_cases(tmp_path, capsys, command):
+    path = tmp_path / "catalog.json"
+    case = {"c1": 1, "c2": 7, "resolution": {"gens": [[1, 1]], "syz": [[1, 1]], "socle": 99}}
+    path.write_text(json.dumps({"degree": 6, "cases": [case]}), encoding="utf-8")
+    argv = [command, "--degree", "6", "--catalog", str(path)]
+    if command == "check-case":
+        argv += ["--c1", "1", "--c2", "7"]
+    message = (
+        "degree 6 is decided by reduction to the sextic threefold, so its catalog takes no cases"
+    )
+    assert invoke(capsys, *argv) == (2, "", f"acmsplit: error: {message}\n")
+    # an empty degree-6 catalog is the built-in one
+    path.write_text(json.dumps({"degree": 6, "cases": []}), encoding="utf-8")
+    assert invoke(capsys, "report", "--degree", "6", "--catalog", str(path)) == invoke(
+        capsys, "report", "--degree", "6"
+    )
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "json"])
+def test_an_annotation_prints_only_on_the_verdict_it_describes(tmp_path, capsys, fmt):
+    """The (5, 2, 11) note claims an exclusion; a (2, 11) case without a resolution makes none."""
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"degree": 5, "cases": [{"c1": 2, "c2": 11}]}), encoding="utf-8")
+    common = ["--degree", "5", "--catalog", str(path), "--format", fmt]
+    for argv in (["report", *common], ["check-case", "--c1", "2", "--c2", "11", *common]):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert "InconclusiveCount" in out
+        assert "217" not in out
+    # the built-in (2, 11) row is excluded by its count and keeps the note
+    code, out, _ = invoke(capsys, "check-case", "--degree", "5", "--c1", "2", "--c2", "11")
+    assert code == 0
+    assert "the exclusion is unaffected (217 < 251)" in out
 
 
 def test_a_document_key_the_engine_does_not_read_exits_2(tmp_path, capsys):

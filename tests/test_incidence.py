@@ -7,10 +7,12 @@ from acmsplit.incidence import (
     CatalogError,
     CaseRecord,
     Verdict,
+    _cascade,
     _prepare_case,
     builtin_catalog,
     checked_resolution,
     dimension_bound,
+    evaluate_case,
     generate_report,
     load_catalog,
     render_report_json,
@@ -28,7 +30,7 @@ from acmsplit.resolutions import (
     surface_invariants,
     validate,
 )
-from conftest import FALLING_DEGREE, case_points, ci_resolution
+from conftest import DEGENERATES_PARTWAY, FALLING_DEGREE, case_points, ci_resolution
 
 DEG11 = {"gens": [[2, 3], [3, "c"], [4, "b"]], "syz": [[3, "b"], [4, "c"], [5, 3]], "socle": 7}
 DEG12 = {"gens": [[2, 2], [3, "c"], [4, "b"]], "syz": [[3, "b"], [4, "c"], [5, 2]], "socle": 7}
@@ -94,11 +96,31 @@ def test_verdict_cascade(case, expected):
     assert verdict(case) == expected
 
 
-def test_verdict_consumes_a_given_bound():
-    case = _case(4, 1, 3, ci_resolution(1, 1, 3))
-    assert verdict(case, dimension_bound(case)) == verdict(case)
-    assert verdict(case, 124) == Verdict.EXCLUDED_BY_DIMENSION_COUNT
-    assert verdict(case, 125) == Verdict.INCONCLUSIVE_COUNT
+def test_the_count_rule_excludes_only_below_the_moduli_dimension():
+    """dim P(4) = 125: a bound of 124 excludes the case, 125 does not."""
+    case = _prepare_case(_case(4, 1, 3, ci_resolution(1, 1, 3)))
+    row = evaluate_case(case)
+    assert (row.genus, row.bound, row.moduli_dim) == (1, 121, 125)
+    assert _cascade(case, 1, 95, 30, 124, 125) == (
+        Verdict.EXCLUDED_BY_DIMENSION_COUNT,
+        "incidence bound 124 = 95 - 1 + 30 is below the moduli dimension 125",
+    )
+    assert _cascade(case, 1, 95, 31, 125, 125) == (
+        Verdict.INCONCLUSIVE_COUNT, "incidence bound 125 does not beat the moduli dimension 125"
+    )
+
+
+def test_verdict_and_bound_are_the_report_rows():
+    for degree in (3, 4, 5):
+        for row in generate_report(degree).rows:
+            assert verdict(row.case) == row.verdict
+            if row.bound is not None:
+                assert dimension_bound(row.case) == row.bound
+
+
+def test_the_sextic_row_and_the_degree_6_rule_share_their_note():
+    (sextic,) = generate_report(6).rows
+    assert sextic.notes == (_cascade(_case(6, 1, 7), 8, None, None, None, 461)[1],)
 
 
 def test_verdict_is_deterministic():
@@ -391,19 +413,11 @@ def test_report_rejects_invalid_resolution():
         generate_report(4, load_catalog(bad))
 
 
-#: Valid on range(-3, 1), with degree 4 and 2 at x = -3 and -2, and none at x = -1.
-DEGENERATES_PARTWAY = parse_resolution(
-    {
-        "gens": [[4, "2*x+7"], [5, "-2*x"], [1, "-x+5"]],
-        "syz": [[2, "2*x+7"], [1, "-2*x"], [5, "-x+5"]],
-        "socle": 6,
-    }
-)
 DEGENERATE_MESSAGE = "Hilbert polynomial has degree < 2 (leading difference 0)"
 
 
 def test_checked_resolution_names_the_first_degenerate_point():
-    res = DEGENERATES_PARTWAY
+    res = parse_resolution(DEGENERATES_PARTWAY)
     assert validate(res, range(-3, 1)) == []
     assert [surface_invariants(res, x).degree for x in (-3, -2)] == [4, 2]
     with pytest.raises(DegenerateResolutionError, match=re.escape(DEGENERATE_MESSAGE)):
@@ -412,7 +426,8 @@ def test_checked_resolution_names_the_first_degenerate_point():
 
 def test_degeneracy_is_reported_before_a_degree_mismatch():
     """The degree is c2 = 4 at x = -3, but x = -1 and x = 0 carry no surface at all."""
-    case = CaseRecord(r=5, c1=1, c2=4, resolution=DEGENERATES_PARTWAY, parameter_grid=range(-3, 1))
+    res = parse_resolution(DEGENERATES_PARTWAY)
+    case = CaseRecord(r=5, c1=1, c2=4, resolution=res, parameter_grid=range(-3, 1))
     with pytest.raises(DegenerateResolutionError, match=re.escape(DEGENERATE_MESSAGE)):
         _prepare_case(case)
 

@@ -124,10 +124,10 @@ def test_nonconstant_scan_names_the_certificate_points():
 
 def test_scan_refuses_a_family_equal_at_both_ends_of_its_grid():
     """KMR is quadratic in x, so two end points do not certify it; the middle does."""
-    gens = [[1, 3], [-1, "2*x+16"], [4, "2*x+16"], [4, "x+12"], [1, "5*x+60"]]
-    res = parse_resolution({"gens": gens, "syz": [[3 - n, m] for n, m in gens], "socle": 3})
+    gens = [[1, "4*x+10"], [5, "10-2*x"], [6, "7*x+8"]]
+    res = parse_resolution({"gens": gens, "syz": [[8 - n, m] for n, m in gens], "socle": 8})
     assert validate(res, range(0, 5)) == []
-    message = "varies across the certificate points: {0: 441, 2: 449, 4: 441}"
+    message = "varies across the certificate points: {0: 37, 2: 5, 4: 37}"
     with pytest.raises(NonConstantScanError, match=re.escape(message)):
         kmr_scan(res, range(0, 5))
 
@@ -189,6 +189,34 @@ def test_subtracted_pair_sums_vary_but_the_total_does_not(shape, param, expected
 )
 def test_subtracted_pair_sums_vanish_without_parameters(shape):
     assert kmr_negative_pair_total(parse_resolution(shape)) == 0
+
+
+# ------------------------------------------------------ ghost pairs
+
+
+def _with_ghost_pair(res, t, count):
+    """res with count more twists t and s - t on both sides: still balanced and self-dual."""
+    ghost = ((t, AffineExpr(const=count)), (res.socle_twist - t, AffineExpr(const=count)))
+    return res._replace(generators=res.generators + ghost, syzygies=res.syzygies + ghost)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RESOLVED), st.data())
+def test_a_ghost_pair_inside_the_twist_range_changes_no_count(drawn, data):
+    """Twists 1 <= t <= s - 1 leave every count alone; outside, validate refuses the pair."""
+    _, res, x = drawn
+    socle = res.socle_twist
+    count = data.draw(st.integers(1, 4), label="count")
+    grid = None if x is None else range(x, x + 1)
+    ghosted = _with_ghost_pair(res, data.draw(st.integers(1, socle - 1), label="t"), count)
+    assert validate(ghosted, grid) == []
+    assert kmr_h0_normal(ghosted, x) == kmr_h0_normal(res, x)
+    for t in range(-2, 10):
+        assert h0_ideal(ghosted, t, x) == h0_ideal(res, t, x)
+        assert chi_structure_poly(ghosted, t, x) == chi_structure_poly(res, t, x)
+    outside = data.draw(st.integers(-3, 0) | st.integers(socle, socle + 3), label="outside")
+    invariants = {v.invariant for v in validate(_with_ghost_pair(res, outside, count), grid)}
+    assert invariants == {"twist-range"}
 
 
 # ---------------------------------------------- blockwise against flat
