@@ -25,12 +25,10 @@ from .incidence import (
     CONCLUSIVE_VERDICTS,
     CatalogError,
     checked_resolution,
-    evaluate_case,
     generate_report,
     load_catalog_file,
     render_report_json,
     render_report_markdown,
-    report_cases,
     row_to_jsonable,
 )
 from .normal_bundle import kmr_h0_normal
@@ -108,15 +106,14 @@ def _cmd_check_case(args: argparse.Namespace) -> int:
     cases = None
     if args.catalog is not None:
         cases = load_catalog_file(args.catalog, args.degree)
-    for case in report_cases(args.degree, cases):
-        if (case.c1, case.c2) == (args.c1, args.c2):
+    for row in generate_report(args.degree, cases).rows:
+        if row.case is not None and (row.case.c1, row.case.c2) == (args.c1, args.c2):
             break
     else:
         raise CatalogError(
             f"no case (c1={args.c1}, c2={args.c2}) in the degree-{args.degree}"
             " catalog"
         )
-    row = evaluate_case(case)
     if args.format == "json":
         payload = {"degree": args.degree, "moduli_dim": row.moduli_dim, **row_to_jsonable(row)}
         text = json.dumps(payload, indent=2) + "\n"
@@ -140,14 +137,14 @@ def _cmd_check_case(args: argparse.Namespace) -> int:
 
 
 def _cmd_kmr(args: argparse.Namespace) -> int:
-    res, points, _ = checked_resolution(_load_resolution(args.resolution), args.grid)
+    res, points, _, _ = checked_resolution(_load_resolution(args.resolution), args.grid)
     value = scan_constant(lambda x: kmr_h0_normal(res, x), points, "h^0(N_S)")
     _emit(_scalar_text(args, {"h0_normal": value}, "h0_normal"), args.out)
     return 0
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> int:
-    res, points, _ = checked_resolution(_load_resolution(args.resolution), args.grid)
+    res, points, _, _ = checked_resolution(_load_resolution(args.resolution), args.grid)
     twist = args.twist
     payload = {
         "twist": twist,

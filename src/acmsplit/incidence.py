@@ -22,21 +22,21 @@ from typing import NamedTuple
 from . import catalog as _catalog
 from .combinatorics import Count
 from .euler import ParityError, pfaffian_c2, sectional_genus, solve_c2_boundary
-from .normal_bundle import kmr_h0_normal
+from .normal_bundle import _kmr
 from .proj_cohomology import HypersurfaceContext
 from .resolutions import (
     AffineExpr,
+    Blocks,
     DegenerateResolutionError,
     GorensteinResolution,
     SurfaceInvariants,
+    _invariants,
+    _walk,
     admissible,
     degree_balance_form,
     h0_ideal,
     parse_resolution,
     scan_constant,
-    scan_points,
-    surface_invariants,
-    validate,
 )
 
 class CatalogError(ValueError):
@@ -171,29 +171,36 @@ def checked_resolution(
     res: GorensteinResolution,
     grid: range | None = None,
     label: str | None = None,
-) -> tuple[GorensteinResolution, list[int | None], list[SurfaceInvariants]]:
-    """Balance and validate a resolution; return it, its scan points and their invariants.
+) -> tuple[
+    GorensteinResolution,
+    list[int | None],
+    list[SurfaceInvariants],
+    dict[int | None, tuple[Blocks, Blocks]],
+]:
+    """Balance and validate a resolution; return it, its scan points, their invariants and blocks.
 
-    This is the one path from raw twist data to counts: case preparation
-    and the kmr and hilbert commands take it.  Invalid twist data raises
-    CatalogError; a Hilbert polynomial that is no surface at a scan point,
-    or whose degree falls toward the open end of a half-line (see
-    scan_points), raises DegenerateResolutionError.  Both name the case
-    when a label is given.
+    This is the one path from raw twist data to counts: evaluate_case
+    and the kmr and hilbert commands take it.  One walk over the scan
+    points builds each point's blocks, which validation and the Hilbert
+    invariants read and which are returned for the counts.  Invalid
+    twist data raises CatalogError; a Hilbert polynomial that is no
+    surface at a scan point, or whose degree falls toward the open end
+    of a half-line (see scan_points), raises DegenerateResolutionError.
+    Both name the case when a label is given.
     """
     where = "" if label is None else f"case {label}: "
     try:
         res, _ = resolve_parameters(res)
     except CatalogError as exc:
         raise CatalogError(f"{where}{exc}") from exc
-    problems = validate(res, grid)
+    problems, blocks = _walk(res, grid)
     if problems:
         raise CatalogError(
             f"{where}invalid resolution: " + "; ".join(str(p) for p in problems)
         )
-    points = scan_points(res, grid)
+    points = list(blocks)
     try:
-        found = [surface_invariants(res, x) for x in points]
+        found = [_invariants(gens, syz, res.socle_twist) for gens, syz in blocks.values()]
     except DegenerateResolutionError as exc:
         raise DegenerateResolutionError(f"{where}{exc}") from exc
     # points run outward from a half-line's finite end: a falling degree reaches 0
@@ -203,7 +210,7 @@ def checked_resolution(
                 f"{where}surface degree falls from {found[0].degree} at x={points[0]}"
                 f" to {found[1].degree} at x={points[1]}, so it is <= 0 further out"
             )
-    return res, points, found
+    return res, points, found, blocks
 
 
 class ReportRow(NamedTuple):
@@ -303,34 +310,6 @@ def builtin_catalog(degree: int) -> list[CaseRecord]:
     return load_catalog(_catalog.BUILTIN_CATALOGS[degree], degree)
 
 
-def _prepare_case(case: CaseRecord) -> CaseRecord:
-    """Balance and validate; refuse a genus or degree not the case's, naming it.
-
-    A scan point with no surface is refused first, then a Chern pair
-    whose sectional genus is not an integer, then a surface degree or
-    genus that differs from the pair's.
-    """
-    if case.resolution is None:
-        return case
-    resolution, _, found = checked_resolution(case.resolution, case.parameter_grid, case.label)
-    try:
-        expected_genus = sectional_genus(case.r, case.c1, case.c2)
-    except ParityError as exc:
-        raise CatalogError(f"case {case.label}: {exc}") from exc
-    for invariants in found:
-        if invariants.degree != case.c2:
-            raise CatalogError(
-                f"case {case.label}: resolution has surface degree"
-                f" {invariants.degree}, not c2"
-            )
-        if invariants.sectional_genus != expected_genus:
-            raise CatalogError(
-                f"case {case.label}: resolution sectional genus"
-                f" {invariants.sectional_genus} != {expected_genus} from the Chern pair"
-            )
-    return case._replace(resolution=resolution)
-
-
 def _boundary_cases(ctx: HypersurfaceContext) -> list[CaseRecord]:
     """Re-derive the two boundary cases instead of storing them.
 
@@ -416,26 +395,46 @@ def _cascade(
 
 
 def evaluate_case(case: CaseRecord) -> ReportRow:
-    """One report row for a prepared case (see report_cases): counted, decided, explained.
+    """One report row for a case: checked, counted, decided and explained in one walk.
 
+    A resolution is balanced and validated at its scan points (see
+    checked_resolution), whose blocks the Hilbert invariants and the KMR
+    count read.  A scan point with no surface is refused first, then a
+    Chern pair whose sectional genus is not an integer, then a surface
+    degree or genus that differs from the pair's, each naming the case.
     Each count is taken once.  The row's first note is the one of the
     cascade rule that decided it; a catalog annotation for the case and
     that verdict follows.
     """
     moduli = HypersurfaceContext(case.r).moduli_dim
-    try:
-        genus: int | None = sectional_genus(case.r, case.c1, case.c2)
-    except ParityError:
-        genus = None
-    ideal = normal = bound = None
     res = case.resolution
     if res is not None:
-        points = scan_points(res, case.parameter_grid)
+        res, points, found, blocks = checked_resolution(res, case.parameter_grid, case.label)
+        case = case._replace(resolution=res)
+    try:
+        genus: int | None = sectional_genus(case.r, case.c1, case.c2)
+    except ParityError as exc:
+        if res is not None:
+            raise CatalogError(f"case {case.label}: {exc}") from exc
+        genus = None
+    ideal = normal = bound = None
+    if res is not None:
+        for invariants in found:
+            if invariants.degree != case.c2:
+                raise CatalogError(
+                    f"case {case.label}: resolution has surface degree"
+                    f" {invariants.degree}, not c2"
+                )
+            if invariants.sectional_genus != genus:
+                raise CatalogError(
+                    f"case {case.label}: resolution sectional genus"
+                    f" {invariants.sectional_genus} != {genus} from the Chern pair"
+                )
         ideal = scan_constant(
             lambda x: h0_ideal(res, case.r, x), points, f"h^0(I_S({case.r})) for case {case.label}"
         )
         normal = scan_constant(
-            lambda x: kmr_h0_normal(res, x), points, f"h^0(N_S) for case {case.label}"
+            lambda x: _kmr(*blocks[x], res.socle_twist), points, f"h^0(N_S) for case {case.label}"
         )
         bound = ideal - 1 + normal
     decided, note = _cascade(case, genus, ideal, normal, bound, moduli)
@@ -446,46 +445,51 @@ def evaluate_case(case: CaseRecord) -> ReportRow:
 def verdict(case: CaseRecord) -> Verdict:
     """The verdict the report prints for the case; total on valid cases and deterministic.
 
-    The case is prepared as the report prepares it (see _prepare_case),
-    so a resolution whose degree or genus is not the Chern pair's raises
+    The case is checked as the report checks it (see evaluate_case), so
+    a resolution whose degree or genus is not the Chern pair's raises
     CatalogError naming the case.
     """
-    return evaluate_case(_prepare_case(case)).verdict
+    return evaluate_case(case).verdict
 
 
 def dimension_bound(case: CaseRecord) -> Count:
     """h^0(I_S(r)) - 1 + h^0(N_S), the incidence-variety bound the report prints for the case.
 
-    The case is prepared as verdict prepares it; a case without a
+    The case is checked as verdict checks it; a case without a
     resolution has no bound and raises CatalogError.
     """
     if case.resolution is None:
         raise CatalogError(f"case {case.label} has no resolution to count with")
-    return evaluate_case(_prepare_case(case)).bound
+    return evaluate_case(case).bound
 
 
-def report_cases(
+def generate_report(
     degree: int,
     cases: Sequence[CaseRecord] | None = None,
     grid_override: range | None = None,
-) -> list[CaseRecord]:
-    """The prepared cases of one degree, boundary cases included.
+) -> Report:
+    """Evaluate every case for one degree, boundary cases included.
 
-    Cases are balanced, validated and ordered by (c1, c2); catalog
-    inconsistencies, a repeated Chern pair among them, abort with the
-    offending case named.  Degree 6 has none, and refuses any: its
-    report is the single reduction row.
+    Reports cover degrees 3 through 6.  Degree 6 yields the single
+    reduction row and no computation, and refuses any case.  Every
+    case, boundary cases first and then the catalog's in its order, is
+    evaluated by evaluate_case, so the first faulty one is named.  Rows
+    are then ordered by (c1, c2), and a repeated Chern pair is refused.
     """
     ctx = HypersurfaceContext(degree)
+    if not 3 <= degree <= 6:
+        raise CatalogError(f"reports cover degrees 3 through 6, not {degree}")
     if degree == 6:
         if cases:
             raise CatalogError(
                 "degree 6 is decided by reduction to the sextic threefold,"
                 " so its catalog takes no cases"
             )
-        return []
-    if degree < 3:
-        raise CatalogError(f"reports cover degrees 3 through 6, not {degree}")
+        reduction = ReportRow(
+            None, None, None, None, None, ctx.moduli_dim, Verdict.REDUCED_TO_THREEFOLD,
+            (_REDUCTION_NOTE,),
+        )
+        return Report(degree, ctx.moduli_dim, (reduction,))
     if cases is None:
         cases = builtin_catalog(degree)
     for case in cases:
@@ -498,35 +502,14 @@ def report_cases(
             else c
             for c in cases
         ]
-    all_cases = _boundary_cases(ctx) + [_prepare_case(c) for c in cases]
-    all_cases.sort(key=lambda c: (c.c1, c.c2))
-    for case, following in zip(all_cases, all_cases[1:]):
-        if (case.c1, case.c2) == (following.c1, following.c2):
+    rows = [evaluate_case(c) for c in _boundary_cases(ctx) + list(cases)]
+    rows.sort(key=lambda row: (row.case.c1, row.case.c2))
+    for row, following in zip(rows, rows[1:]):
+        if (row.case.c1, row.case.c2) == (following.case.c1, following.case.c2):
             raise CatalogError(
-                f"case {case.label} appears twice; boundary cases are derived, not listed"
+                f"case {row.case.label} appears twice; boundary cases are derived, not listed"
             )
-    return all_cases
-
-
-def generate_report(
-    degree: int,
-    cases: Sequence[CaseRecord] | None = None,
-    grid_override: range | None = None,
-) -> Report:
-    """Evaluate every case for one degree, boundary cases included.
-
-    Degree 6 yields the single reduction row and no computation.  Rows
-    are ordered by (c1, c2).  Catalog inconsistencies abort with the
-    offending case named.
-    """
-    moduli = HypersurfaceContext(degree).moduli_dim
-    prepared = report_cases(degree, cases, grid_override)
-    if degree == 6:
-        reduction = ReportRow(
-            None, None, None, None, None, moduli, Verdict.REDUCED_TO_THREEFOLD, (_REDUCTION_NOTE,)
-        )
-        return Report(degree, moduli, (reduction,))
-    return Report(degree, moduli, tuple(evaluate_case(c) for c in prepared))
+    return Report(degree, ctx.moduli_dim, tuple(rows))
 
 
 def _cell(value: object) -> str:

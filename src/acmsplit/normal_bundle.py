@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .combinatorics import Count, binom_trunc
 from .proj_cohomology import AMBIENT_DIM, h0_pn
-from .resolutions import GorensteinResolution, term_sum
+from .resolutions import Blocks, GorensteinResolution, term_sum
 
 
 class ConventionViolation(ArithmeticError):
@@ -35,7 +35,12 @@ def _pairs_before(a: int, b: int) -> int:
 
 
 def kmr_h0_normal(res: GorensteinResolution, x: int | None = None) -> Count:
-    """h^0(N_S) from the resolution twists alone.
+    """h^0(N_S) from the resolution twists alone (see _kmr)."""
+    return _kmr(*res.blocks(x), res.socle_twist)
+
+
+def _kmr(gens: Blocks, syz: Blocks, socle: int) -> Count:
+    """kmr_h0_normal on one point's blocks.
 
     The sums run block against block, so a point costs O(blocks^2)
     whatever the multiplicities.  A generator block at ascending
@@ -43,8 +48,6 @@ def kmr_h0_normal(res: GorensteinResolution, x: int | None = None) -> Count:
     [j0, j1) share exactly the i < j pairs counted by inclusion-exclusion
     over _pairs_before, which equals the positional sum on any input.
     """
-    gens, syz = res.blocks(x)
-    socle = res.socle_twist
     total = 0
     i0 = 0
     for n, count in gens:

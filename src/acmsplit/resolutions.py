@@ -395,11 +395,21 @@ def validate(res: GorensteinResolution, grid: range | None = None) -> list[Viola
     a syzygy twist is below the socle; outside that range the KMR pair
     sum is wrong.  Returns every violation found.
     """
+    return _walk(res, grid)[0]
+
+
+def _walk(
+    res: GorensteinResolution, grid: range | None = None
+) -> tuple[list[Violation], dict[int | None, tuple[Blocks, Blocks]]]:
+    """validate's checks, and the (generators, syzygies) blocks of each scan point they read.
+
+    The blocks are empty when a check fails before the points are walked.
+    """
     violations: list[Violation] = []
     names = res.free_parameters()
     if len(names) > 1:
         detail = "parameters " + ", ".join(sorted(names)) + " need a balance relation first"
-        return [Violation("unresolved-parameters", None, detail)]
+        return [Violation("unresolved-parameters", None, detail)], {}
 
     const, coeffs = degree_balance_form(res)
     if const != 0 or coeffs:
@@ -411,7 +421,7 @@ def validate(res: GorensteinResolution, grid: range | None = None) -> list[Viola
         points = scan_points(res, grid)
     except ValueError as exc:
         tag = "empty-domain" if grid is None else "empty-grid"
-        return violations + [Violation(tag, None, str(exc))]
+        return violations + [Violation(tag, None, str(exc))], {}
 
     negative = []
     for twist, mult in res.generators + res.syzygies:
@@ -421,11 +431,11 @@ def validate(res: GorensteinResolution, grid: range | None = None) -> list[Viola
             detail = f"multiplicity {mult} of twist {twist} is negative"
             negative.append(Violation("negative-multiplicity", where, detail))
     if negative:
-        return violations + negative
+        return violations + negative, {}
 
     socle = res.socle_twist
-    for x in points:
-        gens, syz = res.blocks(x)
+    table = {x: res.blocks(x) for x in points}
+    for x, (gens, syz) in table.items():
         if not gens:
             violations.append(Violation("trivial-rank", x, "no generators"))
             continue
@@ -439,7 +449,7 @@ def validate(res: GorensteinResolution, grid: range | None = None) -> list[Viola
         low = [f"generator twist {n} is below 1" for n, _ in gens if n < 1]
         high = [f"syzygy twist {m} is not below the socle {socle}" for m, _ in syz if m >= socle]
         violations += [Violation("twist-range", x, detail) for detail in low + high]
-    return violations
+    return violations, table
 
 
 def term_sum(
@@ -471,13 +481,9 @@ def h0_structure(res: GorensteinResolution, t: int, x: int | None = None) -> Cou
     return h0_pn(AMBIENT_DIM, t) - h0_ideal(res, t, x)
 
 
-def _chi_structure(gens: Blocks, syz: Blocks, socle: int, t: int) -> EulerNumber:
-    return chi_pn(AMBIENT_DIM, t) - term_sum(chi_pn, gens, syz, socle, t)
-
-
 def chi_structure_poly(res: GorensteinResolution, t: int, x: int | None = None) -> EulerNumber:
     """chi(O_S(t)) continued polynomially to every integer twist."""
-    return _chi_structure(*res.blocks(x), res.socle_twist, t)
+    return chi_pn(AMBIENT_DIM, t) - term_sum(chi_pn, *res.blocks(x), res.socle_twist, t)
 
 
 class SurfaceInvariants(NamedTuple):
@@ -489,15 +495,21 @@ class SurfaceInvariants(NamedTuple):
 
 
 def surface_invariants(res: GorensteinResolution, x: int | None = None) -> SurfaceInvariants:
-    """Degree, sectional genus and chi(O_S) by finite differences.
+    """Degree, sectional genus and chi(O_S) by finite differences (see _invariants)."""
+    return _invariants(*res.blocks(x), res.socle_twist)
 
-    P(t) = chi(O_S(t)) must be an honest degree-2 polynomial: its third
+
+def _invariants(gens: Blocks, syz: Blocks, socle: int) -> SurfaceInvariants:
+    """surface_invariants on one point's blocks.
+
+    P(t) = chi(O_S(t)) = chi(O(t)) - sum_i chi(O(t - n_i)) + sum_j chi(O(t - m_j))
+    - chi(O(t - socle)) must be an honest degree-2 polynomial: its third
     differences vanish identically (degree <= 2 is certified by three
     consecutive zero third differences) and its leading difference, the
     surface degree, is positive.
     """
-    gens, syz = res.blocks(x)
-    values = [_chi_structure(gens, syz, res.socle_twist, t) for t in range(-2, 4)]
+    terms = [(0, 1), *((n, -c) for n, c in gens), *((m, c) for m, c in syz), (socle, -1)]
+    values = [sum(c * chi_pn(AMBIENT_DIM, t - n) for n, c in terms) for t in range(-2, 4)]
     third = [
         values[i + 3] - 3 * values[i + 2] + 3 * values[i + 1] - values[i]
         for i in range(3)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from acmsplit.cli import run
+from acmsplit.incidence import generate_report
 from conftest import DEGENERATES_PARTWAY, EMPTY_DOMAIN, FALLING_DEGREE, ci_resolution
 
 QUADRIC = json.dumps(ci_resolution(1, 1, 2))
@@ -98,7 +99,7 @@ def test_a_wide_grid_is_certified(capsys, grid):
 
 
 def test_kmr_cost_does_not_grow_with_the_grid(capsys, monkeypatch):
-    """validate, surface_invariants and kmr_h0_normal each take three points."""
+    """The validating walk and kmr_h0_normal each take three points."""
     from acmsplit.resolutions import GorensteinResolution
 
     seen = []
@@ -117,7 +118,7 @@ def test_kmr_cost_does_not_grow_with_the_grid(capsys, monkeypatch):
     ):
         seen.clear()
         assert invoke(capsys, "kmr", "--resolution", OCTIC, *grid) == (0, "54\n", "")
-        assert len(seen) == 9
+        assert len(seen) == 6
         assert sorted(set(seen)) == points
 
 
@@ -401,16 +402,22 @@ def test_nested_catalog_file(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-def test_check_case_evaluates_only_its_row(capsys, monkeypatch):
+def test_check_case_prints_its_row_of_the_report(capsys, monkeypatch):
     import acmsplit.cli
 
-    def no_report(*args, **kwargs):
-        raise AssertionError("check-case built the whole report")
+    reports = []
 
-    monkeypatch.setattr(acmsplit.cli, "generate_report", no_report)
+    def recorded(*args, **kwargs):
+        reports.append(generate_report(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(acmsplit.cli, "generate_report", recorded)
     code, out, _ = invoke(capsys, "check-case", "--degree", "5", "--c1", "2", "--c2", "11")
     assert code == 0
     assert "incidence bound: 217" in out
+    (report,) = reports
+    (row,) = [r for r in report.rows if (r.case.c1, r.case.c2) == (2, 11)]
+    assert f"incidence bound: {row.bound} against moduli dimension {row.moduli_dim}" in out
 
 
 def test_check_case_json_is_the_report_row(capsys):
@@ -436,6 +443,25 @@ def test_check_case_still_validates_the_other_cases(tmp_path, capsys):
     )
     assert (code, out) == (2, "")
     assert "(c1=1, c2=4): invalid resolution" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--degree", "7"],
+        ["report", "--degree", "7", "--catalog"],
+        ["check-case", "--degree", "7", "--c1", "-3", "--c2", "2", "--catalog"],
+    ],
+    ids=["report", "report-catalog", "check-case-catalog"],
+)
+def test_reports_refuse_degree_7(tmp_path, capsys, argv):
+    """An empty degree-7 case list would print only the boundary rows and look conclusive."""
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"degree": 7, "cases": []}), encoding="utf-8")
+    if argv[-1] == "--catalog":
+        argv = [*argv, str(path)]
+    message = "reports cover degrees 3 through 6, not 7"
+    assert invoke(capsys, *argv) == (2, "", f"acmsplit: error: {message}\n")
 
 
 def test_catalog_degree_mismatch(tmp_path, capsys):

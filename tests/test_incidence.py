@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,6 @@ from acmsplit.incidence import (
     CaseRecord,
     Verdict,
     _cascade,
-    _prepare_case,
     builtin_catalog,
     checked_resolution,
     dimension_bound,
@@ -27,10 +27,19 @@ from acmsplit.resolutions import (
     DegenerateResolutionError,
     h0_ideal,
     parse_resolution,
+    scan_points,
     surface_invariants,
     validate,
 )
-from conftest import DEGENERATES_PARTWAY, FALLING_DEGREE, case_points, ci_resolution
+from conftest import (
+    DEGENERATES_PARTWAY,
+    FALLING_DEGREE,
+    case_points,
+    ci_resolution,
+    flat_h0_ideal,
+    flat_kmr_total,
+    flat_surface_invariants,
+)
 
 DEG11 = {"gens": [[2, 3], [3, "c"], [4, "b"]], "syz": [[3, "b"], [4, "c"], [5, 3]], "socle": 7}
 DEG12 = {"gens": [[2, 2], [3, "c"], [4, "b"]], "syz": [[3, "b"], [4, "c"], [5, 2]], "socle": 7}
@@ -98,7 +107,7 @@ def test_verdict_cascade(case, expected):
 
 def test_the_count_rule_excludes_only_below_the_moduli_dimension():
     """dim P(4) = 125: a bound of 124 excludes the case, 125 does not."""
-    case = _prepare_case(_case(4, 1, 3, ci_resolution(1, 1, 3)))
+    case = _case(4, 1, 3, ci_resolution(1, 1, 3))
     row = evaluate_case(case)
     assert (row.genus, row.bound, row.moduli_dim) == (1, 121, 125)
     assert _cascade(case, 1, 95, 30, 124, 125) == (
@@ -183,7 +192,36 @@ def test_report_balances_each_case_once(monkeypatch):
 
     monkeypatch.setattr(incidence, "resolve_parameters", counted)
     generate_report(5)
-    assert len(calls) == sum(c.resolution is not None for c in builtin_catalog(5))
+    # the boundary quadric is balanced and validated as the catalog cases are
+    assert len(calls) == 1 + sum(c.resolution is not None for c in builtin_catalog(5))
+
+
+def test_a_report_builds_each_points_blocks_twice_and_its_scan_points_once(monkeypatch):
+    """The walk and h0_ideal take each scan point's blocks; nothing else does."""
+    import acmsplit.resolutions as resolutions
+    from acmsplit.catalog import QUADRIC_RESOLUTION
+    from acmsplit.resolutions import GorensteinResolution
+
+    resolved = [parse_resolution(QUADRIC_RESOLUTION)] + [
+        resolve_parameters(c.resolution)[0] for c in builtin_catalog(5) if c.resolution is not None
+    ]
+    points = sum(len(scan_points(res)) for res in resolved)
+    blocks = GorensteinResolution.blocks
+    built, scans = [], []
+
+    def counted_blocks(self, x=None):
+        built.append(x)
+        return blocks(self, x)
+
+    def counted_scan(res, grid=None):
+        scans.append(res)
+        return scan_points(res, grid)
+
+    monkeypatch.setattr(GorensteinResolution, "blocks", counted_blocks)
+    monkeypatch.setattr(resolutions, "scan_points", counted_scan)
+    generate_report(5)
+    assert Counter(scans) == Counter(resolved)
+    assert points == 18 and len(built) == 2 * points
 
 
 def test_case_record_validation():
@@ -275,6 +313,30 @@ def test_report_degree_window():
         generate_report(2)
     with pytest.raises(CatalogError):
         generate_report(7)
+
+
+def test_the_boundary_quadric_is_checked_as_a_catalog_case(monkeypatch):
+    """A (1,1,3) complete intersection has degree 3, not the quadric's c2 = 2."""
+    import acmsplit.catalog as catalog
+
+    monkeypatch.setattr(catalog, "QUADRIC_RESOLUTION", ci_resolution(1, 1, 3))
+    message = "case (c1=0, c2=2): resolution has surface degree 3, not c2"
+    with pytest.raises(CatalogError, match=re.escape(message)):
+        generate_report(4)
+
+
+@pytest.mark.parametrize("degree", [3, 4, 5])
+def test_every_counted_row_agrees_with_the_flat_oracles(degree):
+    """The report's counts, at every scan point, against the positional formulas of conftest."""
+    counted = [row for row in generate_report(degree).rows if row.case.resolution is not None]
+    assert counted
+    for row in counted:
+        res = row.case.resolution
+        for x in scan_points(res):
+            assert row.h0_ideal_at_r == flat_h0_ideal(res, degree, x)
+            assert row.h0_normal == flat_kmr_total(res, x)
+            assert row.genus == flat_surface_invariants(res, x).sectional_genus
+        assert row.bound == row.h0_ideal_at_r - 1 + row.h0_normal
 
 
 def test_verdict_bound_contract():
@@ -429,7 +491,7 @@ def test_degeneracy_is_reported_before_a_degree_mismatch():
     res = parse_resolution(DEGENERATES_PARTWAY)
     case = CaseRecord(r=5, c1=1, c2=4, resolution=res, parameter_grid=range(-3, 1))
     with pytest.raises(DegenerateResolutionError, match=re.escape(DEGENERATE_MESSAGE)):
-        _prepare_case(case)
+        evaluate_case(case)
 
 
 def test_checked_resolution_refuses_a_degree_falling_on_a_half_line():
@@ -437,7 +499,7 @@ def test_checked_resolution_refuses_a_degree_falling_on_a_half_line():
     assert validate(res) == []
     assert [surface_invariants(res, x).degree for x in range(8)] == [8, 7, 6, 5, 4, 3, 2, 1]
     # a grid that stops before x = 8, such as the old default 0..5, is a surface throughout
-    assert checked_resolution(res, range(0, 8)) == (
+    assert checked_resolution(res, range(0, 8))[:3] == (
         res, [0, 4, 7], [surface_invariants(res, x) for x in (0, 4, 7)]
     )
     message = "surface degree falls from 8 at x=0 to 7 at x=1, so it is <= 0 further out"
@@ -446,7 +508,7 @@ def test_checked_resolution_refuses_a_degree_falling_on_a_half_line():
     # a catalog case without a grid is certified on the whole half-line, so it is refused
     case = CaseRecord(r=5, c1=1, c2=8, resolution=res)
     with pytest.raises(DegenerateResolutionError, match=re.escape(message)):
-        _prepare_case(case)
+        evaluate_case(case)
 
 
 def test_prepare_case_refuses_a_degree_that_moves_with_the_parameter():
@@ -461,7 +523,7 @@ def test_prepare_case_refuses_a_degree_that_moves_with_the_parameter():
     assert validate(res, range(0, 6)) == []
     case = CaseRecord(r=5, c1=1, c2=58, resolution=res, parameter_grid=range(0, 6))
     with pytest.raises(CatalogError, match=r"resolution has surface degree 64, not c2"):
-        _prepare_case(case)
+        evaluate_case(case)
 
 
 def test_a_wide_grid_renders_the_default_report():

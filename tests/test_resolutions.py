@@ -506,7 +506,7 @@ def test_certificate_agrees_with_the_full_walk(drawn):
     assert bool(found) == bool(problems)
     assert _negative_points(found) == _negative_points(problems)
 
-    # refuse every degree but the one at a drawn point, as _prepare_case refuses c2
+    # refuse every degree but the one at a drawn point, as evaluate_case refuses c2
     walked = walk_points(res, grid)
     pinned = _outcome(lambda: flat_surface_invariants(res, walked[pin % len(walked)]))
 
@@ -515,7 +515,7 @@ def test_certificate_agrees_with_the_full_walk(drawn):
             raise CatalogError(f"resolution has surface degree {invariants.degree}, not c2")
 
     def certified():
-        checked, _, found = checked_resolution(res, grid)
+        checked, _, found, _ = checked_resolution(res, grid)
         for invariants in found:
             check(invariants)
         return checked
