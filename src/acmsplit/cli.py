@@ -137,25 +137,25 @@ def _cmd_check_case(args: argparse.Namespace) -> int:
 
 
 def _cmd_kmr(args: argparse.Namespace) -> int:
-    res, points, _, _ = checked_resolution(_load_resolution(args.resolution), args.grid)
-    value = scan_constant(lambda x: kmr_h0_normal(res, x), points, "h^0(N_S)")
+    res, table = checked_resolution(_load_resolution(args.resolution), args.grid)
+    value = scan_constant(lambda x: kmr_h0_normal(res, x), table, "h^0(N_S)")
     _emit(_scalar_text(args, {"h0_normal": value}, "h0_normal"), args.out)
     return 0
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> int:
-    res, points, _, _ = checked_resolution(_load_resolution(args.resolution), args.grid)
+    res, table = checked_resolution(_load_resolution(args.resolution), args.grid)
     twist = args.twist
     payload = {
         "twist": twist,
         "h0_ideal": scan_constant(
-            lambda x: h0_ideal(res, twist, x), points, f"h^0(I_S({twist}))"
+            lambda x: h0_ideal(res, twist, x), table, f"h^0(I_S({twist}))"
         ),
         "h0_structure": scan_constant(
-            lambda x: h0_structure(res, twist, x), points, f"h^0(O_S({twist}))"
+            lambda x: h0_structure(res, twist, x), table, f"h^0(O_S({twist}))"
         ),
         "chi_structure": scan_constant(
-            lambda x: chi_structure_poly(res, twist, x), points, f"chi(O_S({twist}))"
+            lambda x: chi_structure_poly(res, twist, x), table, f"chi(O_S({twist}))"
         ),
     }
     _emit(_scalar_text(args, payload, "h0_ideal"), args.out)

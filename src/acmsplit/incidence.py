@@ -23,7 +23,7 @@ from . import catalog as _catalog
 from .combinatorics import Count
 from .euler import ParityError, pfaffian_c2, sectional_genus, solve_c2_boundary
 from .normal_bundle import _kmr
-from .proj_cohomology import HypersurfaceContext
+from .proj_cohomology import HypersurfaceContext, h0_pn
 from .resolutions import (
     AffineExpr,
     Blocks,
@@ -34,9 +34,10 @@ from .resolutions import (
     _walk,
     admissible,
     degree_balance_form,
-    h0_ideal,
+    h0_ideal,  # noqa: F401  (perfbench's tracer wraps the incidence.h0_ideal alias)
     parse_resolution,
     scan_constant,
+    term_sum,
 )
 
 class CatalogError(ValueError):
@@ -62,7 +63,7 @@ CONCLUSIVE_VERDICTS = frozenset(
 )
 
 
-class CaseRecord(namedtuple("CaseRecord", "r c1 c2 resolution parameter_grid provenance")):
+class CaseRecord(namedtuple("CaseRecord", "r c1 c2 resolution provenance")):
     """One candidate Chern pair on a degree-r hypersurface.
 
     __new__ checks c2; _replace skips that check.
@@ -76,12 +77,11 @@ class CaseRecord(namedtuple("CaseRecord", "r c1 c2 resolution parameter_grid pro
         c1: int,
         c2: int,
         resolution: GorensteinResolution | None = None,
-        parameter_grid: range | None = None,
         provenance: str = "",
     ) -> CaseRecord:
         if c2 < 1:
             raise CatalogError(f"case ({c1}, {c2}): c2 must be >= 1")
-        return super().__new__(cls, r, c1, c2, resolution, parameter_grid, provenance)
+        return super().__new__(cls, r, c1, c2, resolution, provenance)
 
     @property
     def label(self) -> str:
@@ -168,49 +168,36 @@ def resolve_parameters(
 
 
 def checked_resolution(
-    res: GorensteinResolution,
-    grid: range | None = None,
-    label: str | None = None,
-) -> tuple[
-    GorensteinResolution,
-    list[int | None],
-    list[SurfaceInvariants],
-    dict[int | None, tuple[Blocks, Blocks]],
-]:
-    """Balance and validate a resolution; return it, its scan points, their invariants and blocks.
+    res: GorensteinResolution, grid: range | None = None
+) -> tuple[GorensteinResolution, dict[int | None, tuple[Blocks, Blocks, SurfaceInvariants]]]:
+    """Balance and validate a resolution; return it and its scan table.
 
     This is the one path from raw twist data to counts: evaluate_case
     and the kmr and hilbert commands take it.  One walk over the scan
-    points builds each point's blocks, which validation and the Hilbert
-    invariants read and which are returned for the counts.  Invalid
-    twist data raises CatalogError; a Hilbert polynomial that is no
-    surface at a scan point, or whose degree falls toward the open end
-    of a half-line (see scan_points), raises DegenerateResolutionError.
-    Both name the case when a label is given.
+    points (see scan_points) builds each point's generator and syzygy
+    blocks, which validation and the Hilbert invariants read; the table
+    maps each point to (generators, syzygies, invariants) for the counts.
+    Invalid twist data raises CatalogError; a Hilbert polynomial that is
+    no surface at a scan point, or whose degree falls toward the open end
+    of a half-line, raises DegenerateResolutionError.
     """
-    where = "" if label is None else f"case {label}: "
-    try:
-        res, _ = resolve_parameters(res)
-    except CatalogError as exc:
-        raise CatalogError(f"{where}{exc}") from exc
+    res, _ = resolve_parameters(res)
     problems, blocks = _walk(res, grid)
     if problems:
-        raise CatalogError(
-            f"{where}invalid resolution: " + "; ".join(str(p) for p in problems)
-        )
-    points = list(blocks)
-    try:
-        found = [_invariants(gens, syz, res.socle_twist) for gens, syz in blocks.values()]
-    except DegenerateResolutionError as exc:
-        raise DegenerateResolutionError(f"{where}{exc}") from exc
+        raise CatalogError("invalid resolution: " + "; ".join(str(p) for p in problems))
+    table = {
+        x: (gens, syz, _invariants(gens, syz, res.socle_twist))
+        for x, (gens, syz) in blocks.items()
+    }
     # points run outward from a half-line's finite end: a falling degree reaches 0
-    if len(found) > 1 and grid is None and None in admissible(res):
-        if found[1].degree < found[0].degree:
+    if len(table) > 1 and grid is None and None in admissible(res):
+        (x0, (*_, first)), (x1, (*_, second)) = list(table.items())[:2]
+        if second.degree < first.degree:
             raise DegenerateResolutionError(
-                f"{where}surface degree falls from {found[0].degree} at x={points[0]}"
-                f" to {found[1].degree} at x={points[1]}, so it is <= 0 further out"
+                f"surface degree falls from {first.degree} at x={x0}"
+                f" to {second.degree} at x={x1}, so it is <= 0 further out"
             )
-    return res, points, found, blocks
+    return res, table
 
 
 class ReportRow(NamedTuple):
@@ -343,11 +330,15 @@ def _boundary_cases(ctx: HypersurfaceContext) -> list[CaseRecord]:
     ]
 
 
-#: The note of the degree-6 rule, on its report row and on a cascade verdict alike.
-_REDUCTION_NOTE = (
-    "hyperplane sections reduce the sextic fourfold to the general sextic threefold,"
-    " where every rank-2 ACM bundle splits"
-)
+def _check_window(degree: int, has_cases: bool) -> None:
+    """Refuse a degree no report covers, and any case of degree 6, as generate_report does."""
+    if not 3 <= degree <= 6:
+        raise CatalogError(f"reports cover degrees 3 through 6, not {degree}")
+    if degree == 6 and has_cases:
+        raise CatalogError(
+            "degree 6 is decided by reduction to the sextic threefold,"
+            " so its catalog takes no cases"
+        )
 
 
 def _cascade(
@@ -359,7 +350,7 @@ def _cascade(
     Rules in order: splitting range 2 - r < c1 < r (so c1 = 3 - r reaches
     the plane rule), plane, pfaffian pair, genus parity (genus None),
     dimension count (bound = ideal - 1 + normal, None without a
-    resolution), degree-6 reduction, inconclusive.
+    resolution), inconclusive.
     """
     r = case.r
     if not 2 - r < case.c1 < r:
@@ -385,8 +376,6 @@ def _cascade(
             f"incidence bound {bound} = {ideal} - 1 + {normal} is below the"
             f" moduli dimension {moduli}"
         )
-    if r == 6:
-        return Verdict.REDUCED_TO_THREEFOLD, _REDUCTION_NOTE
     if bound is None:
         return Verdict.INCONCLUSIVE_COUNT, "no resolution is available for a dimension count"
     return Verdict.INCONCLUSIVE_COUNT, (
@@ -394,47 +383,52 @@ def _cascade(
     )
 
 
-def evaluate_case(case: CaseRecord) -> ReportRow:
+def evaluate_case(case: CaseRecord, grid: range | None = None) -> ReportRow:
     """One report row for a case: checked, counted, decided and explained in one walk.
 
-    A resolution is balanced and validated at its scan points (see
-    checked_resolution), whose blocks the Hilbert invariants and the KMR
-    count read.  A scan point with no surface is refused first, then a
-    Chern pair whose sectional genus is not an integer, then a surface
-    degree or genus that differs from the pair's, each naming the case.
-    Each count is taken once.  The row's first note is the one of the
-    cascade rule that decided it; a catalog annotation for the case and
-    that verdict follows.
+    A degree the report refuses is refused with its message.  A
+    resolution is balanced and validated at its scan points, on the grid
+    when one is given (see checked_resolution); a resolution without a
+    parameter ignores the grid.  The counts read the scan table.  A scan
+    point with no surface is refused first, then a Chern pair whose
+    sectional genus is not an integer, then a surface degree or genus
+    that differs from the pair's, each naming the case.  The row's first
+    note is the one of the cascade rule that decided it; a catalog
+    annotation for the case and that verdict follows.
     """
+    _check_window(case.r, has_cases=True)
     moduli = HypersurfaceContext(case.r).moduli_dim
-    res = case.resolution
-    if res is not None:
-        res, points, found, blocks = checked_resolution(res, case.parameter_grid, case.label)
-        case = case._replace(resolution=res)
     try:
         genus: int | None = sectional_genus(case.r, case.c1, case.c2)
     except ParityError as exc:
-        if res is not None:
-            raise CatalogError(f"case {case.label}: {exc}") from exc
-        genus = None
+        genus, parity = None, str(exc)
     ideal = normal = bound = None
+    res = case.resolution
     if res is not None:
-        for invariants in found:
-            if invariants.degree != case.c2:
-                raise CatalogError(
-                    f"case {case.label}: resolution has surface degree"
-                    f" {invariants.degree}, not c2"
-                )
-            if invariants.sectional_genus != genus:
-                raise CatalogError(
-                    f"case {case.label}: resolution sectional genus"
-                    f" {invariants.sectional_genus} != {genus} from the Chern pair"
-                )
+        try:
+            res, table = checked_resolution(res, grid)
+            if genus is None:
+                raise CatalogError(parity)
+            for *_, invariants in table.values():
+                if invariants.degree != case.c2:
+                    raise CatalogError(
+                        f"resolution has surface degree {invariants.degree}, not c2"
+                    )
+                if invariants.sectional_genus != genus:
+                    raise CatalogError(
+                        f"resolution sectional genus {invariants.sectional_genus}"
+                        f" != {genus} from the Chern pair"
+                    )
+        except (CatalogError, DegenerateResolutionError) as exc:
+            raise type(exc)(f"case {case.label}: {exc}") from exc
+        case = case._replace(resolution=res)
+        socle = res.socle_twist
         ideal = scan_constant(
-            lambda x: h0_ideal(res, case.r, x), points, f"h^0(I_S({case.r})) for case {case.label}"
+            lambda x: term_sum(h0_pn, *table[x][:2], socle, case.r),
+            table, f"h^0(I_S({case.r})) for case {case.label}",
         )
         normal = scan_constant(
-            lambda x: _kmr(*blocks[x], res.socle_twist), points, f"h^0(N_S) for case {case.label}"
+            lambda x: _kmr(*table[x][:2], socle), table, f"h^0(N_S) for case {case.label}"
         )
         bound = ideal - 1 + normal
     decided, note = _cascade(case, genus, ideal, normal, bound, moduli)
@@ -446,8 +440,8 @@ def verdict(case: CaseRecord) -> Verdict:
     """The verdict the report prints for the case; total on valid cases and deterministic.
 
     The case is checked as the report checks it (see evaluate_case), so
-    a resolution whose degree or genus is not the Chern pair's raises
-    CatalogError naming the case.
+    a degree outside 3..5, or a resolution whose degree or genus is not
+    the Chern pair's, raises CatalogError.
     """
     return evaluate_case(case).verdict
 
@@ -473,21 +467,19 @@ def generate_report(
     Reports cover degrees 3 through 6.  Degree 6 yields the single
     reduction row and no computation, and refuses any case.  Every
     case, boundary cases first and then the catalog's in its order, is
-    evaluated by evaluate_case, so the first faulty one is named.  Rows
-    are then ordered by (c1, c2), and a repeated Chern pair is refused.
+    evaluated by evaluate_case on grid_override, so the first faulty one
+    is named.  Rows are then ordered by (c1, c2), and a repeated Chern
+    pair is refused.
     """
+    _check_window(degree, has_cases=bool(cases))
     ctx = HypersurfaceContext(degree)
-    if not 3 <= degree <= 6:
-        raise CatalogError(f"reports cover degrees 3 through 6, not {degree}")
     if degree == 6:
-        if cases:
-            raise CatalogError(
-                "degree 6 is decided by reduction to the sextic threefold,"
-                " so its catalog takes no cases"
-            )
         reduction = ReportRow(
             None, None, None, None, None, ctx.moduli_dim, Verdict.REDUCED_TO_THREEFOLD,
-            (_REDUCTION_NOTE,),
+            (
+                "hyperplane sections reduce the sextic fourfold to the general sextic"
+                " threefold, where every rank-2 ACM bundle splits",
+            ),
         )
         return Report(degree, ctx.moduli_dim, (reduction,))
     if cases is None:
@@ -495,14 +487,7 @@ def generate_report(
     for case in cases:
         if case.r != degree:
             raise CatalogError(f"case {case.label} is for degree {case.r}, not {degree}")
-    if grid_override is not None:
-        cases = [
-            c._replace(parameter_grid=grid_override)
-            if c.resolution is not None and c.resolution.is_parametric
-            else c
-            for c in cases
-        ]
-    rows = [evaluate_case(c) for c in _boundary_cases(ctx) + list(cases)]
+    rows = [evaluate_case(c, grid_override) for c in _boundary_cases(ctx) + list(cases)]
     rows.sort(key=lambda row: (row.case.c1, row.case.c2))
     for row, following in zip(rows, rows[1:]):
         if (row.case.c1, row.case.c2) == (following.case.c1, following.case.c2):

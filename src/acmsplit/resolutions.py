@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import NamedTuple
 
 from .combinatorics import Count, EulerNumber
@@ -192,10 +192,6 @@ class GorensteinResolution(NamedTuple):
                 names.add(mult.param)
         return names
 
-    @property
-    def is_parametric(self) -> bool:
-        return bool(self.free_parameters())
-
     def parameter(self) -> str | None:
         """The one free parameter, or None; two or more must be balanced first."""
         names = sorted(self.free_parameters())
@@ -370,7 +366,7 @@ def scan_points(res: GorensteinResolution, grid: range | None = None) -> list[in
 
 
 def scan_constant(
-    evaluate: Callable[[int | None], int], points: list[int | None], what: str
+    evaluate: Callable[[int | None], int], points: Iterable[int | None], what: str
 ) -> int:
     """The value at the scan points (see scan_points), which must be constant.
 

@@ -111,7 +111,7 @@ def walk_points(res, grid=None, count=40):
     [None] without a parameter; else every point of the grid, or without
     one the first count admissible values from the finite end.
     """
-    if not res.is_parametric:
+    if res.parameter() is None:
         return [None]
     if grid is not None:
         return grid
@@ -122,7 +122,7 @@ def walk_points(res, grid=None, count=40):
 def case_points(case):
     """Points to walk for one case, after parameter resolution: six without a grid."""
     res, _ = resolve_parameters(case.resolution)
-    return res, walk_points(res, case.parameter_grid, 6)
+    return res, walk_points(res, None, 6)
 
 
 def resolved_points():

@@ -451,16 +451,27 @@ def test_check_case_still_validates_the_other_cases(tmp_path, capsys):
         ["report", "--degree", "7"],
         ["report", "--degree", "7", "--catalog"],
         ["check-case", "--degree", "7", "--c1", "-3", "--c2", "2", "--catalog"],
+        ["report", "--degree", "0"],
+        ["report", "--degree", "-1"],
+        ["report", "--degree", "2"],
+        ["report", "--degree", "8"],
+        ["check-case", "--degree", "0", "--c1", "1", "--c2", "3"],
     ],
-    ids=["report", "report-catalog", "check-case-catalog"],
+    ids=[
+        "report", "report-catalog", "check-case-catalog", "report-0", "report--1", "report-2",
+        "report-8", "check-case-0",
+    ],
 )
 def test_reports_refuse_degree_7(tmp_path, capsys, argv):
-    """An empty degree-7 case list would print only the boundary rows and look conclusive."""
+    """An empty degree-7 case list would print only the boundary rows and look conclusive.
+
+    Every degree outside 3..6, zero and negative ones included, gets the same message.
+    """
     path = tmp_path / "catalog.json"
     path.write_text(json.dumps({"degree": 7, "cases": []}), encoding="utf-8")
     if argv[-1] == "--catalog":
         argv = [*argv, str(path)]
-    message = "reports cover degrees 3 through 6, not 7"
+    message = f"reports cover degrees 3 through 6, not {argv[2]}"
     assert invoke(capsys, *argv) == (2, "", f"acmsplit: error: {message}\n")
 
 

@@ -76,10 +76,9 @@ def test_resolved_family_is_self_dual_on_its_grid():
 
 # ------------------------------------------------------------ verdicts
 
-def _case(r, c1, c2, shape=None, grid=None):
+def _case(r, c1, c2, shape=None):
     res = parse_resolution(shape) if shape is not None else None
-    grid_range = range(grid[0], grid[1] + 1) if grid else None
-    return CaseRecord(r=r, c1=c1, c2=c2, resolution=res, parameter_grid=grid_range)
+    return CaseRecord(r=r, c1=c1, c2=c2, resolution=res)
 
 
 @pytest.mark.parametrize(
@@ -94,15 +93,33 @@ def _case(r, c1, c2, shape=None, grid=None):
         (_case(4, 4, 30), Verdict.SPLITS_BY_RANGE),
         (_case(4, 0, 3), Verdict.ARITHMETICALLY_IMPOSSIBLE),
         (_case(4, 1, 3), Verdict.INCONCLUSIVE_COUNT),
-        (_case(6, 1, 7), Verdict.REDUCED_TO_THREEFOLD),
     ],
     ids=[
         "pfaffian", "count", "inconclusive", "plane", "below-window",
-        "above-window", "odd-genus", "no-resolution", "sextic",
+        "above-window", "odd-genus", "no-resolution",
     ],
 )
 def test_verdict_cascade(case, expected):
     assert verdict(case) == expected
+
+
+@pytest.mark.parametrize(
+    "r, message",
+    [
+        (6, "degree 6 is decided by reduction to the sextic threefold,"
+            " so its catalog takes no cases"),
+        (7, "reports cover degrees 3 through 6, not 7"),
+        (2, "reports cover degrees 3 through 6, not 2"),
+        (0, "reports cover degrees 3 through 6, not 0"),
+    ],
+    ids=["sextic", "degree-7", "degree-2", "degree-0"],
+)
+def test_verdict_and_bound_refuse_the_degrees_the_report_refuses(r, message):
+    """verdict and dimension_bound are the report's: a case it refuses, they refuse too."""
+    case = _case(r, 1, 3, ci_resolution(1, 1, 3))
+    for decide in (verdict, dimension_bound, lambda c: generate_report(r, [c])):
+        with pytest.raises(CatalogError, match="^" + re.escape(message) + "$"):
+            decide(case)
 
 
 def test_the_count_rule_excludes_only_below_the_moduli_dimension():
@@ -127,15 +144,10 @@ def test_verdict_and_bound_are_the_report_rows():
                 assert dimension_bound(row.case) == row.bound
 
 
-def test_the_sextic_row_and_the_degree_6_rule_share_their_note():
-    (sextic,) = generate_report(6).rows
-    assert sextic.notes == (_cascade(_case(6, 1, 7), 8, None, None, None, 461)[1],)
-
-
 def test_verdict_is_deterministic():
-    case = _case(4, 2, 8, {"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6},
-                 grid=(0, 5))
+    case = _case(4, 2, 8, {"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6})
     assert verdict(case) == verdict(case) == Verdict.EXCLUDED_BY_DIMENSION_COUNT
+    assert evaluate_case(case, range(0, 6)).verdict == Verdict.EXCLUDED_BY_DIMENSION_COUNT
 
 
 @pytest.mark.parametrize(
@@ -143,8 +155,7 @@ def test_verdict_is_deterministic():
     [
         (_case(4, 1, 3, ci_resolution(1, 1, 3)), 121),
         (_case(5, 0, 5, {"gens": [[2, 5]], "syz": [[3, 5]], "socle": 5}), 210),
-        (_case(4, 2, 8, {"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6},
-               grid=(0, 5)), 113),
+        (_case(4, 2, 8, {"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6}), 113),
     ],
     ids=["ci113", "quintic", "octic"],
 )
@@ -158,7 +169,14 @@ def test_dimension_bound_needs_a_resolution():
 
 
 def test_dimension_bound_balances_a_raw_two_parameter_case():
-    assert dimension_bound(_case(5, 2, 11, DEG11, grid=(2, 5))) == 217
+    case = _case(5, 2, 11, DEG11)
+    assert dimension_bound(case) == evaluate_case(case, range(2, 6)).bound == 217
+
+
+def test_a_resolution_without_a_parameter_ignores_the_grid():
+    """So generate_report hands grid_override to every case, even an empty grid."""
+    case = _case(4, 1, 3, ci_resolution(1, 1, 3))
+    assert evaluate_case(case, range(5, 5)) == evaluate_case(case)
 
 
 OCTIC = {"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6}
@@ -196,8 +214,8 @@ def test_report_balances_each_case_once(monkeypatch):
     assert len(calls) == 1 + sum(c.resolution is not None for c in builtin_catalog(5))
 
 
-def test_a_report_builds_each_points_blocks_twice_and_its_scan_points_once(monkeypatch):
-    """The walk and h0_ideal take each scan point's blocks; nothing else does."""
+def test_a_report_builds_each_points_blocks_and_its_scan_points_once(monkeypatch):
+    """The walk alone takes each scan point's blocks; every count reads its table."""
     import acmsplit.resolutions as resolutions
     from acmsplit.catalog import QUADRIC_RESOLUTION
     from acmsplit.resolutions import GorensteinResolution
@@ -221,7 +239,7 @@ def test_a_report_builds_each_points_blocks_twice_and_its_scan_points_once(monke
     monkeypatch.setattr(resolutions, "scan_points", counted_scan)
     generate_report(5)
     assert Counter(scans) == Counter(resolved)
-    assert points == 18 and len(built) == 2 * points
+    assert points == 18 and len(built) == points
 
 
 def test_case_record_validation():
@@ -439,7 +457,7 @@ def test_checked_resolution_names_the_case_of_a_balance_error():
     )
     message = "degree balance 2*b -2*c -1 = 0 has no integer solution with non-positive offset"
     with pytest.raises(CatalogError, match=re.escape(f"case (c1=2, c2=11): {message}")):
-        checked_resolution(unsolvable, label="(c1=2, c2=11)")
+        evaluate_case(CaseRecord(r=5, c1=2, c2=11, resolution=unsolvable))
     with pytest.raises(CatalogError, match="^" + re.escape(message) + "$"):
         checked_resolution(unsolvable)
 
@@ -489,9 +507,9 @@ def test_checked_resolution_names_the_first_degenerate_point():
 def test_degeneracy_is_reported_before_a_degree_mismatch():
     """The degree is c2 = 4 at x = -3, but x = -1 and x = 0 carry no surface at all."""
     res = parse_resolution(DEGENERATES_PARTWAY)
-    case = CaseRecord(r=5, c1=1, c2=4, resolution=res, parameter_grid=range(-3, 1))
+    case = CaseRecord(r=5, c1=1, c2=4, resolution=res)
     with pytest.raises(DegenerateResolutionError, match=re.escape(DEGENERATE_MESSAGE)):
-        evaluate_case(case)
+        evaluate_case(case, range(-3, 1))
 
 
 def test_checked_resolution_refuses_a_degree_falling_on_a_half_line():
@@ -499,8 +517,8 @@ def test_checked_resolution_refuses_a_degree_falling_on_a_half_line():
     assert validate(res) == []
     assert [surface_invariants(res, x).degree for x in range(8)] == [8, 7, 6, 5, 4, 3, 2, 1]
     # a grid that stops before x = 8, such as the old default 0..5, is a surface throughout
-    assert checked_resolution(res, range(0, 8))[:3] == (
-        res, [0, 4, 7], [surface_invariants(res, x) for x in (0, 4, 7)]
+    assert checked_resolution(res, range(0, 8)) == (
+        res, {x: (*res.blocks(x), surface_invariants(res, x)) for x in (0, 4, 7)}
     )
     message = "surface degree falls from 8 at x=0 to 7 at x=1, so it is <= 0 further out"
     with pytest.raises(DegenerateResolutionError, match=re.escape(message)):
@@ -521,9 +539,9 @@ def test_prepare_case_refuses_a_degree_that_moves_with_the_parameter():
         }
     )
     assert validate(res, range(0, 6)) == []
-    case = CaseRecord(r=5, c1=1, c2=58, resolution=res, parameter_grid=range(0, 6))
+    case = CaseRecord(r=5, c1=1, c2=58, resolution=res)
     with pytest.raises(CatalogError, match=r"resolution has surface degree 64, not c2"):
-        evaluate_case(case)
+        evaluate_case(case, range(0, 6))
 
 
 def test_a_wide_grid_renders_the_default_report():

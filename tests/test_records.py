@@ -32,7 +32,7 @@ def _records():
     res = parse_resolution(QUADRIC)
     return {
         "resolution": (res, "socle_twist"),
-        "case": (CaseRecord(r=4, c1=0, c2=2, resolution=res, parameter_grid=range(0, 3)), "c2"),
+        "case": (CaseRecord(r=4, c1=0, c2=2, resolution=res), "c2"),
         "row": (generate_report(4).rows[0], "verdict"),
     }
 

@@ -117,7 +117,7 @@ def quadric():
 
 def test_expand_and_parameters():
     res = parse_resolution(ci_resolution(1, 1, 2))
-    assert not res.is_parametric
+    assert res.parameter() is None
     assert res.subcanonical_e == -2
     assert res.expand() == ([1, 1, 2], [2, 3, 3])
 
@@ -472,7 +472,7 @@ def _walk_checked_resolution(res, grid, check):
     if problems:
         raise CatalogError("invalid resolution: " + "; ".join(str(p) for p in problems))
     found = [flat_surface_invariants(res, x) for x in walk_points(res, grid)]
-    if grid is None and res.is_parametric and is_half_line(res):
+    if grid is None and res.parameter() is not None and is_half_line(res):
         if any(later.degree < earlier.degree for earlier, later in zip(found, found[1:])):
             raise DegenerateResolutionError("surface degree falls along the half-line")
     for invariants in found:
@@ -515,8 +515,8 @@ def test_certificate_agrees_with_the_full_walk(drawn):
             raise CatalogError(f"resolution has surface degree {invariants.degree}, not c2")
 
     def certified():
-        checked, _, found, _ = checked_resolution(res, grid)
-        for invariants in found:
+        checked, table = checked_resolution(res, grid)
+        for *_, invariants in table.values():
             check(invariants)
         return checked
 
