@@ -32,15 +32,8 @@ from .incidence import (
     row_to_jsonable,
 )
 from .normal_bundle import kmr_h0_normal
-from .proj_cohomology import HypersurfaceContext
-from .resolutions import (
-    GorensteinResolution,
-    chi_structure_poly,
-    h0_ideal,
-    h0_structure,
-    parse_resolution,
-    scan_constant,
-)
+from .proj_cohomology import AMBIENT_DIM, HypersurfaceContext, h0_pn
+from .resolutions import GorensteinResolution, h0_ideal, parse_resolution, scan_constant
 
 _GRID_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")
 
@@ -145,18 +138,13 @@ def _cmd_kmr(args: argparse.Namespace) -> int:
 
 def _cmd_hilbert(args: argparse.Namespace) -> int:
     res, table = checked_resolution(_load_resolution(args.resolution), args.grid)
-    twist = args.twist
+    t = args.twist
+    ideal = scan_constant(lambda x: h0_ideal(res, t, x), table, f"h^0(I_S({t}))")
     payload = {
-        "twist": twist,
-        "h0_ideal": scan_constant(
-            lambda x: h0_ideal(res, twist, x), table, f"h^0(I_S({twist}))"
-        ),
-        "h0_structure": scan_constant(
-            lambda x: h0_structure(res, twist, x), table, f"h^0(O_S({twist}))"
-        ),
-        "chi_structure": scan_constant(
-            lambda x: chi_structure_poly(res, twist, x), table, f"chi(O_S({twist}))"
-        ),
+        "twist": t,
+        "h0_ideal": ideal,
+        "h0_structure": h0_pn(AMBIENT_DIM, t) - ideal if t >= 0 else 0,
+        "chi_structure": scan_constant(lambda x: table[x][2].chi(t), table, f"chi(O_S({t}))"),
     }
     _emit(_scalar_text(args, payload, "h0_ideal"), args.out)
     return 0

@@ -163,28 +163,39 @@ def canonical_twist(degree):
 # compared against.
 
 
-def flat_twists(res, x=None):
-    """(generators, syzygies) expanded entry by entry, in record order."""
+def flat_entries(res, x=None):
+    """(generators, syzygies) as (twist, count) per record entry, unmerged, in record order."""
     if len(res.free_parameters()) > 1:
         raise UnresolvedParameterError("apply the balance relation first")
     out = []
     for vector in (res.generators, res.syzygies):
-        twists = []
+        entries = []
         for twist, mult in vector:
             count = mult.evaluate(x)
             if count < 0:
                 raise ResolutionValidationError(
                     f"multiplicity {mult} of twist {twist} is {count} at x={x}"
                 )
-            twists.extend([twist] * count)
-        out.append(twists)
+            entries.append((twist, count))
+        out.append(entries)
     return out[0], out[1]
 
 
+def flat_twists(res, x=None):
+    """(generators, syzygies) expanded entry by entry, in record order."""
+    gens, syz = flat_entries(res, x)
+    return [n for n, c in gens for _ in range(c)], [m for m, c in syz for _ in range(c)]
+
+
 def _flat_alternating_sum(value, res, t, x):
-    gens, syz = flat_twists(res, x)
-    total = sum(value(5, t - n) for n in gens)
-    total -= sum(value(5, t - m) for m in syz)
+    """sum_i value(t - n_i) - sum_j value(t - m_j) + value(t - socle), entry by entry.
+
+    Each entry adds count times its term, so a count of 10**20 costs what a
+    count of 1 does.
+    """
+    gens, syz = flat_entries(res, x)
+    total = sum(c * value(5, t - n) for n, c in gens)
+    total -= sum(c * value(5, t - m) for m, c in syz)
     return total + value(5, t - res.socle_twist)
 
 

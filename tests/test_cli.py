@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from acmsplit.cli import run
+from acmsplit.cli import main, run
 from acmsplit.incidence import generate_report
 from conftest import DEGENERATES_PARTWAY, EMPTY_DOMAIN, FALLING_DEGREE, ci_resolution
 
@@ -120,6 +120,28 @@ def test_kmr_cost_does_not_grow_with_the_grid(capsys, monkeypatch):
         assert invoke(capsys, "kmr", "--resolution", OCTIC, *grid) == (0, "54\n", "")
         assert len(seen) == 6
         assert sorted(set(seen)) == points
+
+
+def test_hilbert_reads_its_counts_off_the_scan_table(capsys, monkeypatch):
+    """The validating walk and h0_ideal build blocks; chi and h^0(O_S) read the table."""
+    from acmsplit.resolutions import GorensteinResolution
+
+    seen = []
+    blocks = GorensteinResolution.blocks
+
+    def counted(self, x=None):
+        seen.append(x)
+        return blocks(self, x)
+
+    monkeypatch.setattr(GorensteinResolution, "blocks", counted)
+    argv = ("hilbert", "--resolution", OCTIC, "--twist", "4")
+    assert invoke(capsys, *argv) == (0, "60\n", "")
+    assert sorted(seen) == [0, 0, 1, 1, 2, 2]
+    seen.clear()
+    code, out, _ = invoke(capsys, *argv, "--format", "json")
+    assert (code, json.loads(out), len(seen)) == (0, {
+        "twist": 4, "h0_ideal": 60, "h0_structure": 66, "chi_structure": 66
+    }, 6)
 
 
 def test_readme_family_without_a_grid_is_certified_on_its_half_line(capsys):
@@ -524,6 +546,18 @@ def test_module_entry_point_prints_what_run_prints(capsys):
     proc = _child("-m", "acmsplit.cli", "report", "--degree", "5")
     code, out, err = invoke(capsys, "report", "--degree", "5")
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err) == (0, out, "")
+
+
+@pytest.mark.parametrize("degree, expected", [(3, 1), (4, 0)])
+def test_console_script_exits_with_the_code_run_returns(capsys, monkeypatch, degree, expected):
+    """acmsplit = acmsplit.cli:main: main reads sys.argv and exits with run's code."""
+    argv = ["report", "--degree", str(degree)]
+    monkeypatch.setattr(sys, "argv", ["acmsplit", *argv])
+    with pytest.raises(SystemExit) as exited:
+        main()
+    printed = capsys.readouterr()
+    assert exited.value.code == run(argv) == expected
+    assert capsys.readouterr() == printed
 
 
 def test_public_api_is_what_the_readme_uses():

@@ -450,7 +450,7 @@ def test_report_refuses_a_repeated_chern_pair(cases, pair):
         generate_report(3, cases)
 
 
-def test_checked_resolution_names_the_case_of_a_balance_error():
+def test_evaluate_case_names_the_case_of_a_balance_error_and_checked_resolution_does_not():
     unsolvable = parse_resolution(
         {"gens": [[2, 3], [3, "2*c"], [4, "2*b"]], "syz": [[3, "2*b"], [4, "2*c"], [5, 3]],
          "socle": 8}

@@ -554,3 +554,114 @@ def test_certificate_agrees_with_the_full_walk(drawn):
         values[i + 3] - 3 * values[i + 2] + 3 * values[i + 1] - values[i] == 0
         for i in range(len(values) - 3)
     )
+
+
+# ------------------------------------------- closed-form Hilbert kernel
+
+_TWISTS = st.one_of(st.integers(-12, 12), st.sampled_from([-(10**30), 10**30]))
+_COUNTS = st.one_of(st.integers(0, 6), st.just(10**20))
+
+
+@st.composite
+def arbitrary_blocks(draw):
+    """Twist data at a parameter value x, with no structure imposed, and x.
+
+    Either free (not self-dual, unbalanced, possibly with no generators,
+    negative twists or a count negative at x), or self-dual and
+    degree-balanced with an odd number of generators plus ghost pairs
+    (twists n and socle - n with one count), so honest surfaces are met
+    too.  Twists reach +-10**30 and counts 10**20.
+    """
+    x = draw(st.integers(-3, 3))
+
+    def mult():
+        return _count(draw(_COUNTS), draw(st.sampled_from([0, 0, 1, -1])))
+
+    if draw(st.booleans()):
+        gens = tuple((draw(_TWISTS), mult()) for _ in range(draw(st.integers(0, 4))))
+        syz = tuple((draw(_TWISTS), mult()) for _ in range(draw(st.integers(0, 4))))
+        return GorensteinResolution(gens, syz, draw(_TWISTS)), x
+    socle, k = draw(_TWISTS), draw(st.integers(0, 2))
+    twists = [draw(_TWISTS) for _ in range(2 * k)]
+    twists.append(socle * k - sum(twists))  # 2 sum(n) = socle (rank - 1)
+    gens = [(n, _count(1, 0)) for n in twists]
+    for _ in range(draw(st.integers(0, 2))):
+        n, count = draw(_TWISTS), _count(draw(_COUNTS), 0)
+        gens += [(n, count), (socle - n, count)]
+    syz = [(socle - n, count) for n, count in gens]
+    return GorensteinResolution(tuple(gens), tuple(syz), socle), x
+
+
+def _raised(call):
+    """The value of call(), or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_GHOSTS = ((10**30, _count(10**20, 0)), (4 - 10**30, _count(10**20, 0)))
+#: The (1, 1, 2) quadric plus a ghost pair: twists 10**30 and 4 - 10**30, count 10**20 each.
+_HUGE_CI = GorensteinResolution(
+    ((1, _count(2, 0)), (2, _count(1, 0)), *_GHOSTS),
+    ((2, _count(1, 0)), (3, _count(2, 0)), *_GHOSTS[::-1]),
+    4,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(arbitrary_blocks())
+@example((_HUGE_CI, 0))
+@example((GorensteinResolution(  # balanced: 2 sum(n) = socle (rank - 1) with rank 2*10**20 + 1
+    ((10**30 + 5, _count(10**20, 0)), (-5, _count(10**20, 0)), (0, _count(1, 0))),
+    ((-5, _count(10**20, 0)), (10**30 + 5, _count(10**20, 0)), (10**30, _count(1, 0))),
+    10**30,
+), 0))
+@example((GorensteinResolution(
+    ((-(10**30), _count(10**20, 0)),), ((10**30, _count(3, 0)),), -(10**30)
+), 0))
+@example((GorensteinResolution((), ((10**30, _count(10**20, 0)),), 10**30), 0))
+@example((GorensteinResolution(((1, _count(10**20, -1)),), (), 2), 1))
+def test_the_closed_form_kernel_equals_the_finite_differences(drawn):
+    """surface_invariants equals the flat oracle's six chi values and differences.
+
+    On a refusal both raise the same exception type with the same message.
+    The invariants give chi(O_S(t)) at every twist, as hilbert reads it.
+    """
+    res, x = drawn
+    package = _raised(lambda: surface_invariants(res, x))
+    assert package == _raised(lambda: flat_surface_invariants(res, x))
+    if res is _HUGE_CI:
+        assert package == SurfaceInvariants(2, 0, 1)
+    if isinstance(package, SurfaceInvariants):
+        for t in (-(10**30), -7, -1, 0, 1, 4, 9, 10**30):
+            assert package.chi(t) == flat_chi_structure_poly(res, t, x)
+
+
+@st.composite
+def accepted_resolutions(draw):
+    """A self-dual, degree-balanced resolution with every twist in range: validate accepts it."""
+    k = draw(st.integers(1, 3))
+    twists = [draw(st.integers(1, 6)) for _ in range(2 * k)]
+    socle = -(-(sum(twists) + 1) // k) + draw(st.integers(0, 3))  # the last twist is >= 1
+    twists.append(socle * k - sum(twists))
+    gens = [(n, _count(1, 0)) for n in twists]
+    for _ in range(draw(st.integers(0, 2))):
+        n = draw(st.integers(1, socle - 1))
+        count = _count(draw(st.integers(0, 4)), draw(st.sampled_from([0, 1, -1])))
+        gens += [(n, count), (socle - n, count)]
+    syz = draw(st.permutations([(socle - n, count) for n, count in gens]))
+    return GorensteinResolution(tuple(gens), tuple(syz), socle), None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(accepted_resolutions(), certificate_families().map(lambda drawn: drawn[:2])))
+def test_a_validated_resolution_never_has_degree_above_2(drawn):
+    """The lemma in _invariants: balance and self-duality kill the third differences."""
+    res, grid = drawn
+    if validate(res, grid):
+        return
+    try:
+        checked_resolution(res, grid)
+    except DegenerateResolutionError as exc:
+        assert "degree > 2" not in str(exc)
