@@ -26,6 +26,7 @@ from .incidence import (
     CatalogError,
     checked_resolution,
     generate_report,
+    json_text,
     load_catalog_file,
     render_report_json,
     render_report_markdown,
@@ -78,7 +79,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _scalar_text(args: argparse.Namespace, payload: dict, key: str) -> str:
     if args.format == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return json_text(payload) + "\n"
     return f"{payload[key]}\n"
 
 
@@ -109,7 +110,7 @@ def _cmd_check_case(args: argparse.Namespace) -> int:
         )
     if args.format == "json":
         payload = {"degree": args.degree, "moduli_dim": row.moduli_dim, **row_to_jsonable(row)}
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json_text(payload) + "\n"
     else:
         lines = [
             f"case (c1={args.c1}, c2={args.c2}) on the general"

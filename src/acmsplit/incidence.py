@@ -17,6 +17,7 @@ import enum
 import json
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import catalog as _catalog
@@ -562,6 +563,26 @@ def report_to_jsonable(report: Report) -> dict:
     }
 
 
+def json_text(value: object, newline_indent: str = "\n") -> str:
+    """json.dumps(value, indent=2) of str-keyed dicts, lists, str, int and None; else TypeError."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)  # json's C escaper, as ensure_ascii uses
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    inner = newline_indent + "  "
+    if kind is list:
+        items = [json_text(item, inner) for item in value]
+    elif kind is dict:
+        items = [encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in value.items()]
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    ends = "[]" if kind is list else "{}"
+    return ends[0] + inner + f",{inner}".join(items) + newline_indent + ends[1] if items else ends
+
+
 def render_report_json(report: Report) -> str:
-    """Deterministic JSON rendering; re-rendering a parse is byte-identical."""
-    return json.dumps(report_to_jsonable(report), indent=2) + "\n"
+    """The report through json_text plus a newline; re-rendering a parse is byte-identical."""
+    return json_text(report_to_jsonable(report)) + "\n"

@@ -20,7 +20,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import NamedTuple
 
 from .combinatorics import Count, EulerNumber
-from .proj_cohomology import AMBIENT_DIM, chi_pn, h0_pn
+from .proj_cohomology import AMBIENT_DIM, h0_pn
 
 
 class UnresolvedParameterError(ValueError):
@@ -180,11 +180,6 @@ class GorensteinResolution(NamedTuple):
     syzygies: TwistVector
     socle_twist: int
 
-    @property
-    def subcanonical_e(self) -> int:
-        """e with omega_S = O_S(e); equals socle_twist - 6 on P^5."""
-        return self.socle_twist - 6
-
     def free_parameters(self) -> set[str]:
         names = set()
         for _, mult in self.generators + self.syzygies:
@@ -325,15 +320,15 @@ def scan_points(res: GorensteinResolution, grid: range | None = None) -> list[in
     end and the next two values of a half-line.  They certify the whole
     domain of a balanced one-parameter resolution that validate accepts:
     - every multiplicity is affine in x and >= 0 on the domain, so block
-      counts, ranks, h0_ideal, chi_structure_poly and the degree, genus
-      and third differences of surface_invariants are affine there;
+      counts, ranks, h0_ideal and the degree, genus, chi(O_S) and
+      third differences of surface_invariants are affine there;
     - kmr_h0_normal is quadratic: by self-duality the partial sums of the
       ascending generator blocks equal those of the descending syzygy
       blocks, so each _pairs_before(a, b) stays on one branch, and the
       two branches agree at a = b;
     - so each identity checked (rank balance, self-duality per twist,
       zero third differences, degree = c2, genus, and constancy of
-      h0_ideal, chi_structure_poly and kmr_h0_normal) is a polynomial of
+      h0_ideal, chi(O_S(t)) and kmr_h0_normal) is a polynomial of
       degree <= 2 in x, which vanishes on the domain when it vanishes at
       three distinct points;
     - the one inequality, surface degree > 0, is affine: it holds between
@@ -468,18 +463,6 @@ def h0_ideal(res: GorensteinResolution, t: int, x: int | None = None) -> Count:
     so both kernel corrections in the section-count chase are zero.
     """
     return term_sum(h0_pn, *res.blocks(x), res.socle_twist, t)
-
-
-def h0_structure(res: GorensteinResolution, t: int, x: int | None = None) -> Count:
-    """h^0(O_S(t)) = h^0(O_{P^5}(t)) - h^0(I_S(t)); zero for t < 0."""
-    if t < 0:
-        return 0
-    return h0_pn(AMBIENT_DIM, t) - h0_ideal(res, t, x)
-
-
-def chi_structure_poly(res: GorensteinResolution, t: int, x: int | None = None) -> EulerNumber:
-    """chi(O_S(t)) continued polynomially to every integer twist."""
-    return chi_pn(AMBIENT_DIM, t) - term_sum(chi_pn, *res.blocks(x), res.socle_twist, t)
 
 
 class SurfaceInvariants(NamedTuple):

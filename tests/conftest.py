@@ -156,6 +156,11 @@ def canonical_twist(degree):
     return degree - 6
 
 
+def subcanonical_e(res):
+    """e with omega_S = O_S(e) for a resolution over P^5; equals socle_twist - 6."""
+    return res.socle_twist - 6
+
+
 # ------------------------------------------------ flat reference formulas
 #
 # The positional O(rank^2) formulas over multiplicity-expanded twist

@@ -53,10 +53,32 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_json_report_round_trips(capsys):
-    code, out, _ = invoke(capsys, "report", "--degree", "4", "--format", "json")
-    assert code == 0
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        *((["report", "--degree", str(degree)], int(degree == 3)) for degree in (3, 4, 5, 6)),
+        (["check-case", "--degree", "4", "--c1", "1", "--c2", "3"], 0),
+        (["kmr", "--resolution", OCTIC], 0),
+        (["hilbert", "--resolution", OCTIC, "--twist", "4"], 0),
+        (["solve-c2", "--degree", "5", "--c1", "-2"], 0),
+    ],
+    ids=["report-3", "report-4", "report-5", "report-6", "check-case", "kmr", "hilbert",
+         "solve-c2"],
+)
+def test_json_output_round_trips(capsys, argv, expected):
+    """Every --format json output is what json.dumps(..., indent=2) prints for its parse."""
+    code, out, err = invoke(capsys, *argv, "--format", "json")
+    assert (code, err) == (expected, "")
     assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+def test_json_report_to_file_is_what_stdout_prints(tmp_path, capsys):
+    argv = ["report", "--degree", "5", "--format", "json"]
+    _, out, _ = invoke(capsys, *argv)
+    target = tmp_path / "report.json"
+    code, written, _ = invoke(capsys, *argv, "--out", str(target))
+    assert (code, written) == (0, "")
+    assert target.read_bytes() == out.encode("utf-8")
 
 
 def test_report_to_file(tmp_path, capsys):

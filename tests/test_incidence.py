@@ -3,6 +3,8 @@ import re
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from acmsplit.incidence import (
     CatalogError,
@@ -14,6 +16,7 @@ from acmsplit.incidence import (
     dimension_bound,
     evaluate_case,
     generate_report,
+    json_text,
     load_catalog,
     render_report_json,
     render_report_markdown,
@@ -589,3 +592,33 @@ def test_jsonable_uses_plain_types():
     payload = report_to_jsonable(generate_report(6))
     assert payload["rows"][0]["verdict"] == "ReducedToThreefold"
     assert payload["rows"][0]["c1"] is None
+
+
+#: What the engine puts in a JSON document: str-keyed dicts and lists of text, ints and None.
+JSONABLE = st.recursive(
+    st.text() | st.integers(-(10**60), 10**60) | st.none(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSONABLE)
+@example({})
+@example([])
+@example({"a": {}, "b": [], "c": [[], {}, [[]], {"d": {}}]})
+@example(['"quoted"', "back\\slash", "\x00\x1f\x7f\n\t\r\b\f", "é ∆ 𝔽 \ud800"])
+@example({'"': "\\", "\n": None, "é": [-(10**60), 0, 10**60]})
+def test_json_text_is_the_stdlib_indent_2_encoding(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [True, False, 1.5, (1,), {1: 2}, {None: 1}, [True], {"a": 0.0}, Verdict.EXCLUDED_PLANE],
+    ids=["true", "false", "float", "tuple", "int-key", "none-key", "nested-bool", "nested-float",
+         "verdict"],
+)
+def test_json_text_refuses_what_the_engine_never_emits(value):
+    with pytest.raises(TypeError):
+        json_text(value)

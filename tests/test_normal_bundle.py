@@ -6,17 +6,18 @@ from hypothesis import strategies as st
 
 from acmsplit.combinatorics import binom_poly, binom_trunc
 from acmsplit.normal_bundle import ConventionViolation, kmr_h0_normal
+from acmsplit.proj_cohomology import h0_pn
 from acmsplit.resolutions import (
     AffineExpr,
+    DegenerateResolutionError,
     GorensteinResolution,
     NonConstantScanError,
     ResolutionValidationError,
-    chi_structure_poly,
     h0_ideal,
-    h0_structure,
     parse_resolution,
     scan_constant,
     scan_points,
+    surface_invariants,
     validate,
 )
 from conftest import (
@@ -150,7 +151,8 @@ def test_no_pair_argument_goes_negative(case, res, x):
 @pytest.mark.parametrize("case, res, x", RESOLVED, ids=RESOLVED_IDS)
 def test_truncated_and_polynomial_conventions_agree(case, res, x):
     gens, _ = sorted_twists(res, x)
-    total = sum(h0_structure(res, n, x) for n in gens)
+    assert min(gens) >= 1  # so h^0(O_S(n)) = h^0(O_{P^5}(n)) - h^0(I_S(n)) for every twist
+    total = sum(h0_pn(5, n) - h0_ideal(res, n, x) for n in gens)
     for positive, negative in pair_arguments(res, x):
         total += binom_poly(positive, 5) - binom_poly(negative, 5)
     total -= sum(binom_trunc(n + 5, 5) for n in gens)
@@ -211,9 +213,10 @@ def test_a_ghost_pair_inside_the_twist_range_changes_no_count(drawn, data):
     ghosted = _with_ghost_pair(res, data.draw(st.integers(1, socle - 1), label="t"), count)
     assert validate(ghosted, grid) == []
     assert kmr_h0_normal(ghosted, x) == kmr_h0_normal(res, x)
+    chi, ghosted_chi = surface_invariants(res, x).chi, surface_invariants(ghosted, x).chi
     for t in range(-2, 10):
         assert h0_ideal(ghosted, t, x) == h0_ideal(res, t, x)
-        assert chi_structure_poly(ghosted, t, x) == chi_structure_poly(res, t, x)
+        assert ghosted_chi(t) == chi(t)
     outside = data.draw(st.integers(-3, 0) | st.integers(socle, socle + 3), label="outside")
     invariants = {v.invariant for v in validate(_with_ghost_pair(res, outside, count), grid)}
     assert invariants == {"twist-range"}
@@ -263,9 +266,14 @@ def test_blockwise_counts_match_the_flat_reference(drawn):
         with pytest.raises(ResolutionValidationError, match=re.escape(str(exc))):
             kmr_h0_normal(res, x)
         return
+    try:
+        invariants = surface_invariants(res, x)
+    except DegenerateResolutionError:  # not a surface, so there is no chi(O_S(t)) to compare
+        invariants = None
     for t in range(-2, 10):
         assert h0_ideal(res, t, x) == flat_h0_ideal(res, t, x)
-        assert chi_structure_poly(res, t, x) == flat_chi_structure_poly(res, t, x)
+        if invariants is not None:
+            assert invariants.chi(t) == flat_chi_structure_poly(res, t, x)
     if expected < 0:
         with pytest.raises(ConventionViolation, match=f"computed as {expected} < 0"):
             kmr_h0_normal(res, x)
