@@ -32,9 +32,9 @@ from .incidence import (
     render_report_markdown,
     row_to_jsonable,
 )
-from .normal_bundle import kmr_h0_normal
+from .normal_bundle import _kmr
 from .proj_cohomology import AMBIENT_DIM, HypersurfaceContext, h0_pn
-from .resolutions import GorensteinResolution, h0_ideal, parse_resolution, scan_constant
+from .resolutions import GorensteinResolution, parse_resolution, scan_constant, term_sum
 
 _GRID_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")
 
@@ -132,7 +132,7 @@ def _cmd_check_case(args: argparse.Namespace) -> int:
 
 def _cmd_kmr(args: argparse.Namespace) -> int:
     res, table = checked_resolution(_load_resolution(args.resolution), args.grid)
-    value = scan_constant(lambda x: kmr_h0_normal(res, x), table, "h^0(N_S)")
+    value = scan_constant(lambda x: _kmr(*table[x][:2], res.socle_twist), table, "h^0(N_S)")
     _emit(_scalar_text(args, {"h0_normal": value}, "h0_normal"), args.out)
     return 0
 
@@ -140,7 +140,9 @@ def _cmd_kmr(args: argparse.Namespace) -> int:
 def _cmd_hilbert(args: argparse.Namespace) -> int:
     res, table = checked_resolution(_load_resolution(args.resolution), args.grid)
     t = args.twist
-    ideal = scan_constant(lambda x: h0_ideal(res, t, x), table, f"h^0(I_S({t}))")
+    ideal = scan_constant(
+        lambda x: term_sum(h0_pn, *table[x][:2], res.socle_twist, t), table, f"h^0(I_S({t}))"
+    )
     payload = {
         "twist": t,
         "h0_ideal": ideal,

@@ -43,18 +43,6 @@ def pfaffian_c2(r: int) -> Count:
     return product // 6
 
 
-def c1_candidate_range(r: int) -> range:
-    """First Chern classes not yet excluded: 3 - r < c1 < r.
-
-    Outside 2 - r < c1 < r the bundle splits outright; c1 = 3 - r is
-    removed because its c2 comes out 1, a plane, and the general
-    hypersurface contains no planes.
-    """
-    if r < 3:
-        raise ValueError(f"candidate range needs r >= 3, got {r}")
-    return range(4 - r, r)
-
-
 def chi_bundle_pinned(ctx: HypersurfaceContext, c1: int, n: int) -> Count:
     """chi(E(n)) for ACM E with Chern class c1, when both ends are pinned.
 

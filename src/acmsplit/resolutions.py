@@ -155,10 +155,18 @@ TwistVector = tuple[tuple[int, AffineExpr], ...]
 #: (twist, count) pairs at one parameter value: sorted, merged, counts > 0.
 Blocks = list[tuple[int, int]]
 
+#: The most [twist, mult] pairs parse_resolution takes in gens or in syz.  The KMR count
+#: pairs every generator block with every syzygy block, so its cost grows as its square.
+MAX_PAIRS = 128
+
 
 def _parse_twist_vector(raw: object, label: str) -> TwistVector:
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
         raise ResolutionValidationError(f"{label} must be a list of [twist, mult] pairs")
+    if len(raw) > MAX_PAIRS:
+        raise ResolutionValidationError(
+            f"{label} has {len(raw)} [twist, mult] pairs; a resolution takes at most {MAX_PAIRS}"
+        )
     out = []
     for entry in raw:
         if not isinstance(entry, Sequence) or isinstance(entry, (str, bytes)) or len(entry) != 2:

@@ -1,13 +1,26 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acmsplit.cli import main, run
-from acmsplit.incidence import generate_report
+from acmsplit.incidence import checked_resolution, generate_report
+from acmsplit.normal_bundle import kmr_h0_normal
+from acmsplit.resolutions import (
+    MAX_PAIRS,
+    h0_ideal,
+    scan_constant,
+    scan_points,
+    surface_invariants,
+)
 from conftest import DEGENERATES_PARTWAY, EMPTY_DOMAIN, FALLING_DEGREE, ci_resolution
+from test_resolutions import certificate_families
 
 QUADRIC = json.dumps(ci_resolution(1, 1, 2))
 #: Nested past the JSON decoder's recursion limit.
@@ -121,7 +134,7 @@ def test_a_wide_grid_is_certified(capsys, grid):
 
 
 def test_kmr_cost_does_not_grow_with_the_grid(capsys, monkeypatch):
-    """The validating walk and kmr_h0_normal each take three points."""
+    """The validating walk builds three points' blocks, and the count reads its table."""
     from acmsplit.resolutions import GorensteinResolution
 
     seen = []
@@ -140,12 +153,11 @@ def test_kmr_cost_does_not_grow_with_the_grid(capsys, monkeypatch):
     ):
         seen.clear()
         assert invoke(capsys, "kmr", "--resolution", OCTIC, *grid) == (0, "54\n", "")
-        assert len(seen) == 6
-        assert sorted(set(seen)) == points
+        assert sorted(seen) == points
 
 
 def test_hilbert_reads_its_counts_off_the_scan_table(capsys, monkeypatch):
-    """The validating walk and h0_ideal build blocks; chi and h^0(O_S) read the table."""
+    """Only the validating walk builds blocks; every count reads its table."""
     from acmsplit.resolutions import GorensteinResolution
 
     seen = []
@@ -158,12 +170,66 @@ def test_hilbert_reads_its_counts_off_the_scan_table(capsys, monkeypatch):
     monkeypatch.setattr(GorensteinResolution, "blocks", counted)
     argv = ("hilbert", "--resolution", OCTIC, "--twist", "4")
     assert invoke(capsys, *argv) == (0, "60\n", "")
-    assert sorted(seen) == [0, 0, 1, 1, 2, 2]
+    assert sorted(seen) == [0, 1, 2]
     seen.clear()
     code, out, _ = invoke(capsys, *argv, "--format", "json")
     assert (code, json.loads(out), len(seen)) == (0, {
         "twist": 4, "h0_ideal": 60, "h0_structure": 66, "chi_structure": 66
-    }, 6)
+    }, 3)
+
+
+def _outcome(argv):
+    """run(argv) as (exit code, stdout, stderr), without a pytest fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _expected(count):
+    """What a command prints for the value of count(), or for what it raises."""
+    try:
+        return 0, f"{count()}\n", ""
+    except (ValueError, ArithmeticError) as exc:
+        return 2, "", f"acmsplit: error: {exc}\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(certificate_families(), st.integers(-3, 8))
+def test_kmr_and_hilbert_print_what_the_public_wrappers_count(drawn, t):
+    """The commands read the scan table; the (res, x) wrappers build blocks of their own.
+
+    Where checked_resolution accepts the family, both commands print the
+    wrappers' constant value at the scan points, or exit 2 with the error
+    the wrappers raise; elsewhere both exit 2 with checked_resolution's
+    error.
+    """
+    res, grid, _ = drawn
+    if grid is not None:
+        grid = range(min(grid), max(grid) + 1)
+    text = json.dumps({
+        "gens": [[n, str(mult)] for n, mult in res.generators],
+        "syz": [[m, str(mult)] for m, mult in res.syzygies],
+        "socle": res.socle_twist,
+    })
+    argv = ["--resolution", text] + ([] if grid is None else [f"--grid={grid[0]}..{grid[-1]}"])
+
+    def kmr():
+        checked, _ = checked_resolution(res, grid)
+        points = scan_points(checked, grid)
+        return scan_constant(lambda x: kmr_h0_normal(checked, x), points, "h^0(N_S)")
+
+    def hilbert():
+        checked, _ = checked_resolution(res, grid)
+        points = scan_points(checked, grid)
+        ideal = scan_constant(lambda x: h0_ideal(checked, t, x), points, f"h^0(I_S({t}))")
+        scan_constant(
+            lambda x: surface_invariants(checked, x).chi(t), points, f"chi(O_S({t}))"
+        )
+        return ideal
+
+    assert _outcome(["kmr", *argv]) == _expected(kmr)
+    assert _outcome(["hilbert", "--twist", str(t), *argv]) == _expected(hilbert)
 
 
 def test_readme_family_without_a_grid_is_certified_on_its_half_line(capsys):
@@ -326,6 +392,62 @@ def test_input_errors_exit_2(capsys, argv):
     code = run(argv)
     capsys.readouterr()
     assert code == 2
+
+
+def _padded(doc, ghost, size):
+    """doc with ghost pairs [ghost, 1] added to gens and syz until each holds size pairs.
+
+    A ghost pair at half the socle keeps the resolution self-dual and changes no count.
+    """
+    assert 2 * ghost == doc["socle"]
+    return {
+        "gens": doc["gens"] + [[ghost, 1]] * (size - len(doc["gens"])),
+        "syz": doc["syz"] + [[ghost, 1]] * (size - len(doc["syz"])),
+        "socle": doc["socle"],
+    }
+
+
+def test_a_resolution_of_at_most_max_pairs_pairs_is_counted(capsys):
+    text = json.dumps(_padded(ci_resolution(1, 1, 2), 2, MAX_PAIRS))
+    assert invoke(capsys, "kmr", "--resolution", text) == (0, "17\n", "")
+    assert invoke(capsys, "hilbert", "--resolution", text, "--twist", "4") == (0, "101\n", "")
+
+
+@pytest.mark.parametrize("command", [["kmr"], ["hilbert", "--twist", "4"]])
+@pytest.mark.parametrize("side", ["gens", "syz"])
+def test_a_resolution_past_max_pairs_is_refused(capsys, command, side):
+    """The KMR count is quadratic in the number of twist blocks, so long lists are refused."""
+    doc = _padded(ci_resolution(1, 1, 2), 2, MAX_PAIRS)
+    doc[side] = doc[side] + [[2, 0]]
+    message = (
+        f"{side} has {MAX_PAIRS + 1} [twist, mult] pairs; a resolution takes at most {MAX_PAIRS}"
+    )
+    assert invoke(capsys, *command, "--resolution", json.dumps(doc)) == (
+        2, "", f"acmsplit: error: {message}\n"
+    )
+
+
+def test_a_catalog_case_past_max_pairs_is_refused_by_name(tmp_path, capsys):
+    """The degree-20 case padded to the limit keeps its row; one pair more names the case."""
+    doc = _padded({"gens": [[3, 4]], "syz": [[5, 4]], "socle": 8}, 4, MAX_PAIRS)
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps({"degree": 5, "cases": [{"c1": 3, "c2": 20, "resolution": doc}]}))
+    code, out, err = invoke(capsys, "report", "--degree", "5", "--catalog", str(path),
+                            "--format", "json")
+    assert (code, err) == (0, "")
+    _, builtin, _ = invoke(capsys, "report", "--degree", "5", "--format", "json")
+    (row,) = [r for r in json.loads(out)["rows"] if (r["c1"], r["c2"]) == (3, 20)]
+    assert row in json.loads(builtin)["rows"]
+
+    doc["syz"].append([4, 0])
+    path.write_text(json.dumps({"degree": 5, "cases": [{"c1": 3, "c2": 20, "resolution": doc}]}))
+    message = (
+        f"case #0 (c1=3, c2=20): syz has {MAX_PAIRS + 1} [twist, mult] pairs;"
+        f" a resolution takes at most {MAX_PAIRS}"
+    )
+    assert invoke(capsys, "report", "--degree", "5", "--catalog", str(path)) == (
+        2, "", f"acmsplit: error: {message}\n"
+    )
 
 
 @pytest.mark.parametrize(

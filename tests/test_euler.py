@@ -3,7 +3,6 @@ import pytest
 from acmsplit.euler import (
     ParityError,
     PinningError,
-    c1_candidate_range,
     chi_bundle_pinned,
     pfaffian_c2,
     sectional_genus,
@@ -78,13 +77,6 @@ def test_genus_parity_failure():
         sectional_genus(4, 0, 3)
     with pytest.raises(ParityError):
         sectional_genus(5, 1, 5)
-
-
-def test_candidate_range():
-    assert list(c1_candidate_range(4)) == [0, 1, 2, 3]
-    assert list(c1_candidate_range(5)) == [-1, 0, 1, 2, 3, 4]
-    with pytest.raises(ValueError):
-        c1_candidate_range(2)
 
 
 def test_bundle_numerics():
