@@ -141,7 +141,7 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
     res, table = checked_resolution(_load_resolution(args.resolution), args.grid)
     t = args.twist
     ideal = scan_constant(
-        lambda x: term_sum(h0_pn, *table[x][:2], res.socle_twist, t), table, f"h^0(I_S({t}))"
+        lambda x: term_sum(*table[x][:2], res.socle_twist, t), table, f"h^0(I_S({t}))"
     )
     payload = {
         "twist": t,

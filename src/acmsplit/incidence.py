@@ -24,7 +24,7 @@ from . import catalog as _catalog
 from .combinatorics import Count
 from .euler import ParityError, pfaffian_c2, sectional_genus, solve_c2_boundary
 from .normal_bundle import _kmr
-from .proj_cohomology import HypersurfaceContext, h0_pn
+from .proj_cohomology import HypersurfaceContext
 from .resolutions import (
     AffineExpr,
     Blocks,
@@ -291,11 +291,17 @@ def load_catalog_file(path: str, expected_degree: int | None = None) -> list[Cas
     return load_catalog(data, expected_degree)
 
 
+#: The built-in catalogs, parsed once at import; their records are immutable, so calls share them.
+_BUILTIN_CASES = {
+    degree: load_catalog(doc, degree) for degree, doc in _catalog.BUILTIN_CATALOGS.items()
+}
+
+
 def builtin_catalog(degree: int) -> list[CaseRecord]:
-    """The built-in classification for degrees 3 through 6."""
-    if degree not in _catalog.BUILTIN_CATALOGS:
+    """The built-in classification for degrees 3 through 6, as a new list."""
+    if degree not in _BUILTIN_CASES:
         raise CatalogError(f"no built-in catalog for degree {degree}")
-    return load_catalog(_catalog.BUILTIN_CATALOGS[degree], degree)
+    return list(_BUILTIN_CASES[degree])
 
 
 def _boundary_cases(ctx: HypersurfaceContext) -> list[CaseRecord]:
@@ -424,13 +430,10 @@ def evaluate_case(case: CaseRecord, grid: range | None = None) -> ReportRow:
             raise type(exc)(f"case {case.label}: {exc}") from exc
         case = case._replace(resolution=res)
         socle = res.socle_twist
-        ideal = scan_constant(
-            lambda x: term_sum(h0_pn, *table[x][:2], socle, case.r),
-            table, f"h^0(I_S({case.r})) for case {case.label}",
-        )
-        normal = scan_constant(
-            lambda x: _kmr(*table[x][:2], socle), table, f"h^0(N_S) for case {case.label}"
-        )
+        ideals = {x: term_sum(gens, syz, socle, case.r) for x, (gens, syz, _) in table.items()}
+        ideal = scan_constant(ideals.get, ideals, f"h^0(I_S({case.r})) for case {case.label}")
+        normals = {x: _kmr(gens, syz, socle) for x, (gens, syz, _) in table.items()}
+        normal = scan_constant(normals.get, normals, f"h^0(N_S) for case {case.label}")
         bound = ideal - 1 + normal
     decided, note = _cascade(case, genus, ideal, normal, bound, moduli)
     annotations = _catalog.REPORT_ANNOTATIONS.get((case.r, case.c1, case.c2, decided.value), ())

@@ -14,12 +14,22 @@ the built-in resolutions no binomial argument is ever negative, so the
 polynomial convention would agree term by term; the truncation is still
 mandatory, since a negative argument fed to the polynomial convention
 would inject a spurious signed term.
+
+The sums are evaluated in the collapsed form
+
+    h^0(N_S) = - sum_{n_i >= 0} h^0(I_S(n_i))
+               + sum_{i<j} [C(d + 5, 5) if d > 0, -C(5 - d, 5) if d < 0, 0 if d = 0],
+
+with d = m_j - n_i.  Proof: h^0(O_S(n)) = C(n + 5, 5) - h^0(I_S(n)) for
+n >= 0, and both h^0(O_S(n)) and C(n + 5, 5) vanish for n < 0; of the two
+truncated pair binomials at most one is nonzero, and both are 1 at d = 0.
 """
 
 from __future__ import annotations
 
-from .combinatorics import Count, binom_trunc
-from .proj_cohomology import AMBIENT_DIM, h0_pn
+from math import comb
+
+from .combinatorics import Count
 from .resolutions import Blocks, GorensteinResolution, term_sum
 
 
@@ -53,17 +63,18 @@ def _kmr(gens: Blocks, syz: Blocks, socle: int) -> Count:
     for n, count in gens:
         i1 = i0 + count
         if n >= 0:
-            total += count * (h0_pn(AMBIENT_DIM, n) - term_sum(h0_pn, gens, syz, socle, n))
-        total -= count * binom_trunc(n + 5, 5)
-        j0 = 0
+            total -= count * term_sum(gens, syz, socle, n)
+        j1 = 0
         for m, syz_count in reversed(syz):
-            j1 = j0 + syz_count
+            j0, j1 = j1, j1 + syz_count
+            d = m - n
+            if j1 <= i0 or not d:  # no pair i < j, or a zero term
+                continue
             pairs = (
                 _pairs_before(i1, j1) - _pairs_before(i0, j1)
                 - _pairs_before(i1, j0) + _pairs_before(i0, j0)
             )
-            total += pairs * (binom_trunc(-n + m + 5, 5) - binom_trunc(n - m + 5, 5))
-            j0 = j1
+            total += pairs * (comb(d + 5, 5) if d > 0 else -comb(5 - d, 5))
         i0 = i1
     if total < 0:
         raise ConventionViolation(f"h^0(N_S) computed as {total} < 0")

@@ -17,10 +17,10 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from math import comb
 from typing import NamedTuple
 
 from .combinatorics import Count, EulerNumber
-from .proj_cohomology import AMBIENT_DIM, h0_pn
 
 
 class UnresolvedParameterError(ValueError):
@@ -159,6 +159,20 @@ Blocks = list[tuple[int, int]]
 #: pairs every generator block with every syzygy block, so its cost grows as its square.
 MAX_PAIRS = 128
 
+#: The largest |twist| and |socle| parse_resolution takes.  Binomials grow with a twist's
+#: digits: kmr at MAX_PAIRS on a (1,1,K) complete intersection padded with 63 ghost pairs
+#: spread over 1..socle takes about 20 ms in-process at socle 10**6, 48 ms at 10**30,
+#: 0.65 s at 10**300 and 3.7 s at 10**1000 (2-vCPU Xeon).  Validation does not bound a
+#: generator twist by the socle (a syzygy twist may be negative), so every twist is checked.
+MAX_TWIST = 10**6
+
+
+def _check_twist(value: int, what: str) -> None:
+    if abs(value) > MAX_TWIST:
+        raise ResolutionValidationError(
+            f"{what} {value} has absolute value above {MAX_TWIST}, the limit a resolution takes"
+        )
+
 
 def _parse_twist_vector(raw: object, label: str) -> TwistVector:
     if not isinstance(raw, Sequence) or isinstance(raw, (str, bytes)):
@@ -174,6 +188,7 @@ def _parse_twist_vector(raw: object, label: str) -> TwistVector:
         twist, mult = entry
         if isinstance(twist, bool) or not isinstance(twist, int):
             raise ResolutionValidationError(f"{label} twist must be an integer")
+        _check_twist(twist, f"{label} twist")
         try:
             out.append((twist, parse_multiplicity(mult)))
         except ValueError as exc:
@@ -255,6 +270,7 @@ def parse_resolution(data: Mapping) -> GorensteinResolution:
     socle = data["socle"]
     if isinstance(socle, bool) or not isinstance(socle, int):
         raise ResolutionValidationError("socle must be an integer twist")
+    _check_twist(socle, "socle")
     return GorensteinResolution(
         generators=_parse_twist_vector(data["gens"], "gens"),
         syzygies=_parse_twist_vector(data["syz"], "syz"),
@@ -423,12 +439,13 @@ def _walk(
         return violations + [Violation(tag, None, str(exc))], {}
 
     negative = []
-    for twist, mult in res.generators + res.syzygies:
-        # off a grid the scan points are admissible, so only a constant can be negative
-        where = _negative_span(mult, grid) if names and grid is not None else None
-        if where or (where is None and mult.evaluate(points[0]) < 0):
-            detail = f"multiplicity {mult} of twist {twist} is negative"
-            negative.append(Violation("negative-multiplicity", where, detail))
+    for label, vector in (("gens", res.generators), ("syz", res.syzygies)):
+        for twist, mult in vector:
+            # off a grid the scan points are admissible, so only a constant can be negative
+            where = _negative_span(mult, grid) if names and grid is not None else None
+            if where or (where is None and mult.evaluate(points[0]) < 0):
+                detail = f"{label} multiplicity {mult} of twist {twist} is negative"
+                negative.append(Violation("negative-multiplicity", where, detail))
     if negative:
         return violations + negative, {}
 
@@ -438,30 +455,43 @@ def _walk(
         if not gens:
             violations.append(Violation("trivial-rank", x, "no generators"))
             continue
-        rank, syz_rank = sum(c for _, c in gens), sum(c for _, c in syz)
+        rank = syz_rank = 0
+        for _, c in gens:
+            rank += c
+        for _, c in syz:
+            syz_rank += c
         if rank != syz_rank:
             detail = f"{rank} generators vs {syz_rank} syzygies"
             violations.append(Violation("rank-balance", x, detail))
-        if syz != sorted((socle - n, c) for n, c in gens):
+        # gens ascend with distinct twists, so their duals ascend when reversed
+        if syz != [(socle - n, c) for n, c in reversed(gens)]:
             detail = f"syzygy twists differ from {socle} minus generator twists"
             violations.append(Violation("self-duality", x, detail))
-        low = [f"generator twist {n} is below 1" for n, _ in gens if n < 1]
-        high = [f"syzygy twist {m} is not below the socle {socle}" for m, _ in syz if m >= socle]
-        violations += [Violation("twist-range", x, detail) for detail in low + high]
+        if gens[0][0] < 1 or (syz and syz[-1][0] >= socle):
+            low = [f"generator twist {n} is below 1" for n, _ in gens if n < 1]
+            high = [
+                f"syzygy twist {m} is not below the socle {socle}" for m, _ in syz if m >= socle
+            ]
+            violations += [Violation("twist-range", x, detail) for detail in low + high]
     return violations, table
 
 
-def term_sum(
-    value: Callable[[int, int], int], gens: Blocks, syz: Blocks, socle: int, t: int
-) -> int:
-    """sum_i value(t - n_i) - sum_j value(t - m_j) + value(t - socle) over P^5.
+def term_sum(gens: Blocks, syz: Blocks, socle: int, t: int) -> Count:
+    """sum_i h^0(O(t - n_i)) - sum_j h^0(O(t - m_j)) + h^0(O(t - socle)) over P^5.
 
     The alternating sum over the resolution of I_S, taken block by
-    block: a block of count c contributes c times its term.
+    block: a block of count c contributes c times its term.  Each term
+    h^0(O_P5(k)) is comb(k + 5, 5) if k >= 0 else 0, binom_trunc's
+    convention, written inline.
     """
-    total = sum(c * value(AMBIENT_DIM, t - n) for n, c in gens)
-    total -= sum(c * value(AMBIENT_DIM, t - m) for m, c in syz)
-    return total + value(AMBIENT_DIM, t - socle)
+    total = comb(t - socle + 5, 5) if t >= socle else 0
+    for n, c in gens:
+        if t >= n:
+            total += c * comb(t - n + 5, 5)
+    for m, c in syz:
+        if t >= m:
+            total -= c * comb(t - m + 5, 5)
+    return total
 
 
 def h0_ideal(res: GorensteinResolution, t: int, x: int | None = None) -> Count:
@@ -470,7 +500,7 @@ def h0_ideal(res: GorensteinResolution, t: int, x: int | None = None) -> Count:
     Exactness holds because h^1 and h^2 of line bundles on P^5 vanish,
     so both kernel corrections in the section-count chase are zero.
     """
-    return term_sum(h0_pn, *res.blocks(x), res.socle_twist, t)
+    return term_sum(*res.blocks(x), res.socle_twist, t)
 
 
 class SurfaceInvariants(NamedTuple):
@@ -507,19 +537,20 @@ def _invariants(gens: Blocks, syz: Blocks, socle: int) -> SurfaceInvariants:
     balance gives S_0 = 0, degree balance S_1 = 0, and self-duality with degree balance
     S_2 = 0.  The check stays for blocks that were not validated.
     """
-    third0 = third1 = third2 = degree = genus_term = chi = 0
+    weight = linear = degree = genus_term = chi = 0
+    third1 = 0  # sum w a(a-1); (a-1)(a-2) = a(a-1) - 2a + 2 and (a+1)a = a(a-1) + 2a
     for n, w in ((0, 1), *((n, -c) for n, c in gens), *syz, (socle, -1)):
         a = 4 - n
         falling2 = a * (a - 1)
         falling3 = falling2 * (a - 2)
         falling4 = falling3 * (a - 3)
-        third0 += w * (a - 1) * (a - 2)
+        weight += w
+        linear += w * a
         third1 += w * falling2
-        third2 += w * (a + 1) * a
         degree += w * falling3
         genus_term += w * falling4
         chi += w * (a + 1) * falling4
-    third = [third0 // 2, third1 // 2, third2 // 2]
+    third = [third1 // 2 - linear + weight, third1 // 2, third1 // 2 + linear]
     if any(third):
         raise DegenerateResolutionError(
             f"Hilbert polynomial has degree > 2 (third differences {third})"

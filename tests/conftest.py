@@ -303,9 +303,10 @@ def flat_validate(res, grid=None):
             Violation(
                 "negative-multiplicity",
                 x,
-                f"multiplicity {mult} of twist {twist} is {mult.evaluate(x)} at x={x}",
+                f"{side} multiplicity {mult} of twist {twist} is {mult.evaluate(x)} at x={x}",
             )
-            for twist, mult in res.generators + res.syzygies
+            for side, vector in (("gens", res.generators), ("syz", res.syzygies))
+            for twist, mult in vector
             if mult.evaluate(x) < 0
         ]
         if negative:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from acmsplit.incidence import checked_resolution, generate_report
 from acmsplit.normal_bundle import kmr_h0_normal
 from acmsplit.resolutions import (
     MAX_PAIRS,
+    MAX_TWIST,
     h0_ideal,
     scan_constant,
     scan_points,
@@ -242,7 +244,8 @@ def test_negative_multiplicities_are_reported_once_per_expression(capsys):
     code, out, err = invoke(capsys, "kmr", "--resolution", DEG11_REVERSED, "--grid", "0..99999")
     assert (code, out) == (2, "")
     assert err.count("negative-multiplicity") == 4
-    assert "negative-multiplicity at x=3..99999: multiplicity -b + 2 of twist 3 is negative" in err
+    detail = "gens multiplicity -b + 2 of twist 3 is negative"
+    assert f"negative-multiplicity at x=3..99999: {detail}" in err
     assert len(err.encode()) < 1024
 
 
@@ -448,6 +451,64 @@ def test_a_catalog_case_past_max_pairs_is_refused_by_name(tmp_path, capsys):
     assert invoke(capsys, "report", "--degree", "5", "--catalog", str(path)) == (
         2, "", f"acmsplit: error: {message}\n"
     )
+
+
+def _limit_message(what, value):
+    return f"{what} {value} has absolute value above {MAX_TWIST}, the limit a resolution takes"
+
+
+@pytest.mark.parametrize("command", [["kmr"], ["hilbert", "--twist", "4"]])
+def test_a_socle_at_max_twist_is_counted_and_one_past_it_is_refused(capsys, command):
+    """A (1,1,K) complete intersection, a degree-K surface in a P^3, has socle K + 2.
+
+    N_S = O_S(1)^2 + O_S(K) gives h^0(N_S) = 2 * 4 + C(K + 3, 3) - 1, and for K > 4 the
+    quartics through S are those vanishing on the P^3: h^0(I_S(4)) = 126 - 35.
+    """
+    k = MAX_TWIST - 2
+    expected = comb(k + 3, 3) + 7 if command == ["kmr"] else 91
+    at_limit = json.dumps(ci_resolution(1, 1, k))
+    assert invoke(capsys, *command, "--resolution", at_limit) == (0, f"{expected}\n", "")
+    past = json.dumps(ci_resolution(1, 1, k + 1))
+    assert invoke(capsys, *command, "--resolution", past) == (
+        2, "", f"acmsplit: error: {_limit_message('socle', MAX_TWIST + 1)}\n"
+    )
+
+
+def test_a_catalog_case_past_max_twist_is_refused_by_name(tmp_path, capsys):
+    """At the limit the case is counted (c1 = K - 3 splits by range); one past it is named."""
+    path = tmp_path / "catalog.json"
+
+    def report(k):
+        case = {"c1": k - 3, "c2": k, "resolution": ci_resolution(1, 1, k)}
+        path.write_text(json.dumps({"degree": 5, "cases": [case]}))
+        return invoke(capsys, "report", "--degree", "5", "--catalog", str(path), "--format", "json")
+
+    k = MAX_TWIST - 2
+    code, out, err = report(k)
+    assert (code, err) == (0, "")
+    (row,) = [r for r in json.loads(out)["rows"] if r["c2"] == k]
+    assert (row["h0_normal"], row["verdict"]) == (comb(k + 3, 3) + 7, "SplitsByRange")
+    message = f"case #0 (c1={k - 2}, c2={k + 1}): {_limit_message('socle', MAX_TWIST + 1)}"
+    assert report(k + 1) == (2, "", f"acmsplit: error: {message}\n")
+
+
+@pytest.mark.parametrize("command", [["kmr"], ["hilbert", "--twist", "3"]])
+def test_a_twist_past_max_twist_is_refused_whatever_the_socle(capsys, command):
+    """Validation lets a generator twist exceed the socle when a syzygy twist is negative.
+
+    gens [[1, N], [N, 1]] and syz [[4 - N, 1], [3, N]] with socle 4 are balanced and
+    self-dual for every N, so the socle limit alone would not bound the twists.
+    """
+    def doc(n):
+        return json.dumps({"gens": [[1, n], [n, 1]], "syz": [[4 - n, 1], [3, n]], "socle": 4})
+
+    code, _, err = invoke(capsys, *command, "--resolution", doc(MAX_TWIST))
+    assert (code, err) == (0, "")
+    past = f"acmsplit: error: {_limit_message('gens twist', MAX_TWIST + 1)}\n"
+    assert invoke(capsys, *command, "--resolution", doc(MAX_TWIST + 1)) == (2, "", past)
+    low = json.dumps({"gens": [[1, 1]], "syz": [[-MAX_TWIST - 1, 1]], "socle": 4})
+    past = f"acmsplit: error: {_limit_message('syz twist', -MAX_TWIST - 1)}\n"
+    assert invoke(capsys, *command, "--resolution", low) == (2, "", past)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from acmsplit.catalog import BUILTIN_CATALOGS
 from acmsplit.incidence import (
     CatalogError,
     CaseRecord,
@@ -401,6 +402,35 @@ def test_grid_override_keeps_constant_values():
 
 
 # ------------------------------------------------------- catalog loading
+
+@pytest.mark.parametrize("degree", [3, 4, 5, 6])
+def test_builtin_catalog_is_its_document_parsed_and_each_call_is_a_new_list(degree):
+    first = builtin_catalog(degree)
+    assert first == load_catalog(BUILTIN_CATALOGS[degree], degree)
+    second = builtin_catalog(degree)
+    assert second is not first
+    first.append(CaseRecord(degree, 1, 99))
+    assert builtin_catalog(degree) == second == load_catalog(BUILTIN_CATALOGS[degree], degree)
+
+
+def test_a_report_parses_no_built_in_catalog(monkeypatch):
+    """The built-in catalogs are parsed at import, so a report does not call load_catalog."""
+    import acmsplit.incidence as incidence
+
+    expected = render_report_markdown(generate_report(5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_catalog called by a report")
+
+    monkeypatch.setattr(incidence, "load_catalog", refuse)
+    report = generate_report(5)
+    assert render_report_markdown(report) == expected
+    for row in report.rows:
+        if row.case.resolution is not None:
+            for x in scan_points(row.case.resolution):
+                assert row.h0_ideal_at_r == flat_h0_ideal(row.case.resolution, 5, x)
+                assert row.h0_normal == flat_kmr_total(row.case.resolution, x)
+
 
 def test_load_catalog_shape_errors():
     with pytest.raises(CatalogError):

@@ -24,6 +24,7 @@ from acmsplit.resolutions import (
     scan_constant,
     scan_points,
     surface_invariants,
+    term_sum,
     validate,
 )
 from conftest import (
@@ -226,22 +227,29 @@ def test_negative_multiplicity_reported_per_expression():
     )
     res = raw.substitute("c", parse_affine("b-2"))
     assert [str(v) for v in validate(res, range(0, 100_000))] == [
-        f"negative-multiplicity at x=0..1: multiplicity b - 2 of twist {twist} is negative"
-        for twist in (3, 4)
+        f"negative-multiplicity at x=0..1: {side} multiplicity b - 2 of twist {twist} is negative"
+        for side, twist in (("gens", 3), ("syz", 4))
     ]
     # on a descending grid with a step, the sub-ranges are ascending
     assert [str(v) for v in validate(res, range(9, -4, -2))] == [
-        "negative-multiplicity at x=-3..1 step 2: multiplicity b - 2 of twist 3 is negative",
-        "negative-multiplicity at x=-3..-1 step 2: multiplicity b of twist 4 is negative",
-        "negative-multiplicity at x=-3..-1 step 2: multiplicity b of twist 3 is negative",
-        "negative-multiplicity at x=-3..1 step 2: multiplicity b - 2 of twist 4 is negative",
+        "negative-multiplicity at x=-3..1 step 2: gens multiplicity b - 2 of twist 3 is negative",
+        "negative-multiplicity at x=-3..-1 step 2: gens multiplicity b of twist 4 is negative",
+        "negative-multiplicity at x=-3..-1 step 2: syz multiplicity b of twist 3 is negative",
+        "negative-multiplicity at x=-3..1 step 2: syz multiplicity b - 2 of twist 4 is negative",
     ]
     assert validate(res, range(2, 6)) == []
     assert validate(res) == []
     # a constant is negative at every point
     negative = parse_resolution({"gens": [[2, -1]], "syz": [[3, -1]], "socle": 5})
     assert [str(v) for v in validate(negative) if v.invariant == "negative-multiplicity"] == [
-        f"negative-multiplicity: multiplicity -1 of twist {twist} is negative" for twist in (2, 3)
+        f"negative-multiplicity: {side} multiplicity -1 of twist {twist} is negative"
+        for side, twist in (("gens", 2), ("syz", 3))
+    ]
+    # one expression at one twist on both sides is named once per list
+    octic = parse_resolution({"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6})
+    assert [str(v) for v in validate(octic, range(-3, 1))] == [
+        f"negative-multiplicity at x=-3..-1: {side} multiplicity x of twist 3 is negative"
+        for side in ("gens", "syz")
     ]
 
 
@@ -643,6 +651,21 @@ def test_the_closed_form_kernel_equals_the_finite_differences(drawn):
     if isinstance(package, SurfaceInvariants):
         for t in (-(10**30), -7, -1, 0, 1, 4, 9, 10**30):
             assert package.chi(t) == flat_chi_structure_poly(res, t, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arbitrary_blocks())
+@example((_HUGE_CI, 0))
+@example((GorensteinResolution(((1, _count(10**20, -1)),), (), 2), 1))
+def test_the_inline_term_sum_equals_the_flat_h0_sum(drawn):
+    """term_sum on a point's blocks is the flat entry-by-entry sum of h0_pn terms.
+
+    Where blocks refuses a negative count, the flat sum raises the same error.
+    """
+    res, x = drawn
+    for t in (*range(-3, 13), -(10**30), 10**30):
+        package = _raised(lambda: term_sum(*res.blocks(x), res.socle_twist, t))
+        assert package == _raised(lambda: flat_h0_ideal(res, t, x))
 
 
 @st.composite
