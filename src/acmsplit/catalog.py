@@ -134,24 +134,23 @@ BUILTIN_CATALOGS = {
                 "c1": 2,
                 "c2": 11,
                 "resolution": {
-                    "gens": [[2, 3], [3, "c"], [4, "b"]],
-                    "syz": [[3, "b"], [4, "c"], [5, 3]],
+                    "gens": [[2, 3], [3, "b-2"], [4, "b"]],
+                    "syz": [[3, "b"], [4, "b-2"], [5, 3]],
                     "socle": 7,
                 },
                 "provenance": "quintic threefold classification: degree-11 sections;"
-                " generator counts b, c linked by the degree balance c = b - 2,"
-                " free parameter b >= 2",
+                " cubic count c = b - 2 from the degree balance, free parameter b >= 2",
             },
             {
                 "c1": 2,
                 "c2": 12,
                 "resolution": {
-                    "gens": [[2, 2], [3, "c"], [4, "b"]],
-                    "syz": [[3, "b"], [4, "c"], [5, 2]],
+                    "gens": [[2, 2], [3, "c"], [4, "c-1"]],
+                    "syz": [[3, "c-1"], [4, "c"], [5, 2]],
                     "socle": 7,
                 },
                 "provenance": "quintic threefold classification: degree-12 sections;"
-                " counts linked by b = c - 1, free parameter c >= 1",
+                " quartic count b = c - 1 from the degree balance, free parameter c >= 1",
             },
             {
                 "c1": 2,

@@ -131,14 +131,16 @@ def _cmd_check_case(args: argparse.Namespace) -> int:
 
 
 def _cmd_kmr(args: argparse.Namespace) -> int:
-    res, table = checked_resolution(_load_resolution(args.resolution), args.grid)
+    res = _load_resolution(args.resolution)
+    table = checked_resolution(res, args.grid)
     value = scan_constant(lambda x: _kmr(*table[x][:2], res.socle_twist), table, "h^0(N_S)")
     _emit(_scalar_text(args, {"h0_normal": value}, "h0_normal"), args.out)
     return 0
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> int:
-    res, table = checked_resolution(_load_resolution(args.resolution), args.grid)
+    res = _load_resolution(args.resolution)
+    table = checked_resolution(res, args.grid)
     t = args.twist
     ideal = scan_constant(
         lambda x: term_sum(*table[x][:2], res.socle_twist, t), table, f"h^0(I_S({t}))"

@@ -26,7 +26,6 @@ from .euler import ParityError, pfaffian_c2, sectional_genus, solve_c2_boundary
 from .normal_bundle import _kmr
 from .proj_cohomology import HypersurfaceContext
 from .resolutions import (
-    AffineExpr,
     Blocks,
     DegenerateResolutionError,
     GorensteinResolution,
@@ -34,7 +33,6 @@ from .resolutions import (
     _invariants,
     _walk,
     admissible,
-    degree_balance_form,
     h0_ideal,  # noqa: F401  (perfbench's tracer wraps the incidence.h0_ideal alias)
     parse_resolution,
     scan_constant,
@@ -65,10 +63,7 @@ CONCLUSIVE_VERDICTS = frozenset(
 
 
 class CaseRecord(namedtuple("CaseRecord", "r c1 c2 resolution provenance")):
-    """One candidate Chern pair on a degree-r hypersurface.
-
-    __new__ checks c2; _replace skips that check.
-    """
+    """One candidate Chern pair on a degree-r hypersurface; __new__ checks c2."""
 
     __slots__ = ()
 
@@ -89,89 +84,15 @@ class CaseRecord(namedtuple("CaseRecord", "r c1 c2 resolution provenance")):
         return f"(c1={self.c1}, c2={self.c2})"
 
 
-class BalanceRelation(NamedTuple):
-    """The linear relation among resolution parameters forced by balance.
-
-    A trivial relation (dependent None) means the twist data balances
-    identically.
-    """
-
-    dependent: str | None = None
-    expression: AffineExpr | None = None
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.dependent is None
-
-    def __str__(self) -> str:
-        if self.is_trivial:
-            return "0 = 0"
-        return f"{self.dependent} = {self.expression}"
-
-
-def solve_balance(res: GorensteinResolution) -> BalanceRelation:
-    """Solve Sum(n_i) - Sum(m_j) + socle = 0 for one parameter.
-
-    With two parameters the dependent one is chosen so its solved
-    expression has a non-positive constant offset (so it is the
-    parameter bounded by the other); the built-in families come out as
-    c = b - 2 and b = c - 1.
-    """
-    const, coeffs = degree_balance_form(res)
-    if not coeffs:
-        if const != 0:
-            raise CatalogError(
-                f"degree balance is inconsistent: residual constant {const}"
-            )
-        return BalanceRelation()
-    if len(coeffs) == 1:
-        ((name, coeff),) = coeffs.items()
-        if const % coeff:
-            raise CatalogError(
-                f"degree balance {coeff}*{name} + {const} = 0 has no integer solution"
-            )
-        return BalanceRelation(name, AffineExpr(const=-const // coeff))
-    if len(coeffs) > 2:
-        raise CatalogError(
-            "degree balance involves more than two parameters: "
-            + ", ".join(sorted(coeffs))
-        )
-    (p1, k1), (p2, k2) = sorted(coeffs.items())
-    for dep_name, dep_coeff, other_name, other_coeff in (
-        (p1, k1, p2, k2),
-        (p2, k2, p1, k1),
-    ):
-        if other_coeff % dep_coeff:
-            continue
-        solved = AffineExpr(
-            const=-const // dep_coeff,
-            coeff=-other_coeff // dep_coeff,
-            param=other_name,
-        )
-        if const % dep_coeff == 0 and solved.const <= 0:
-            return BalanceRelation(dep_name, solved)
-    raise CatalogError(
-        f"degree balance {k1}*{p1} {k2:+d}*{p2} {const:+d} = 0 has no"
-        " integer solution with non-positive offset"
-    )
-
-
-def resolve_parameters(
-    res: GorensteinResolution,
-) -> tuple[GorensteinResolution, BalanceRelation]:
-    """Reduce a two-parameter resolution to one via its balance relation."""
-    if len(res.free_parameters()) < 2:
-        return res, BalanceRelation()
-    relation = solve_balance(res)
-    if relation.is_trivial:
-        raise CatalogError("two free parameters but a trivial balance relation")
-    return res.substitute(relation.dependent, relation.expression), relation
+def resolve_parameters(res: GorensteinResolution) -> GorensteinResolution:
+    """Identity, called by nothing: perfbench/tracer.py patches this name (ROADMAP item 7)."""
+    return res
 
 
 def checked_resolution(
     res: GorensteinResolution, grid: range | None = None
-) -> tuple[GorensteinResolution, dict[int | None, tuple[Blocks, Blocks, SurfaceInvariants]]]:
-    """Balance and validate a resolution; return it and its scan table.
+) -> dict[int | None, tuple[Blocks, Blocks, SurfaceInvariants]]:
+    """Validate a resolution and return its scan table.
 
     This is the one path from raw twist data to counts: evaluate_case
     and the kmr and hilbert commands take it.  One walk over the scan
@@ -182,7 +103,6 @@ def checked_resolution(
     no surface at a scan point, or whose degree falls toward the open end
     of a half-line, raises DegenerateResolutionError.
     """
-    res, _ = resolve_parameters(res)
     problems, blocks = _walk(res, grid)
     if problems:
         raise CatalogError("invalid resolution: " + "; ".join(str(p) for p in problems))
@@ -198,7 +118,7 @@ def checked_resolution(
                 f"surface degree falls from {first.degree} at x={x0}"
                 f" to {second.degree} at x={x1}, so it is <= 0 further out"
             )
-    return res, table
+    return table
 
 
 class ReportRow(NamedTuple):
@@ -394,7 +314,7 @@ def evaluate_case(case: CaseRecord, grid: range | None = None) -> ReportRow:
     """One report row for a case: checked, counted, decided and explained in one walk.
 
     A degree the report refuses is refused with its message.  A
-    resolution is balanced and validated at its scan points, on the grid
+    resolution is validated at its scan points, on the grid
     when one is given (see checked_resolution); a resolution without a
     parameter ignores the grid.  The counts read the scan table.  A scan
     point with no surface is refused first, then a Chern pair whose
@@ -413,7 +333,7 @@ def evaluate_case(case: CaseRecord, grid: range | None = None) -> ReportRow:
     res = case.resolution
     if res is not None:
         try:
-            res, table = checked_resolution(res, grid)
+            table = checked_resolution(res, grid)
             if genus is None:
                 raise CatalogError(parity)
             for *_, invariants in table.values():
@@ -428,7 +348,6 @@ def evaluate_case(case: CaseRecord, grid: range | None = None) -> ReportRow:
                     )
         except (CatalogError, DegenerateResolutionError) as exc:
             raise type(exc)(f"case {case.label}: {exc}") from exc
-        case = case._replace(resolution=res)
         socle = res.socle_twist
         ideals = {x: term_sum(gens, syz, socle, case.r) for x, (gens, syz, _) in table.items()}
         ideal = scan_constant(ideals.get, ideals, f"h^0(I_S({case.r})) for case {case.label}")

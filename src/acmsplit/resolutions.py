@@ -5,11 +5,12 @@ A surface S in P^5 in this family has a self-dual length-3 resolution
     0 -> O(-socle) -> (+) O(-m_j) -> (+) O(-n_i) -> I_S -> 0
 
 recorded here as twist/multiplicity pairs.  Multiplicities may be affine
-expressions in one named parameter so a whole family of resolutions (for
-example a varying number of cubic generators) is a single record.  All
-section counts derived from a resolution are exact, not Euler-characteristic
-approximations, because the terms are sums of line bundles on P^5 whose
-middle cohomology vanishes.
+expressions in one named parameter, so a whole family of resolutions (for
+example a varying number of cubic generators) is a single record;
+parse_resolution refuses a second parameter.  All section counts derived
+from a resolution are exact, not Euler-characteristic approximations,
+because the terms are sums of line bundles on P^5 whose middle cohomology
+vanishes.
 """
 
 from __future__ import annotations
@@ -71,16 +72,6 @@ class AffineExpr(namedtuple("AffineExpr", "const coeff param")):
                 f"expression {self} needs a value for parameter {self.param!r}"
             )
         return self.const + self.coeff * x
-
-    def substitute(self, name: str, replacement: "AffineExpr") -> "AffineExpr":
-        """Replace the named parameter by another affine expression."""
-        if self.param != name:
-            return self
-        return AffineExpr(
-            const=self.const + self.coeff * replacement.const,
-            coeff=self.coeff * replacement.coeff,
-            param=replacement.param if replacement.coeff != 0 else None,
-        )
 
     def __str__(self) -> str:
         if self.param is None:
@@ -162,8 +153,8 @@ MAX_PAIRS = 128
 #: The largest |twist| and |socle| parse_resolution takes.  Binomials grow with a twist's
 #: digits: kmr at MAX_PAIRS on a (1,1,K) complete intersection padded with 63 ghost pairs
 #: spread over 1..socle takes about 20 ms in-process at socle 10**6, 48 ms at 10**30,
-#: 0.65 s at 10**300 and 3.7 s at 10**1000 (2-vCPU Xeon).  Validation does not bound a
-#: generator twist by the socle (a syzygy twist may be negative), so every twist is checked.
+#: 0.65 s at 10**300 and 3.7 s at 10**1000 (2-vCPU Xeon).  Every twist is checked here, at
+#: parse, before validate bounds the generator twists by the socle.
 MAX_TWIST = 10**6
 
 
@@ -203,29 +194,19 @@ class GorensteinResolution(NamedTuple):
     syzygies: TwistVector
     socle_twist: int
 
-    def free_parameters(self) -> set[str]:
-        names = set()
-        for _, mult in self.generators + self.syzygies:
-            if mult.param is not None:
-                names.add(mult.param)
-        return names
-
     def parameter(self) -> str | None:
-        """The one free parameter, or None; two or more must be balanced first."""
-        names = sorted(self.free_parameters())
+        """The record's one parameter, or None; a second name raises UnresolvedParameterError.
+
+        This is the one place the rule is decided.  parse_resolution applies it, so only
+        a record built directly can carry two names, and every evaluation refuses it.
+        """
+        names = sorted({mult.param for _, mult in self.generators + self.syzygies} - {None})
         if len(names) > 1:
             raise UnresolvedParameterError(
-                f"resolution has parameters {', '.join(names)};"
-                " apply the balance relation before evaluating"
+                f"resolution has parameters {', '.join(names)}; a record takes at most one,"
+                " so substitute the degree-balance relation for one of them"
             )
         return names[0] if names else None
-
-    def substitute(self, name: str, replacement: AffineExpr) -> "GorensteinResolution":
-        return GorensteinResolution(
-            generators=tuple((t, m.substitute(name, replacement)) for t, m in self.generators),
-            syzygies=tuple((t, m.substitute(name, replacement)) for t, m in self.syzygies),
-            socle_twist=self.socle_twist,
-        )
 
     def blocks(self, x: int | None = None) -> tuple[Blocks, Blocks]:
         """Twist/count blocks (generators, syzygies) at x.
@@ -271,28 +252,27 @@ def parse_resolution(data: Mapping) -> GorensteinResolution:
     if isinstance(socle, bool) or not isinstance(socle, int):
         raise ResolutionValidationError("socle must be an integer twist")
     _check_twist(socle, "socle")
-    return GorensteinResolution(
+    res = GorensteinResolution(
         generators=_parse_twist_vector(data["gens"], "gens"),
         syzygies=_parse_twist_vector(data["syz"], "syz"),
         socle_twist=socle,
     )
+    res.parameter()
+    return res
 
 
-def degree_balance_form(res: GorensteinResolution) -> tuple[int, dict[str, int]]:
-    """Sum(n_i) - Sum(m_j) + socle as (constant, parameter coefficients).
+def degree_balance_form(res: GorensteinResolution) -> tuple[int, int]:
+    """Sum(n_i) - Sum(m_j) + socle as (const, coeff): const + coeff * x in the one parameter.
 
     The identity must vanish for the twist data to come from an actual
-    resolution; with several parameters its vanishing is the linear
-    relation linking them.
+    resolution, so both parts are 0 on a balanced record.
     """
-    const = res.socle_twist
-    coeffs: dict[str, int] = {}
+    const, coeff = res.socle_twist, 0
     for sign, vector in ((1, res.generators), (-1, res.syzygies)):
         for twist, mult in vector:
             const += sign * twist * mult.const
-            if mult.param is not None:
-                coeffs[mult.param] = coeffs.get(mult.param, 0) + sign * twist * mult.coeff
-    return const, {k: v for k, v in coeffs.items() if v != 0}
+            coeff += sign * twist * mult.coeff
+    return const, coeff
 
 
 class Violation(NamedTuple):
@@ -406,9 +386,13 @@ def validate(res: GorensteinResolution, grid: range | None = None) -> list[Viola
     A negative multiplicity is reported once per expression, with the
     grid points where it is negative; the rest is checked at the scan
     points (see scan_points).  An ideal sheaf of a surface has no
-    sections in degree <= 0, so a generator twist is >= 1 and, dually,
-    a syzygy twist is below the socle; outside that range the KMR pair
-    sum is wrong.  Returns every violation found.
+    sections in degree <= 0, so a generator twist n is >= 1; its dual,
+    the syzygy twist socle - n, relates generators of twist >= 1, so it
+    is >= 1 too and n is below the socle.  Under self-duality, checked
+    alongside, that one range 1 <= n <= socle - 1 bounds the syzygy
+    twists as well.  Outside it the KMR pair sum is wrong.  A record
+    built directly with two parameters is one violation.  Returns every
+    violation found.
     """
     return _walk(res, grid)[0]
 
@@ -421,14 +405,14 @@ def _walk(
     The blocks are empty when a check fails before the points are walked.
     """
     violations: list[Violation] = []
-    names = res.free_parameters()
-    if len(names) > 1:
-        detail = "parameters " + ", ".join(sorted(names)) + " need a balance relation first"
-        return [Violation("unresolved-parameters", None, detail)], {}
+    try:
+        name = res.parameter()
+    except UnresolvedParameterError as exc:
+        return [Violation("unresolved-parameters", None, str(exc))], {}
 
-    const, coeffs = degree_balance_form(res)
-    if const != 0 or coeffs:
-        residual = " ".join([str(const)] + [f"{v:+d}*{k}" for k, v in sorted(coeffs.items())])
+    const, coeff = degree_balance_form(res)
+    if const != 0 or coeff != 0:
+        residual = f"{const} {coeff:+d}*{name}" if coeff else str(const)
         detail = f"twist sums leave residual {residual}"
         violations.append(Violation("degree-balance", None, detail))
 
@@ -442,7 +426,7 @@ def _walk(
     for label, vector in (("gens", res.generators), ("syz", res.syzygies)):
         for twist, mult in vector:
             # off a grid the scan points are admissible, so only a constant can be negative
-            where = _negative_span(mult, grid) if names and grid is not None else None
+            where = _negative_span(mult, grid) if name and grid is not None else None
             if where or (where is None and mult.evaluate(points[0]) < 0):
                 detail = f"{label} multiplicity {mult} of twist {twist} is negative"
                 negative.append(Violation("negative-multiplicity", where, detail))
@@ -467,10 +451,10 @@ def _walk(
         if syz != [(socle - n, c) for n, c in reversed(gens)]:
             detail = f"syzygy twists differ from {socle} minus generator twists"
             violations.append(Violation("self-duality", x, detail))
-        if gens[0][0] < 1 or (syz and syz[-1][0] >= socle):
+        if gens[0][0] < 1 or gens[-1][0] >= socle:
             low = [f"generator twist {n} is below 1" for n, _ in gens if n < 1]
             high = [
-                f"syzygy twist {m} is not below the socle {socle}" for m, _ in syz if m >= socle
+                f"generator twist {n} is not below the socle {socle}" for n, _ in gens if n >= socle
             ]
             violations += [Violation("twist-range", x, detail) for detail in low + high]
     return violations, table

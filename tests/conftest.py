@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from acmsplit.catalog import BUILTIN_CATALOGS
 from acmsplit.combinatorics import binom_trunc
 from acmsplit.euler import sectional_genus
-from acmsplit.incidence import builtin_catalog, resolve_parameters
+from acmsplit.incidence import builtin_catalog
 from acmsplit.proj_cohomology import HypersurfaceContext, chi_pn, h0_pn
 from acmsplit.resolutions import (
     DegenerateResolutionError,
@@ -120,13 +120,12 @@ def walk_points(res, grid=None, count=40):
 
 
 def case_points(case):
-    """Points to walk for one case, after parameter resolution: six without a grid."""
-    res, _ = resolve_parameters(case.resolution)
-    return res, walk_points(res, None, 6)
+    """A case's resolution and the points to walk for it: six without a grid."""
+    return case.resolution, walk_points(case.resolution, None, 6)
 
 
 def resolved_points():
-    """(case, single-parameter resolution, grid point) across the catalog."""
+    """(case, resolution, grid point) across the catalog."""
     for case in builtin_cases():
         if case.resolution is None:
             continue
@@ -170,8 +169,7 @@ def subcanonical_e(res):
 
 def flat_entries(res, x=None):
     """(generators, syzygies) as (twist, count) per record entry, unmerged, in record order."""
-    if len(res.free_parameters()) > 1:
-        raise UnresolvedParameterError("apply the balance relation first")
+    res.parameter()  # a record built directly with two parameters has no value at x
     out = []
     for vector in (res.generators, res.syzygies):
         entries = []
@@ -273,23 +271,18 @@ def flat_validate(res, grid=None):
     """validate() as a walk over walk_points, checking flat twist lists at each point.
 
     A negative multiplicity is reported at every point and for every
-    expression where it is negative.  A generator twist below 1, or a
-    syzygy twist at or above the socle, is reported once per distinct
-    twist at each point.
+    expression where it is negative.  A generator twist outside 1..socle - 1
+    is reported once per distinct twist at each point; self-duality then
+    bounds the syzygy twists.
     """
-    names = res.free_parameters()
-    if len(names) > 1:
-        return [
-            Violation(
-                "unresolved-parameters",
-                None,
-                "parameters " + ", ".join(sorted(names)) + " need a balance relation first",
-            )
-        ]
+    try:
+        name = res.parameter()
+    except UnresolvedParameterError as exc:
+        return [Violation("unresolved-parameters", None, str(exc))]
     violations = []
-    const, coeffs = degree_balance_form(res)
-    if const != 0 or coeffs:
-        residual = " ".join([str(const)] + [f"{v:+d}*{k}" for k, v in sorted(coeffs.items())])
+    const, coeff = degree_balance_form(res)
+    if const != 0 or coeff != 0:
+        residual = f"{const} {coeff:+d}*{name}" if coeff else str(const)
         violations.append(
             Violation("degree-balance", None, f"twist sums leave residual {residual}")
         )
@@ -334,9 +327,9 @@ def flat_validate(res, grid=None):
             if n < 1
         ]
         violations += [
-            Violation("twist-range", x, f"syzygy twist {m} is not below the socle {dual_shift}")
-            for m in sorted(set(syz))
-            if m >= dual_shift
+            Violation("twist-range", x, f"generator twist {n} is not below the socle {dual_shift}")
+            for n in sorted(set(gens))
+            if n >= dual_shift
         ]
     return violations
 

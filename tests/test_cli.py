@@ -40,6 +40,12 @@ DEG11 = json.dumps(
 DEG11_REVERSED = json.dumps(
     {"gens": [[2, 3], [3, "2-b"], [4, "4-b"]], "syz": [[3, "4-b"], [4, "2-b"], [5, 3]], "socle": 7}
 )
+#: The degree-11 family before its degree balance c = b - 2 is substituted: two parameters.
+RAW11 = {"gens": [[2, 3], [3, "c"], [4, "b"]], "syz": [[3, "b"], [4, "c"], [5, 3]], "socle": 7}
+TWO_PARAMETERS = (
+    "resolution has parameters b, c; a record takes at most one,"
+    " so substitute the degree-balance relation for one of them"
+)
 
 
 def invoke(capsys, *argv):
@@ -117,6 +123,14 @@ def test_kmr_inline_and_from_file(tmp_path, capsys):
 def test_kmr_parametric_grid(capsys):
     code, out, _ = invoke(capsys, "kmr", "--resolution", OCTIC, "--grid", "0..5")
     assert (code, out) == (0, "54\n")
+
+
+def test_a_negative_grid_end_is_given_with_an_equals_sign(capsys):
+    """argparse reads a separate -3..0 as an option; --grid=-3..0 passes it as the value."""
+    shifted = json.dumps({"gens": [[2, 3], [3, "x+3"]], "syz": [[3, "x+3"], [4, 3]], "socle": 6})
+    assert invoke(capsys, "kmr", "--resolution", shifted, "--grid=-3..0") == (0, "54\n", "")
+    code, _, err = invoke(capsys, "kmr", "--resolution", shifted, "--grid", "-3..0")
+    assert (code, err) == (2, "acmsplit kmr: error: argument --grid: expected one argument\n")
 
 
 def test_kmr_at_a_billion_cubics(capsys):
@@ -217,17 +231,15 @@ def test_kmr_and_hilbert_print_what_the_public_wrappers_count(drawn, t):
     argv = ["--resolution", text] + ([] if grid is None else [f"--grid={grid[0]}..{grid[-1]}"])
 
     def kmr():
-        checked, _ = checked_resolution(res, grid)
-        points = scan_points(checked, grid)
-        return scan_constant(lambda x: kmr_h0_normal(checked, x), points, "h^0(N_S)")
+        checked_resolution(res, grid)
+        points = scan_points(res, grid)
+        return scan_constant(lambda x: kmr_h0_normal(res, x), points, "h^0(N_S)")
 
     def hilbert():
-        checked, _ = checked_resolution(res, grid)
-        points = scan_points(checked, grid)
-        ideal = scan_constant(lambda x: h0_ideal(checked, t, x), points, f"h^0(I_S({t}))")
-        scan_constant(
-            lambda x: surface_invariants(checked, x).chi(t), points, f"chi(O_S({t}))"
-        )
+        checked_resolution(res, grid)
+        points = scan_points(res, grid)
+        ideal = scan_constant(lambda x: h0_ideal(res, t, x), points, f"h^0(I_S({t}))")
+        scan_constant(lambda x: surface_invariants(res, x).chi(t), points, f"chi(O_S({t}))")
         return ideal
 
     assert _outcome(["kmr", *argv]) == _expected(kmr)
@@ -257,12 +269,14 @@ def test_degenerate_resolution_is_refused(capsys, command):
 
 
 #: The refusal of ghost twists 0 and 4, the socle, on both sides of the quadric.
-GHOST_AT_0 = "generator twist 0 is below 1; twist-range: syzygy twist 4 is not below the socle 4"
+GHOST_AT_0 = (
+    "generator twist 0 is below 1; twist-range: generator twist 4 is not below the socle 4"
+)
 
 
 @pytest.mark.parametrize("t, refused", [
     (1, None), (2, None), (3, None), (0, GHOST_AT_0), (4, GHOST_AT_0),
-    (-1, "generator twist -1 is below 1; twist-range: syzygy twist 5 is not below the socle 4"),
+    (-1, "generator twist -1 is below 1; twist-range: generator twist 5 is not below the socle 4"),
 ])
 def test_a_ghost_pair_outside_the_twist_range_is_refused(capsys, t, refused):
     """Ghost twists t and 4 - t on both sides keep the quadric self-dual; KMR needs 1 <= t <= 3.
@@ -279,6 +293,21 @@ def test_a_ghost_pair_outside_the_twist_range_is_refused(capsys, t, refused):
     else:
         err = f"acmsplit: error: invalid resolution: twist-range: {refused}\n"
         assert kmr == hilbert == (2, "", err)
+
+
+@pytest.mark.parametrize("command", [["kmr"], ["hilbert", "--twist", "0"]])
+def test_a_generator_twist_past_the_socle_is_refused(capsys, command):
+    """Balanced and self-dual, but its syzygy twist -1 gives the sum h^0(I_S(0)) = -6."""
+    text = json.dumps({"gens": [[1, 5], [5, 1]], "syz": [[-1, 1], [3, 5]], "socle": 4})
+    err = "invalid resolution: twist-range: generator twist 5 is not below the socle 4"
+    assert invoke(capsys, *command, "--resolution", text) == (2, "", f"acmsplit: error: {err}\n")
+
+
+@pytest.mark.parametrize("command", [["kmr"], ["hilbert", "--twist", "4"]])
+def test_a_two_parameter_record_exits_2_naming_both_parameters(capsys, command):
+    """parse_resolution refuses it; test_catalog_errors_name_the_case covers a catalog case."""
+    expected = (2, "", f"acmsplit: error: {TWO_PARAMETERS}\n")
+    assert invoke(capsys, *command, "--resolution", json.dumps(RAW11)) == expected
 
 
 def test_solve_c2(capsys):
@@ -494,16 +523,19 @@ def test_a_catalog_case_past_max_twist_is_refused_by_name(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["kmr"], ["hilbert", "--twist", "3"]])
 def test_a_twist_past_max_twist_is_refused_whatever_the_socle(capsys, command):
-    """Validation lets a generator twist exceed the socle when a syzygy twist is negative.
+    """The limit is checked at parse, before validation bounds a generator twist by the socle.
 
     gens [[1, N], [N, 1]] and syz [[4 - N, 1], [3, N]] with socle 4 are balanced and
-    self-dual for every N, so the socle limit alone would not bound the twists.
+    self-dual for every N; the twist range refuses N at the limit, the limit N past it.
     """
     def doc(n):
         return json.dumps({"gens": [[1, n], [n, 1]], "syz": [[4 - n, 1], [3, n]], "socle": 4})
 
-    code, _, err = invoke(capsys, *command, "--resolution", doc(MAX_TWIST))
-    assert (code, err) == (0, "")
+    at = (
+        "acmsplit: error: invalid resolution:"
+        f" twist-range: generator twist {MAX_TWIST} is not below the socle 4\n"
+    )
+    assert invoke(capsys, *command, "--resolution", doc(MAX_TWIST)) == (2, "", at)
     past = f"acmsplit: error: {_limit_message('gens twist', MAX_TWIST + 1)}\n"
     assert invoke(capsys, *command, "--resolution", doc(MAX_TWIST + 1)) == (2, "", past)
     low = json.dumps({"gens": [[1, 1]], "syz": [[-MAX_TWIST - 1, 1]], "socle": 4})
@@ -529,9 +561,6 @@ def test_a_degenerate_catalog_case_is_named(tmp_path, capsys, c1, c2, shape, mes
     assert err == f"acmsplit: error: case (c1={c1}, c2={c2}): {message}\n"
 
 
-#: The degree-11 family with doubled counts: its balance 2*b - 2*c - 1 = 0 has no solution.
-UNSOLVABLE = {"gens": [[2, 3], [3, "2*c"], [4, "2*b"]], "syz": [[3, "2*b"], [4, "2*c"], [5, 3]],
-              "socle": 8}
 
 
 @pytest.mark.parametrize(
@@ -541,9 +570,7 @@ UNSOLVABLE = {"gens": [[2, 3], [3, "2*c"], [4, "2*b"]], "syz": [[3, "2*b"], [4, 
          "case (c1=-1, c2=2) appears twice; boundary cases are derived, not listed"),
         ([{"c1": 2, "c2": 14}, {"c1": 2, "c2": 14}],
          "case (c1=2, c2=14) appears twice; boundary cases are derived, not listed"),
-        ([{"c1": 2, "c2": 11, "resolution": UNSOLVABLE}],
-         "case (c1=2, c2=11): degree balance 2*b -2*c -1 = 0 has no integer solution"
-         " with non-positive offset"),
+        ([{"c1": 2, "c2": 11, "resolution": RAW11}], f"case #0 (c1=2, c2=11): {TWO_PARAMETERS}"),
         ([{"c1": 0, "c2": 3, "resolution": {"gens": [[1, "1.5"]], "syz": [[4, 1]], "socle": 5}}],
          "case #0 (c1=0, c2=3): gens: cannot parse multiplicity '1.5'"),
         ([{"c1": 0, "c2": 3}, {"c1": 2, "c2": 11, "grid": [2, 8]}],

@@ -22,13 +22,14 @@ from acmsplit.incidence import (
     render_report_json,
     render_report_markdown,
     report_to_jsonable,
-    resolve_parameters,
-    solve_balance,
     verdict,
 )
 from acmsplit.normal_bundle import kmr_h0_normal
 from acmsplit.resolutions import (
+    AffineExpr,
     DegenerateResolutionError,
+    GorensteinResolution,
+    degree_balance_form,
     h0_ideal,
     parse_resolution,
     scan_points,
@@ -45,36 +46,50 @@ from conftest import (
     flat_surface_invariants,
 )
 
-DEG11 = {"gens": [[2, 3], [3, "c"], [4, "b"]], "syz": [[3, "b"], [4, "c"], [5, 3]], "socle": 7}
-DEG12 = {"gens": [[2, 2], [3, "c"], [4, "b"]], "syz": [[3, "b"], [4, "c"], [5, 2]], "socle": 7}
+DEG11 = {"gens": [[2, 3], [3, "b-2"], [4, "b"]], "syz": [[3, "b"], [4, "b-2"], [5, 3]], "socle": 7}
+DEG12 = {"gens": [[2, 2], [3, "c"], [4, "c-1"]], "syz": [[3, "c-1"], [4, "c"], [5, 2]], "socle": 7}
 DEG14 = {"gens": [[3, 7]], "syz": [[4, 7]], "socle": 7}
+#: DEG11 before its degree balance c = b - 2 is substituted: two parameters.
+RAW11 = {"gens": [[2, 3], [3, "c"], [4, "b"]], "syz": [[3, "b"], [4, "c"], [5, 3]], "socle": 7}
+TWO_PARAMETERS = (
+    "resolution has parameters b, c; a record takes at most one,"
+    " so substitute the degree-balance relation for one of them"
+)
 
 
 # ------------------------------------------------------------ balance
 
 def test_balance_relations():
-    assert str(solve_balance(parse_resolution(DEG11))) == "c = b - 2"
-    assert str(solve_balance(parse_resolution(DEG12))) == "b = c - 1"
+    """The built-in families balance identically; their raw two-parameter form is refused."""
+    for c1, c2 in ((2, 11), (2, 12)):
+        (case,) = [c for c in builtin_catalog(5) if (c.c1, c.c2) == (c1, c2)]
+        assert degree_balance_form(case.resolution) == (0, 0)
+    assert degree_balance_form(parse_resolution(DEG11)) == (0, 0)
+    with pytest.raises(ValueError, match=re.escape(TWO_PARAMETERS)):
+        parse_resolution(RAW11)
 
 
 def test_balance_trivial_cases():
-    assert solve_balance(parse_resolution(DEG14)).is_trivial
+    assert degree_balance_form(parse_resolution(DEG14)) == (0, 0)
     octic = {"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6}
-    assert str(solve_balance(parse_resolution(octic))) == "0 = 0"
+    assert degree_balance_form(parse_resolution(octic)) == (0, 0)
 
 
 def test_balance_single_parameter_and_inconsistency():
     pinned = parse_resolution({"gens": [[2, "x"]], "syz": [[3, "x"]], "socle": 4})
-    assert str(solve_balance(pinned)) == "x = 4"
+    assert degree_balance_form(pinned) == (4, -1)
     off_by_two = parse_resolution({"gens": [[3, 7]], "syz": [[4, 7]], "socle": 5})
-    with pytest.raises(CatalogError):
-        solve_balance(off_by_two)
+    assert degree_balance_form(off_by_two) == (-2, 0)
+    found = validate(pinned) + validate(off_by_two)
+    assert [str(v) for v in found if v.invariant == "degree-balance"] == [
+        "degree-balance: twist sums leave residual 4 -1*x",
+        "degree-balance: twist sums leave residual -2",
+    ]
 
 
 def test_resolved_family_is_self_dual_on_its_grid():
-    res, relation = resolve_parameters(parse_resolution(DEG11))
-    assert not relation.is_trivial
-    assert res.free_parameters() == {"b"}
+    res = parse_resolution(DEG11)
+    assert res.parameter() == "b"
     assert validate(res, range(2, 6)) == []
 
 
@@ -172,7 +187,16 @@ def test_dimension_bound_needs_a_resolution():
         dimension_bound(_case(4, 1, 3))
 
 
-def test_dimension_bound_balances_a_raw_two_parameter_case():
+def test_dimension_bound_refuses_a_two_parameter_record_built_directly():
+    """parse_resolution refuses such a record; one built by hand fails validation, named."""
+    raw = GorensteinResolution(
+        generators=((2, AffineExpr(3)), (3, AffineExpr(0, 1, "c")), (4, AffineExpr(0, 1, "b"))),
+        syzygies=((3, AffineExpr(0, 1, "b")), (4, AffineExpr(0, 1, "c")), (5, AffineExpr(3))),
+        socle_twist=7,
+    )
+    message = f"case (c1=2, c2=11): invalid resolution: unresolved-parameters: {TWO_PARAMETERS}"
+    with pytest.raises(CatalogError, match="^" + re.escape(message) + "$"):
+        dimension_bound(CaseRecord(r=5, c1=2, c2=11, resolution=raw))
     case = _case(5, 2, 11, DEG11)
     assert dimension_bound(case) == evaluate_case(case, range(2, 6)).bound == 217
 
@@ -203,21 +227,6 @@ def test_dimension_bound_and_verdict_refuse_what_the_report_refuses(case, messag
             decide(case)
 
 
-def test_report_balances_each_case_once(monkeypatch):
-    import acmsplit.incidence as incidence
-
-    calls = []
-
-    def counted(res):
-        calls.append(res)
-        return resolve_parameters(res)
-
-    monkeypatch.setattr(incidence, "resolve_parameters", counted)
-    generate_report(5)
-    # the boundary quadric is balanced and validated as the catalog cases are
-    assert len(calls) == 1 + sum(c.resolution is not None for c in builtin_catalog(5))
-
-
 def test_a_report_builds_each_points_blocks_and_its_scan_points_once(monkeypatch):
     """The walk alone takes each scan point's blocks; every count reads its table."""
     import acmsplit.resolutions as resolutions
@@ -225,7 +234,7 @@ def test_a_report_builds_each_points_blocks_and_its_scan_points_once(monkeypatch
     from acmsplit.resolutions import GorensteinResolution
 
     resolved = [parse_resolution(QUADRIC_RESOLUTION)] + [
-        resolve_parameters(c.resolution)[0] for c in builtin_catalog(5) if c.resolution is not None
+        c.resolution for c in builtin_catalog(5) if c.resolution is not None
     ]
     points = sum(len(scan_points(res)) for res in resolved)
     blocks = GorensteinResolution.blocks
@@ -484,15 +493,13 @@ def test_report_refuses_a_repeated_chern_pair(cases, pair):
 
 
 def test_evaluate_case_names_the_case_of_a_balance_error_and_checked_resolution_does_not():
-    unsolvable = parse_resolution(
-        {"gens": [[2, 3], [3, "2*c"], [4, "2*b"]], "syz": [[3, "2*b"], [4, "2*c"], [5, 3]],
-         "socle": 8}
-    )
-    message = "degree balance 2*b -2*c -1 = 0 has no integer solution with non-positive offset"
+    # self-dual and rank-balanced, but 3 * 2 - 3 * 3 + 5 = 2
+    unbalanced = parse_resolution({"gens": [[2, 3]], "syz": [[3, 3]], "socle": 5})
+    message = "invalid resolution: degree-balance: twist sums leave residual 2"
     with pytest.raises(CatalogError, match=re.escape(f"case (c1=2, c2=11): {message}")):
-        evaluate_case(CaseRecord(r=5, c1=2, c2=11, resolution=unsolvable))
+        evaluate_case(CaseRecord(r=5, c1=2, c2=11, resolution=unbalanced))
     with pytest.raises(CatalogError, match="^" + re.escape(message) + "$"):
-        checked_resolution(unsolvable)
+        checked_resolution(unbalanced)
 
 
 def test_report_names_the_inconsistent_case():
@@ -550,9 +557,9 @@ def test_checked_resolution_refuses_a_degree_falling_on_a_half_line():
     assert validate(res) == []
     assert [surface_invariants(res, x).degree for x in range(8)] == [8, 7, 6, 5, 4, 3, 2, 1]
     # a grid that stops before x = 8, such as the old default 0..5, is a surface throughout
-    assert checked_resolution(res, range(0, 8)) == (
-        res, {x: (*res.blocks(x), surface_invariants(res, x)) for x in (0, 4, 7)}
-    )
+    assert checked_resolution(res, range(0, 8)) == {
+        x: (*res.blocks(x), surface_invariants(res, x)) for x in (0, 4, 7)
+    }
     message = "surface degree falls from 8 at x=0 to 7 at x=1, so it is <= 0 further out"
     with pytest.raises(DegenerateResolutionError, match=re.escape(message)):
         checked_resolution(res)

@@ -38,8 +38,8 @@ RESOLVED = list(resolved_points())
 RESOLVED_IDS = [f"r{c.r}-c1_{c.c1}-c2_{c.c2}-x_{x}" for c, _, x in RESOLVED]
 
 DEG8 = {"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6}
-DEG11 = {"gens": [[2, 3], [3, "c"], [4, "b"]], "syz": [[3, "b"], [4, "c"], [5, 3]], "socle": 7}
-DEG12 = {"gens": [[2, 2], [3, "c"], [4, "b"]], "syz": [[3, "b"], [4, "c"], [5, 2]], "socle": 7}
+DEG11 = {"gens": [[2, 3], [3, "b-2"], [4, "b"]], "syz": [[3, "b"], [4, "b-2"], [5, 3]], "socle": 7}
+DEG12 = {"gens": [[2, 2], [3, "c"], [4, "c-1"]], "syz": [[3, "c-1"], [4, "c"], [5, 2]], "socle": 7}
 DEG13 = {"gens": [[2, 1], [3, 4]], "syz": [[4, 4], [5, 1]], "socle": 7}
 DEG14 = {"gens": [[3, 7]], "syz": [[4, 7]], "socle": 7}
 DEG20 = {"gens": [[3, 4]], "syz": [[5, 4]], "socle": 8}
@@ -90,15 +90,9 @@ def test_octic_family_at_a_billion_cubics():
 
 
 def test_two_parameter_families_scan():
-    from acmsplit.incidence import resolve_parameters
-
-    res11, rel11 = resolve_parameters(parse_resolution(DEG11))
-    assert str(rel11) == "c = b - 2"
-    assert kmr_scan(res11, range(2, 6)) == 83
-
-    res12, rel12 = resolve_parameters(parse_resolution(DEG12))
-    assert str(rel12) == "b = c - 1"
-    assert kmr_scan(res12, range(1, 3)) == 81
+    """The degree-11 and degree-12 families: two generator counts, recorded balanced as one."""
+    assert kmr_scan(parse_resolution(DEG11), range(2, 6)) == 83
+    assert kmr_scan(parse_resolution(DEG12), range(1, 3)) == 81
 
 
 def test_scan_on_constant_resolution_is_a_single_evaluation():
@@ -174,10 +168,8 @@ def test_subtracted_pair_sums_vary_but_the_total_does_not(shape, param, expected
     They cancel against the added pair sum point by point, keeping the
     full count constant; dropping them would break the frozen values.
     """
-    from acmsplit.incidence import resolve_parameters
-
-    res, _ = resolve_parameters(parse_resolution(shape))
-    assert res.free_parameters() <= {param}
+    res = parse_resolution(shape)
+    assert res.parameter() == param
     for x, total in expected.items():
         assert kmr_negative_pair_total(res, x) == total
     values = {kmr_h0_normal(res, x) for x in expected}

@@ -81,15 +81,11 @@ def test_affine_round_trip_through_str():
         assert parse_affine(str(expr)) == expr
 
 
-def test_affine_evaluate_and_substitute():
+def test_affine_evaluate():
     expr = parse_affine("b-2")
     assert expr.evaluate(5) == 3
     with pytest.raises(UnresolvedParameterError):
         expr.evaluate()
-    swapped = expr.substitute("b", parse_affine("c+1"))
-    assert swapped == parse_affine("c-1")
-    untouched = expr.substitute("q", AffineExpr(const=9))
-    assert untouched == expr
 
 
 def test_multiplicity_rejects_bool_and_junk():
@@ -124,7 +120,7 @@ def test_expand_and_parameters():
     family = parse_resolution(
         {"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6}
     )
-    assert family.free_parameters() == {"x"}
+    assert family.parameter() == "x"
     gens, syz = family.expand(2)
     assert gens == [2, 2, 2, 3, 3]
     assert syz == [3, 3, 4, 4, 4]
@@ -178,12 +174,27 @@ def test_an_empty_admissible_interval_is_one_violation():
         scan_points(res)
 
 
+#: The degree-11 family before its degree balance c = b - 2 is substituted.
+RAW11 = {"gens": [[2, 3], [3, "c"], [4, "b"]], "syz": [[3, "b"], [4, "c"], [5, 3]], "socle": 7}
+
+
+def _built_directly(doc):
+    """The record parse_resolution would build, without its one-parameter rule."""
+    def vector(key):
+        return tuple((t, parse_multiplicity(m)) for t, m in doc[key])
+
+    return GorensteinResolution(vector("gens"), vector("syz"), doc["socle"])
+
+
 def test_expand_refuses_two_parameters():
-    """So does every evaluation of a raw two-parameter record, with one message."""
-    res = parse_resolution(
-        {"gens": [[2, 3], [3, "c"], [4, "b"]], "syz": [[3, "b"], [4, "c"], [5, 3]], "socle": 7}
+    """So do parse_resolution and every evaluation of a record built directly, with one message."""
+    message = (
+        "resolution has parameters b, c; a record takes at most one,"
+        " so substitute the degree-balance relation for one of them"
     )
-    message = "resolution has parameters b, c; apply the balance relation before evaluating"
+    with pytest.raises(UnresolvedParameterError, match=re.escape(message)):
+        parse_resolution(RAW11)
+    res = _built_directly(RAW11)
     for evaluate in (
         lambda: res.expand(2),
         lambda: res.blocks(2),
@@ -193,7 +204,7 @@ def test_expand_refuses_two_parameters():
     ):
         with pytest.raises(UnresolvedParameterError, match=re.escape(message)):
             evaluate()
-    assert [v.invariant for v in validate(res)] == ["unresolved-parameters"]
+    assert [str(v) for v in validate(res)] == [f"unresolved-parameters: {message}"]
 
 
 # ------------------------------------------------------------- validation
@@ -222,10 +233,9 @@ def test_self_duality_and_rank_violations():
 
 
 def test_negative_multiplicity_reported_per_expression():
-    raw = parse_resolution(
-        {"gens": [[2, 3], [3, "c"], [4, "b"]], "syz": [[3, "b"], [4, "c"], [5, 3]], "socle": 7}
+    res = parse_resolution(
+        {"gens": [[2, 3], [3, "b-2"], [4, "b"]], "syz": [[3, "b"], [4, "b-2"], [5, 3]], "socle": 7}
     )
-    res = raw.substitute("c", parse_affine("b-2"))
     assert [str(v) for v in validate(res, range(0, 100_000))] == [
         f"negative-multiplicity at x=0..1: {side} multiplicity b - 2 of twist {twist} is negative"
         for side, twist in (("gens", 3), ("syz", 4))
@@ -254,10 +264,7 @@ def test_negative_multiplicity_reported_per_expression():
 
 
 def test_unresolved_and_empty_grid():
-    raw = parse_resolution(
-        {"gens": [[2, 3], [3, "c"], [4, "b"]], "syz": [[3, "b"], [4, "c"], [5, 3]], "socle": 7}
-    )
-    assert [v.invariant for v in validate(raw)] == ["unresolved-parameters"]
+    assert [v.invariant for v in validate(_built_directly(RAW11))] == ["unresolved-parameters"]
     family = parse_resolution(
         {"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6}
     )
@@ -529,10 +536,9 @@ def test_certificate_agrees_with_the_full_walk(drawn):
             raise CatalogError(f"resolution has surface degree {invariants.degree}, not c2")
 
     def certified():
-        checked, table = checked_resolution(res, grid)
-        for *_, invariants in table.values():
+        for *_, invariants in checked_resolution(res, grid).values():
             check(invariants)
-        return checked
+        return res
 
     assert _outcome(certified) == _outcome(lambda: _walk_checked_resolution(res, grid, check))
     if problems:
