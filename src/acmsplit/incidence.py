@@ -24,7 +24,7 @@ from . import catalog as _catalog
 from .combinatorics import Count
 from .euler import ParityError, pfaffian_c2, sectional_genus, solve_c2_boundary
 from .normal_bundle import _kmr
-from .proj_cohomology import HypersurfaceContext
+from .proj_cohomology import HypersurfaceContext, moduli_dim
 from .resolutions import (
     Blocks,
     DegenerateResolutionError,
@@ -44,6 +44,11 @@ class CatalogError(ValueError):
 
 
 class Verdict(enum.Enum):
+    """A report row's verdict; its text is the member's _value_.
+
+    The report path reads _value_ directly: Enum.value is a property, a call per read.
+    """
+
     SPLITS_BY_RANGE = "SplitsByRange"
     EXCLUDED_PLANE = "ExcludedPlane"
     EXCLUDED_PFAFFIAN = "ExcludedPfaffian"
@@ -106,14 +111,12 @@ def checked_resolution(
     problems, blocks = _walk(res, grid)
     if problems:
         raise CatalogError("invalid resolution: " + "; ".join(str(p) for p in problems))
-    table = {
-        x: (gens, syz, _invariants(gens, syz, res.socle_twist))
-        for x, (gens, syz) in blocks.items()
-    }
+    socle = res.socle_twist
+    table = {x: (gens, syz, _invariants(gens, syz, socle)) for x, (gens, syz) in blocks.items()}
     # points run outward from a half-line's finite end: a falling degree reaches 0
-    if len(table) > 1 and grid is None and None in admissible(res):
-        (x0, (*_, first)), (x1, (*_, second)) = list(table.items())[:2]
-        if second.degree < first.degree:
+    if len(table) > 1 and grid is None:
+        (x0, (_, _, first)), (x1, (_, _, second)) = list(table.items())[:2]
+        if second.degree < first.degree and None in admissible(res):
             raise DegenerateResolutionError(
                 f"surface degree falls from {first.degree} at x={x0}"
                 f" to {second.degree} at x={x1}, so it is <= 0 further out"
@@ -224,6 +227,10 @@ def builtin_catalog(degree: int) -> list[CaseRecord]:
     return list(_BUILTIN_CASES[degree])
 
 
+#: The boundary quadric's (1,1,2) complete-intersection resolution, parsed once at import.
+_QUADRIC = parse_resolution(_catalog.QUADRIC_RESOLUTION)
+
+
 def _boundary_cases(ctx: HypersurfaceContext) -> list[CaseRecord]:
     """Re-derive the two boundary cases instead of storing them.
 
@@ -250,7 +257,7 @@ def _boundary_cases(ctx: HypersurfaceContext) -> list[CaseRecord]:
             r=r,
             c1=4 - r,
             c2=quadric_c2,
-            resolution=parse_resolution(_catalog.QUADRIC_RESOLUTION),
+            resolution=_QUADRIC,
             provenance="boundary case: c2 forced by the two-twist Euler elimination;"
             " the degree-2 locus is a (1,1,2) complete intersection quadric",
         ),
@@ -319,25 +326,26 @@ def evaluate_case(case: CaseRecord, grid: range | None = None) -> ReportRow:
     parameter ignores the grid.  The counts read the scan table.  A scan
     point with no surface is refused first, then a Chern pair whose
     sectional genus is not an integer, then a surface degree or genus
-    that differs from the pair's, each naming the case.  The row's first
-    note is the one of the cascade rule that decided it; a catalog
-    annotation for the case and that verdict follows.
+    that differs from the pair's, each naming the case; then a count
+    that moves across the scan points, h^0(I_S(r)) before h^0(N_S).  The
+    row's first note is the one of the cascade rule that decided it; a
+    catalog annotation for the case and that verdict follows.
     """
-    _check_window(case.r, has_cases=True)
-    moduli = HypersurfaceContext(case.r).moduli_dim
+    r, c1, c2, res, _ = case
+    _check_window(r, has_cases=True)
+    moduli = moduli_dim(r)
     try:
-        genus: int | None = sectional_genus(case.r, case.c1, case.c2)
+        genus: int | None = sectional_genus(r, c1, c2)
     except ParityError as exc:
         genus, parity = None, str(exc)
     ideal = normal = bound = None
-    res = case.resolution
     if res is not None:
         try:
             table = checked_resolution(res, grid)
             if genus is None:
                 raise CatalogError(parity)
-            for *_, invariants in table.values():
-                if invariants.degree != case.c2:
+            for _, _, invariants in table.values():
+                if invariants.degree != c2:
                     raise CatalogError(
                         f"resolution has surface degree {invariants.degree}, not c2"
                     )
@@ -349,13 +357,18 @@ def evaluate_case(case: CaseRecord, grid: range | None = None) -> ReportRow:
         except (CatalogError, DegenerateResolutionError) as exc:
             raise type(exc)(f"case {case.label}: {exc}") from exc
         socle = res.socle_twist
-        ideals = {x: term_sum(gens, syz, socle, case.r) for x, (gens, syz, _) in table.items()}
-        ideal = scan_constant(ideals.get, ideals, f"h^0(I_S({case.r})) for case {case.label}")
-        normals = {x: _kmr(gens, syz, socle) for x, (gens, syz, _) in table.items()}
-        normal = scan_constant(normals.get, normals, f"h^0(N_S) for case {case.label}")
+        (gens, syz, _), *rest = table.values()
+        ideal = term_sum(gens, syz, socle, r)
+        if rest and any(term_sum(g, s, socle, r) != ideal for g, s, _ in rest):
+            ideals = {x: term_sum(g, s, socle, r) for x, (g, s, _) in table.items()}
+            scan_constant(ideals.get, table, f"h^0(I_S({r})) for case {case.label}")
+        normal = _kmr(gens, syz, socle)
+        if rest and any(_kmr(g, s, socle) != normal for g, s, _ in rest):
+            normals = {x: _kmr(g, s, socle) for x, (g, s, _) in table.items()}
+            scan_constant(normals.get, table, f"h^0(N_S) for case {case.label}")
         bound = ideal - 1 + normal
     decided, note = _cascade(case, genus, ideal, normal, bound, moduli)
-    annotations = _catalog.REPORT_ANNOTATIONS.get((case.r, case.c1, case.c2, decided.value), ())
+    annotations = _catalog.REPORT_ANNOTATIONS.get((r, c1, c2, decided._value_), ())
     return ReportRow(case, genus, ideal, normal, bound, moduli, decided, (note, *annotations))
 
 
@@ -420,12 +433,8 @@ def generate_report(
     return Report(degree, ctx.moduli_dim, tuple(rows))
 
 
-def _cell(value: object) -> str:
-    return "-" if value is None else str(value)
-
-
 def render_report_markdown(report: Report) -> str:
-    """Deterministic Markdown rendering of a report."""
+    """Deterministic Markdown rendering of a report; None prints as "-"."""
     lines = [
         f"# ACM rank-2 case report: degree {report.degree} hypersurfaces in P^5",
         "",
@@ -435,44 +444,36 @@ def render_report_markdown(report: Report) -> str:
         "| --- | --- | --- | --- | --- | --- | --- | --- |",
     ]
     notes: list[str] = []
-    for row in report.rows:
-        c1 = row.case.c1 if row.case is not None else None
-        c2 = row.case.c2 if row.case is not None else None
+    for case, genus, ideal, normal, bound, moduli, decided, row_notes in report.rows:
+        if case is None:
+            c1 = c2 = "-"
+            where = "- (reduction): "
+        else:
+            c1, c2 = case.c1, case.c2
+            where = f"- (c1={c1}, c2={c2}): "
         lines.append(
-            "| "
-            + " | ".join(
-                [
-                    _cell(c1),
-                    _cell(c2),
-                    _cell(row.genus),
-                    _cell(row.h0_ideal_at_r),
-                    _cell(row.h0_normal),
-                    _cell(row.bound),
-                    str(row.moduli_dim),
-                    row.verdict.value,
-                ]
-            )
-            + " |"
+            f"| {c1} | {c2} | {'-' if genus is None else genus}"
+            f" | {'-' if ideal is None else ideal} | {'-' if normal is None else normal}"
+            f" | {'-' if bound is None else bound} | {moduli} | {decided._value_} |"
         )
-        where = f"(c1={c1}, c2={c2})" if row.case is not None else "(reduction)"
-        notes.extend(f"- {where}: {note}" for note in row.notes)
+        notes += [where + note for note in row_notes]
     if notes:
-        lines.extend(["", "Notes:", ""])
-        lines.extend(notes)
+        lines += ["", "Notes:", "", *notes]
     lines.append("")
     return "\n".join(lines)
 
 
 def row_to_jsonable(row: ReportRow) -> dict:
     """One row as the JSON object that both report and check-case print."""
+    case = row.case
     return {
-        "c1": row.case.c1 if row.case is not None else None,
-        "c2": row.case.c2 if row.case is not None else None,
+        "c1": None if case is None else case.c1,
+        "c2": None if case is None else case.c2,
         "genus": row.genus,
         "h0_ideal": row.h0_ideal_at_r,
         "h0_normal": row.h0_normal,
         "bound": row.bound,
-        "verdict": row.verdict.value,
+        "verdict": row.verdict._value_,
         "notes": list(row.notes),
     }
 
@@ -485,24 +486,38 @@ def report_to_jsonable(report: Report) -> dict:
     }
 
 
+#: json_text of a leaf, by its exact type; str goes through json's C escaper, as ensure_ascii
+#: does, and an exact int's repr is what json.dumps prints.
+_LEAF_TEXT = {str: encode_basestring_ascii, int: repr, type(None): lambda _: "null"}
+
+
 def json_text(value: object, newline_indent: str = "\n") -> str:
-    """json.dumps(value, indent=2) of str-keyed dicts, lists, str, int and None; else TypeError."""
+    """json.dumps(value, indent=2) of str-keyed dicts, lists, str, int and None; else TypeError.
+
+    A container writes its leaves through _LEAF_TEXT directly and recurses only into
+    the containers it holds.
+    """
     kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)  # json's C escaper, as ensure_ascii uses
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    inner = newline_indent + "  "
-    if kind is list:
-        items = [json_text(item, inner) for item in value]
-    elif kind is dict:
-        items = [encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in value.items()]
-    else:
+    leaf = _LEAF_TEXT.get(kind)
+    if leaf is not None:
+        return leaf(value)
+    if kind is not list and kind is not dict:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-    ends = "[]" if kind is list else "{}"
-    return ends[0] + inner + f",{inner}".join(items) + newline_indent + ends[1] if items else ends
+    if not value:
+        return "[]" if kind is list else "{}"
+    inner = newline_indent + "  "
+    get = _LEAF_TEXT.get
+    if kind is list:
+        items = [
+            text(item) if (text := get(type(item))) else json_text(item, inner) for item in value
+        ]
+        return "[" + inner + f",{inner}".join(items) + newline_indent + "]"
+    items = [
+        f"{encode_basestring_ascii(key)}: "
+        f"{text(item) if (text := get(type(item))) else json_text(item, inner)}"
+        for key, item in value.items()
+    ]
+    return "{" + inner + f",{inner}".join(items) + newline_indent + "}"
 
 
 def render_report_json(report: Report) -> str:

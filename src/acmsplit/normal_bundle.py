@@ -37,11 +37,20 @@ class ConventionViolation(ArithmeticError):
     """The formula produced a negative section count; a convention bug."""
 
 
-def _pairs_before(a: int, b: int) -> int:
-    """#{(i, j) : 0 <= i < a, 0 <= j < b, i < j}."""
-    if b <= a:
-        return b * (b - 1) // 2
-    return a * (a - 1) // 2 + (b - a) * a
+def _block_pairs(i0: int, i1: int, j0: int, j1: int) -> int:
+    """#{(i, j) : i0 <= i < i1, j0 <= j < j1, i < j}, in closed form.
+
+    Each i below j0 pairs with all j1 - j0 values of j.  Each i in
+    [lo, hi) = [max(i0, j0), min(i1, j1)) pairs with the j1 - 1 - i values
+    after it, an arithmetic series.
+    """
+    before = (i1 if i1 < j0 else j0) - i0
+    pairs = before * (j1 - j0) if before > 0 else 0
+    lo = i0 if i0 > j0 else j0
+    hi = i1 if i1 < j1 else j1
+    if hi > lo:
+        pairs += (hi - lo) * (2 * j1 - lo - hi - 1) // 2
+    return pairs
 
 
 def kmr_h0_normal(res: GorensteinResolution, x: int | None = None) -> Count:
@@ -55,8 +64,8 @@ def _kmr(gens: Blocks, syz: Blocks, socle: int) -> Count:
     The sums run block against block, so a point costs O(blocks^2)
     whatever the multiplicities.  A generator block at ascending
     positions [i0, i1) and a syzygy block at descending positions
-    [j0, j1) share exactly the i < j pairs counted by inclusion-exclusion
-    over _pairs_before, which equals the positional sum on any input.
+    [j0, j1) share the _block_pairs(i0, i1, j0, j1) pairs i < j of the
+    positional sum, counted in closed form.
     """
     total = 0
     i0 = 0
@@ -70,10 +79,7 @@ def _kmr(gens: Blocks, syz: Blocks, socle: int) -> Count:
             d = m - n
             if j1 <= i0 or not d:  # no pair i < j, or a zero term
                 continue
-            pairs = (
-                _pairs_before(i1, j1) - _pairs_before(i0, j1)
-                - _pairs_before(i1, j0) + _pairs_before(i0, j0)
-            )
+            pairs = _block_pairs(i0, i1, j0, j1)
             total += pairs * (comb(d + 5, 5) if d > 0 else -comb(5 - d, 5))
         i0 = i1
     if total < 0:

@@ -9,6 +9,7 @@ exact sequence.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import comb
 
 from .combinatorics import Count, EulerNumber, binom_poly, binom_trunc
 
@@ -33,7 +34,12 @@ class HypersurfaceContext(namedtuple("HypersurfaceContext", "degree")):
     @property
     def moduli_dim(self) -> Count:
         """Dimension of the projective space of degree-r forms in 6 variables."""
-        return binom_trunc(self.degree + AMBIENT_DIM, AMBIENT_DIM) - 1
+        return moduli_dim(self.degree)
+
+
+def moduli_dim(degree: int) -> Count:
+    """dim P(r) = binom(r + 5, 5) - 1 for a degree r >= 1: the degree-r forms, projectivized."""
+    return comb(degree + AMBIENT_DIM, AMBIENT_DIM) - 1
 
 
 def h0_pn(n: int, k: int) -> Count:

@@ -200,13 +200,14 @@ class GorensteinResolution(NamedTuple):
         This is the one place the rule is decided.  parse_resolution applies it, so only
         a record built directly can carry two names, and every evaluation refuses it.
         """
-        names = sorted({mult.param for _, mult in self.generators + self.syzygies} - {None})
+        names = {mult.param for _, mult in self.generators + self.syzygies}
+        names.discard(None)
         if len(names) > 1:
             raise UnresolvedParameterError(
-                f"resolution has parameters {', '.join(names)}; a record takes at most one,"
-                " so substitute the degree-balance relation for one of them"
+                f"resolution has parameters {', '.join(sorted(names))}; a record takes at most"
+                " one, so substitute the degree-balance relation for one of them"
             )
-        return names[0] if names else None
+        return names.pop() if names else None
 
     def blocks(self, x: int | None = None) -> tuple[Blocks, Blocks]:
         """Twist/count blocks (generators, syzygies) at x.
@@ -214,16 +215,34 @@ class GorensteinResolution(NamedTuple):
         Each list is sorted by twist, with equal twists merged and zero
         counts dropped.  This is the one place multiplicities are
         evaluated and checked; every count is a sum over these blocks.
+        Multiplicities are read in record order, tracking the one
+        parameter name as they go.  Every refusal asks parameter() first,
+        so a record built directly with two parameters is refused for
+        that whatever else is wrong; otherwise the first multiplicity
+        with the parameter but no x, or with a count below 0, is refused.
+        A negative count names its list, and x when the multiplicity has
+        the parameter.
         """
-        self.parameter()
+        name = None
         out: list[Blocks] = []
-        for vector in (self.generators, self.syzygies):
+        for label, vector in (("gens", self.generators), ("syz", self.syzygies)):
             merged: dict[int, int] = {}
             for twist, mult in vector:
-                count = mult.evaluate(x)
+                const, coeff, param = mult
+                if param is None:
+                    count = const
+                else:
+                    if param != name:  # the first name met, or a second one
+                        if name is not None or x is None:
+                            self.parameter()  # raises on a second name
+                            mult.evaluate(x)  # else raises: no value for the parameter
+                        name = param
+                    count = const + coeff * x
                 if count < 0:
+                    self.parameter()
+                    where = "" if param is None else f" at x={x}"
                     raise ResolutionValidationError(
-                        f"multiplicity {mult} of twist {twist} is {count} at x={x}"
+                        f"{label} multiplicity {mult} of twist {twist} is {count}{where}"
                     )
                 if count:
                     merged[twist] = merged.get(twist, 0) + count
@@ -261,20 +280,6 @@ def parse_resolution(data: Mapping) -> GorensteinResolution:
     return res
 
 
-def degree_balance_form(res: GorensteinResolution) -> tuple[int, int]:
-    """Sum(n_i) - Sum(m_j) + socle as (const, coeff): const + coeff * x in the one parameter.
-
-    The identity must vanish for the twist data to come from an actual
-    resolution, so both parts are 0 on a balanced record.
-    """
-    const, coeff = res.socle_twist, 0
-    for sign, vector in ((1, res.generators), (-1, res.syzygies)):
-        for twist, mult in vector:
-            const += sign * twist * mult.const
-            coeff += sign * twist * mult.coeff
-    return const, coeff
-
-
 class Violation(NamedTuple):
     """One failed structural invariant, located at a parameter value or range."""
 
@@ -296,11 +301,29 @@ def admissible(res: GorensteinResolution) -> tuple[int | None, int | None]:
     None marks an open end: no multiplicity bounds x on that side.  The
     bounds are on one parameter, so two raise UnresolvedParameterError.
     """
-    res.parameter()
-    mults = [mult for _, mult in res.generators + res.syzygies]
-    lows = [-(m.const // m.coeff) for m in mults if m.coeff > 0]  # ceil(-const / coeff)
-    highs = [m.const // -m.coeff for m in mults if m.coeff < 0]
-    return max(lows, default=None), min(highs, default=None)
+    return _domain(res)[1:]
+
+
+def _domain(res: GorensteinResolution) -> tuple[str | None, int | None, int | None]:
+    """The one parameter and the admissible (lo, hi) of admissible, in one pass."""
+    name = lo = hi = None
+    for _, mult in res.generators + res.syzygies:
+        const, coeff, param = mult
+        if param is None:
+            continue
+        if param != name:
+            if name is not None:
+                res.parameter()  # raises: a second name
+            name = param
+        if coeff > 0:
+            bound = -(const // coeff)  # ceil(-const / coeff)
+            if lo is None or bound > lo:
+                lo = bound
+        else:
+            bound = const // -coeff
+            if hi is None or bound < hi:
+                hi = bound
+    return name, lo, hi
 
 
 def _negative_span(mult: AffineExpr, grid: range) -> range:
@@ -326,10 +349,13 @@ def scan_points(res: GorensteinResolution, grid: range | None = None) -> list[in
     - every multiplicity is affine in x and >= 0 on the domain, so block
       counts, ranks, h0_ideal and the degree, genus, chi(O_S) and
       third differences of surface_invariants are affine there;
-    - kmr_h0_normal is quadratic: by self-duality the partial sums of the
-      ascending generator blocks equal those of the descending syzygy
-      blocks, so each _pairs_before(a, b) stays on one branch, and the
-      two branches agree at a = b;
+    - kmr_h0_normal is quadratic: the pairs i < j between two blocks
+      number P(i1, j1) - P(i0, j1) - P(i1, j0) + P(i0, j0) for the prefix
+      count P(a, b) = #{i < a, j < b, i < j}, which is b(b-1)/2 for
+      b <= a and a(a-1)/2 + (b - a)a above; by self-duality the partial
+      sums of the ascending generator blocks equal those of the
+      descending syzygy blocks, so each P(a, b) stays on one branch, and
+      the two branches agree at a = b;
     - so each identity checked (rank balance, self-duality per twist,
       zero third differences, degree = c2, genus, and constancy of
       h0_ideal, chi(O_S(t)) and kmr_h0_normal) is a polynomial of
@@ -342,7 +368,7 @@ def scan_points(res: GorensteinResolution, grid: range | None = None) -> list[in
     Points are computed, not listed, so a grid past sys.maxsize costs
     what a short one does.  An empty domain raises ValueError.
     """
-    name = res.parameter()
+    name, lo, hi = _domain(res)
     if name is None:
         return [None]
     if grid is not None:
@@ -350,7 +376,7 @@ def scan_points(res: GorensteinResolution, grid: range | None = None) -> list[in
             raise ValueError("parameter grid is empty")
         (lo, hi), step = sorted((grid[0], grid[-1])), abs(grid.step)
     else:
-        (lo, hi), step = admissible(res), 1
+        step = 1
         if hi is None:
             return [lo, lo + 1, lo + 2]
         if lo is None:
@@ -392,7 +418,7 @@ def validate(res: GorensteinResolution, grid: range | None = None) -> list[Viola
     alongside, that one range 1 <= n <= socle - 1 bounds the syzygy
     twists as well.  Outside it the KMR pair sum is wrong.  A record
     built directly with two parameters is one violation.  Returns every
-    violation found.
+    violation found, in the order _walk checks them.
     """
     return _walk(res, grid)[0]
 
@@ -402,7 +428,18 @@ def _walk(
 ) -> tuple[list[Violation], dict[int | None, tuple[Blocks, Blocks]]]:
     """validate's checks, and the (generators, syzygies) blocks of each scan point they read.
 
-    The blocks are empty when a check fails before the points are walked.
+    The checks run in this order, and each of 1, 3 and 4 ends the walk
+    when it fails, so the blocks are empty:
+    1. two parameter names, read once from parameter();
+    2. degree balance: Sum(n_i) - Sum(m_j) + socle, as const + coeff * x,
+       must vanish for the twist data to come from a resolution;
+    3. an empty grid or admissible interval (scan_points);
+    4. negative multiplicities, once per expression: on a grid, the
+       points where it is negative; off one the scan points are
+       admissible, so only a constant can be negative there;
+    5. at each scan point, on its blocks: no generators (which skips
+       the rest of that point), rank balance, self-duality, twist range.
+    Checks 2 and 4 read the record in one pass per twist vector.
     """
     violations: list[Violation] = []
     try:
@@ -410,7 +447,18 @@ def _walk(
     except UnresolvedParameterError as exc:
         return [Violation("unresolved-parameters", None, str(exc))], {}
 
-    const, coeff = degree_balance_form(res)
+    const, coeff = res.socle_twist, 0
+    on_grid = name is not None and bool(grid)  # an empty grid is refused below
+    negative = []
+    for sign, label, vector in ((1, "gens", res.generators), (-1, "syz", res.syzygies)):
+        for twist, mult in vector:
+            count, slope, _ = mult
+            const += sign * twist * count
+            coeff += sign * twist * slope
+            where = _negative_span(mult, grid) if on_grid else None
+            if where or (where is None and count < 0 and not slope):
+                detail = f"{label} multiplicity {mult} of twist {twist} is negative"
+                negative.append(Violation("negative-multiplicity", where, detail))
     if const != 0 or coeff != 0:
         residual = f"{const} {coeff:+d}*{name}" if coeff else str(const)
         detail = f"twist sums leave residual {residual}"
@@ -421,15 +469,6 @@ def _walk(
     except ValueError as exc:
         tag = "empty-domain" if grid is None else "empty-grid"
         return violations + [Violation(tag, None, str(exc))], {}
-
-    negative = []
-    for label, vector in (("gens", res.generators), ("syz", res.syzygies)):
-        for twist, mult in vector:
-            # off a grid the scan points are admissible, so only a constant can be negative
-            where = _negative_span(mult, grid) if name and grid is not None else None
-            if where or (where is None and mult.evaluate(points[0]) < 0):
-                detail = f"{label} multiplicity {mult} of twist {twist} is negative"
-                negative.append(Violation("negative-multiplicity", where, detail))
     if negative:
         return violations + negative, {}
 
@@ -439,16 +478,13 @@ def _walk(
         if not gens:
             violations.append(Violation("trivial-rank", x, "no generators"))
             continue
-        rank = syz_rank = 0
-        for _, c in gens:
-            rank += c
-        for _, c in syz:
-            syz_rank += c
-        if rank != syz_rank:
-            detail = f"{rank} generators vs {syz_rank} syzygies"
-            violations.append(Violation("rank-balance", x, detail))
-        # gens ascend with distinct twists, so their duals ascend when reversed
+        # gens ascend with distinct twists, so their duals ascend when reversed; equal
+        # blocks have equal ranks, so the ranks are summed only when self-duality fails
         if syz != [(socle - n, c) for n, c in reversed(gens)]:
+            rank, syz_rank = sum(c for _, c in gens), sum(c for _, c in syz)
+            if rank != syz_rank:
+                detail = f"{rank} generators vs {syz_rank} syzygies"
+                violations.append(Violation("rank-balance", x, detail))
             detail = f"syzygy twists differ from {socle} minus generator twists"
             violations.append(Violation("self-duality", x, detail))
         if gens[0][0] < 1 or gens[-1][0] >= socle:
@@ -525,15 +561,16 @@ def _invariants(gens: Blocks, syz: Blocks, socle: int) -> SurfaceInvariants:
     third1 = 0  # sum w a(a-1); (a-1)(a-2) = a(a-1) - 2a + 2 and (a+1)a = a(a-1) + 2a
     for n, w in ((0, 1), *((n, -c) for n, c in gens), *syz, (socle, -1)):
         a = 4 - n
-        falling2 = a * (a - 1)
-        falling3 = falling2 * (a - 2)
-        falling4 = falling3 * (a - 3)
         weight += w
-        linear += w * a
-        third1 += w * falling2
-        degree += w * falling3
-        genus_term += w * falling4
-        chi += w * (a + 1) * falling4
+        w *= a  # w times the falling product a(a-1)...(a-k+1), one factor a step
+        linear += w
+        w *= a - 1
+        third1 += w
+        w *= a - 2
+        degree += w
+        w *= a - 3
+        genus_term += w
+        chi += w * (a + 1)
     third = [third1 // 2 - linear + weight, third1 // 2, third1 // 2 + linear]
     if any(third):
         raise DegenerateResolutionError(

@@ -15,7 +15,6 @@ from acmsplit.resolutions import (
     SurfaceInvariants,
     UnresolvedParameterError,
     Violation,
-    degree_balance_form,
 )
 
 #: Complete-intersection types appearing in the built-in catalogs.
@@ -94,8 +93,11 @@ WINDOW = range(-100, 101)
 
 
 def admissible_search(res):
-    """Every x in WINDOW at which each multiplicity evaluates to >= 0."""
-    mults = [mult for _, mult in res.generators + res.syzygies]
+    """Every x in WINDOW at which each multiplicity with the parameter evaluates to >= 0.
+
+    A constant multiplicity takes one value at every x, so it bounds no value.
+    """
+    mults = [mult for _, mult in res.generators + res.syzygies if mult.param is not None]
     return [x for x in WINDOW if all(mult.evaluate(x) >= 0 for mult in mults)]
 
 
@@ -171,13 +173,14 @@ def flat_entries(res, x=None):
     """(generators, syzygies) as (twist, count) per record entry, unmerged, in record order."""
     res.parameter()  # a record built directly with two parameters has no value at x
     out = []
-    for vector in (res.generators, res.syzygies):
+    for label, vector in (("gens", res.generators), ("syz", res.syzygies)):
         entries = []
         for twist, mult in vector:
             count = mult.evaluate(x)
             if count < 0:
+                where = "" if mult.param is None else f" at x={x}"
                 raise ResolutionValidationError(
-                    f"multiplicity {mult} of twist {twist} is {count} at x={x}"
+                    f"{label} multiplicity {mult} of twist {twist} is {count}{where}"
                 )
             entries.append((twist, count))
         out.append(entries)
@@ -267,12 +270,31 @@ def kmr_min_pair_argument(res, x=None):
     return min((min(pair) for pair in pairs), default=0)
 
 
+def degree_balance_form(res):
+    """Sum(n_i) - Sum(m_j) + socle as (const, coeff): const + coeff * x in the one parameter.
+
+    The identity must vanish for the twist data to come from an actual
+    resolution, so both parts are 0 on a balanced record.
+    """
+    const, coeff = res.socle_twist, 0
+    for sign, vector in ((1, res.generators), (-1, res.syzygies)):
+        for twist, mult in vector:
+            const += sign * twist * mult.const
+            coeff += sign * twist * mult.coeff
+    return const, coeff
+
+
 def flat_validate(res, grid=None):
-    """validate() as a walk over walk_points, checking flat twist lists at each point.
+    """validate() as a walk over walk_points, checking each point's record entries.
 
     A negative multiplicity is reported at every point and for every
-    expression where it is negative.  A generator twist outside 1..socle - 1
-    is reported once per distinct twist at each point; self-duality then
+    expression where it is negative.  Off a grid the walk visits values
+    where every multiplicity with the parameter is >= 0, and a constant
+    one is negative at all of them or at none: a family reports each
+    negative constant once, at x=None, and walks no point.  Twists are
+    tallied entry by entry, never expanded, so a count of 10**20 costs
+    what a count of 1 does.  A generator twist outside 1..socle - 1 is
+    reported once per distinct twist at each point; self-duality then
     bounds the syzygy twists.
     """
     try:
@@ -290,6 +312,23 @@ def flat_validate(res, grid=None):
     if not points:
         tag = "empty-domain" if grid is None else "empty-grid"
         return violations + [Violation(tag, None, "no point to walk")]
+    entries = [
+        (side, twist, mult)
+        for side, vector in (("gens", res.generators), ("syz", res.syzygies))
+        for twist, mult in vector
+    ]
+    if grid is None and name is not None:
+        constants = [
+            Violation(
+                "negative-multiplicity",
+                None,
+                f"{side} multiplicity {mult} of twist {twist} is {mult.const}",
+            )
+            for side, twist, mult in entries
+            if mult.param is None and mult.const < 0
+        ]
+        if constants:
+            return violations + constants
     dual_shift = res.socle_twist
     for x in points:
         negative = [
@@ -298,22 +337,25 @@ def flat_validate(res, grid=None):
                 x,
                 f"{side} multiplicity {mult} of twist {twist} is {mult.evaluate(x)} at x={x}",
             )
-            for side, vector in (("gens", res.generators), ("syz", res.syzygies))
-            for twist, mult in vector
+            for side, twist, mult in entries
             if mult.evaluate(x) < 0
         ]
         if negative:
             violations += negative
             continue
-        gens, syz = flat_twists(res, x)
-        if not gens:
+        tally = {"gens": Counter(), "syz": Counter()}
+        for side, twist, mult in entries:
+            tally[side][twist] += mult.evaluate(x)
+        gens, syz = +tally["gens"], +tally["syz"]  # unary + drops the zero counts
+        rank, syz_rank = sum(gens.values()), sum(syz.values())
+        if not rank:
             violations.append(Violation("trivial-rank", x, "no generators"))
             continue
-        if len(gens) != len(syz):
+        if rank != syz_rank:
             violations.append(
-                Violation("rank-balance", x, f"{len(gens)} generators vs {len(syz)} syzygies")
+                Violation("rank-balance", x, f"{rank} generators vs {syz_rank} syzygies")
             )
-        if sorted(syz) != sorted(dual_shift - n for n in gens):
+        if syz != Counter({dual_shift - n: c for n, c in gens.items()}):
             violations.append(
                 Violation(
                     "self-duality",
@@ -323,12 +365,12 @@ def flat_validate(res, grid=None):
             )
         violations += [
             Violation("twist-range", x, f"generator twist {n} is below 1")
-            for n in sorted(set(gens))
+            for n in sorted(gens)
             if n < 1
         ]
         violations += [
             Violation("twist-range", x, f"generator twist {n} is not below the socle {dual_shift}")
-            for n in sorted(set(gens))
+            for n in sorted(gens)
             if n >= dual_shift
         ]
     return violations

@@ -29,7 +29,6 @@ from acmsplit.resolutions import (
     AffineExpr,
     DegenerateResolutionError,
     GorensteinResolution,
-    degree_balance_form,
     h0_ideal,
     parse_resolution,
     scan_points,
@@ -41,6 +40,7 @@ from conftest import (
     FALLING_DEGREE,
     case_points,
     ci_resolution,
+    degree_balance_form,
     flat_h0_ideal,
     flat_kmr_total,
     flat_surface_invariants,
@@ -255,6 +255,38 @@ def test_a_report_builds_each_points_blocks_and_its_scan_points_once(monkeypatch
     assert points == 18 and len(built) == points
 
 
+def test_a_report_reads_each_records_parameter_once_and_no_admissible_interval(monkeypatch):
+    """One parameter() per record a degree-5 report walks; the built-ins need no admissible().
+
+    admissible is asked only when the surface degree falls between the
+    first two points of a half-line, which no built-in family does.
+    """
+    import acmsplit.incidence as incidence
+    import acmsplit.resolutions as resolutions
+    from acmsplit.catalog import QUADRIC_RESOLUTION
+
+    resolved = [parse_resolution(QUADRIC_RESOLUTION)] + [
+        c.resolution for c in builtin_catalog(5) if c.resolution is not None
+    ]
+    parameter, admissible = GorensteinResolution.parameter, resolutions.admissible
+    asked, bounded = [], []
+
+    def counted_parameter(self):
+        asked.append(self)
+        return parameter(self)
+
+    def counted_admissible(res):
+        bounded.append(res)
+        return admissible(res)
+
+    monkeypatch.setattr(GorensteinResolution, "parameter", counted_parameter)
+    for module in (resolutions, incidence):
+        monkeypatch.setattr(module, "admissible", counted_admissible)
+    generate_report(5)
+    assert Counter(asked) == Counter(resolved) and len(asked) == 12
+    assert bounded == []
+
+
 def test_case_record_validation():
     with pytest.raises(CatalogError):
         _case(4, 1, 0)
@@ -348,9 +380,9 @@ def test_report_degree_window():
 
 def test_the_boundary_quadric_is_checked_as_a_catalog_case(monkeypatch):
     """A (1,1,3) complete intersection has degree 3, not the quadric's c2 = 2."""
-    import acmsplit.catalog as catalog
+    import acmsplit.incidence as incidence
 
-    monkeypatch.setattr(catalog, "QUADRIC_RESOLUTION", ci_resolution(1, 1, 3))
+    monkeypatch.setattr(incidence, "_QUADRIC", parse_resolution(ci_resolution(1, 1, 3)))
     message = "case (c1=0, c2=2): resolution has surface degree 3, not c2"
     with pytest.raises(CatalogError, match=re.escape(message)):
         generate_report(4)

@@ -1,11 +1,11 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acmsplit.combinatorics import binom_poly, binom_trunc
-from acmsplit.normal_bundle import ConventionViolation, kmr_h0_normal
+from acmsplit.normal_bundle import ConventionViolation, _block_pairs, kmr_h0_normal
 from acmsplit.proj_cohomology import h0_pn
 from acmsplit.resolutions import (
     AffineExpr,
@@ -271,3 +271,34 @@ def test_blockwise_counts_match_the_flat_reference(drawn):
             kmr_h0_normal(res, x)
     else:
         assert kmr_h0_normal(res, x) == expected
+
+
+def _pairs_before(a, b):
+    """#{(i, j) : 0 <= i < a, 0 <= j < b, i < j}."""
+    if b <= a:
+        return b * (b - 1) // 2
+    return a * (a - 1) // 2 + (b - a) * a
+
+
+_END = st.one_of(st.integers(0, 12), st.integers(0, 10**20))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(_END, _END, _END, _END))
+@example((0, 10**20, 0, 10**20))
+@example((10**20 - 1, 10**20, 0, 10**20))
+@example((5, 5, 0, 9))
+def test_block_pair_count_is_the_inclusion_exclusion(ends):
+    """_block_pairs(i0, i1, j0, j1) is the four-term inclusion-exclusion over prefix counts.
+
+    Ends reach 10**20; on small intervals both equal the count of pairs enumerated one by one.
+    """
+    (i0, i1), (j0, j1) = sorted(ends[:2]), sorted(ends[2:])
+    oracle = (
+        _pairs_before(i1, j1) - _pairs_before(i0, j1)
+        - _pairs_before(i1, j0) + _pairs_before(i0, j0)
+    )
+    assert _block_pairs(i0, i1, j0, j1) == oracle
+    if i1 - i0 <= 12 and j1 - j0 <= 12:
+        pairs = sum(i < j for i in range(i0, i1) for j in range(j0, j1))
+        assert oracle == pairs

@@ -674,6 +674,39 @@ def test_the_inline_term_sum_equals_the_flat_h0_sum(drawn):
         assert package == _raised(lambda: flat_h0_ideal(res, t, x))
 
 
+@settings(max_examples=400, deadline=None)
+@given(arbitrary_blocks())
+@example((_HUGE_CI, 0))
+@example((GorensteinResolution(  # constant, with negative constants in both lists
+    ((2, _count(-1, 0)), (1, _count(2, 0))), ((3, _count(-2, 0)),), 5
+), 0))
+@example((GorensteinResolution(  # one parameter, with negative constants in both lists
+    ((2, _count(-1, 0)), (3, _count(0, 1))), ((3, _count(0, 1)), (4, _count(-2, 0))), 6
+), 0))
+@example((GorensteinResolution(((1, _count(3, -1)),), (), 2), 0))  # no generators at x = 3
+@example((GorensteinResolution((), ((10**30, _count(10**20, 0)),), -(10**30)), 0))
+def test_validate_off_a_grid_equals_the_flat_walk(drawn):
+    """validate(res) with no grid reports what the flat walk reports, in its order and words.
+
+    The walk visits up to 40 admissible values of the window it searches,
+    from the finite end; validate visits the scan points.  Each violation
+    located at a point is compared at the scan points, which the walk
+    passes through when they lie in its window.  A family with an end the
+    window does not reach (near 10**20) is compared on the violations
+    located at no point.
+    """
+    res, _ = drawn
+    found, walked = validate(res), flat_validate(res)
+    if res.parameter() is not None:
+        points = scan_points(res)
+        if set(points) <= set(walk_points(res)):
+            walked = [v for v in walked if v.param_value is None or v.param_value in points]
+        else:
+            found = [v for v in found if v.param_value is None]
+            walked = [v for v in walked if v.param_value is None]
+    assert located(found) == located(walked)
+
+
 @st.composite
 def accepted_resolutions(draw):
     """A self-dual, degree-balanced resolution with every twist in range: validate accepts it."""
