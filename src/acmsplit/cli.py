@@ -132,24 +132,24 @@ def _cmd_check_case(args: argparse.Namespace) -> int:
 
 def _cmd_kmr(args: argparse.Namespace) -> int:
     res = _load_resolution(args.resolution)
-    table = checked_resolution(res, args.grid)
-    value = scan_constant(lambda x: _kmr(*table[x][:2], res.socle_twist), table, "h^0(N_S)")
+    blocks, _ = checked_resolution(res, args.grid)
+    value = scan_constant(lambda x: _kmr(*blocks[x], res.socle_twist), blocks, "h^0(N_S)")
     _emit(_scalar_text(args, {"h0_normal": value}, "h0_normal"), args.out)
     return 0
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> int:
     res = _load_resolution(args.resolution)
-    table = checked_resolution(res, args.grid)
+    blocks, surface = checked_resolution(res, args.grid)
     t = args.twist
     ideal = scan_constant(
-        lambda x: term_sum(*table[x][:2], res.socle_twist, t), table, f"h^0(I_S({t}))"
+        lambda x: term_sum(*blocks[x], res.socle_twist, t), blocks, f"h^0(I_S({t}))"
     )
     payload = {
         "twist": t,
         "h0_ideal": ideal,
         "h0_structure": h0_pn(AMBIENT_DIM, t) - ideal if t >= 0 else 0,
-        "chi_structure": scan_constant(lambda x: table[x][2].chi(t), table, f"chi(O_S({t}))"),
+        "chi_structure": surface.chi(t),
     }
     _emit(_scalar_text(args, payload, "h0_ideal"), args.out)
     return 0

@@ -29,10 +29,10 @@ from .resolutions import (
     Blocks,
     DegenerateResolutionError,
     GorensteinResolution,
+    NonConstantScanError,
     SurfaceInvariants,
     _invariants,
     _walk,
-    admissible,
     h0_ideal,  # noqa: F401  (perfbench's tracer wraps the incidence.h0_ideal alias)
     parse_resolution,
     scan_constant,
@@ -96,32 +96,26 @@ def resolve_parameters(res: GorensteinResolution) -> GorensteinResolution:
 
 def checked_resolution(
     res: GorensteinResolution, grid: range | None = None
-) -> dict[int | None, tuple[Blocks, Blocks, SurfaceInvariants]]:
-    """Validate a resolution and return its scan table.
+) -> tuple[dict[int | None, tuple[Blocks, Blocks]], SurfaceInvariants]:
+    """Validate a resolution and certify its surface type: (blocks, invariants).
 
     This is the one path from raw twist data to counts: evaluate_case
     and the kmr and hilbert commands take it.  One walk over the scan
     points (see scan_points) builds each point's generator and syzygy
-    blocks, which validation and the Hilbert invariants read; the table
-    maps each point to (generators, syzygies, invariants) for the counts.
-    Invalid twist data raises CatalogError; a Hilbert polynomial that is
-    no surface at a scan point, or whose degree falls toward the open end
-    of a half-line, raises DegenerateResolutionError.
+    blocks, which validation reads; blocks maps each point to them for
+    the counts.  invariants is the one SurfaceInvariants of the family,
+    which scan_constant requires at every point.  Invalid twist data
+    raises CatalogError, a Hilbert polynomial that is no surface at a
+    scan point DegenerateResolutionError, and a surface type that moves
+    with the parameter NonConstantScanError.
     """
     problems, blocks = _walk(res, grid)
     if problems:
         raise CatalogError("invalid resolution: " + "; ".join(str(p) for p in problems))
     socle = res.socle_twist
-    table = {x: (gens, syz, _invariants(gens, syz, socle)) for x, (gens, syz) in blocks.items()}
-    # points run outward from a half-line's finite end: a falling degree reaches 0
-    if len(table) > 1 and grid is None:
-        (x0, (_, _, first)), (x1, (_, _, second)) = list(table.items())[:2]
-        if second.degree < first.degree and None in admissible(res):
-            raise DegenerateResolutionError(
-                f"surface degree falls from {first.degree} at x={x0}"
-                f" to {second.degree} at x={x1}, so it is <= 0 further out"
-            )
-    return table
+    return blocks, scan_constant(
+        lambda x: _invariants(*blocks[x], socle), blocks, "the surface type"
+    )
 
 
 class ReportRow(NamedTuple):
@@ -321,15 +315,17 @@ def evaluate_case(case: CaseRecord, grid: range | None = None) -> ReportRow:
     """One report row for a case: checked, counted, decided and explained in one walk.
 
     A degree the report refuses is refused with its message.  A
-    resolution is validated at its scan points, on the grid
-    when one is given (see checked_resolution); a resolution without a
-    parameter ignores the grid.  The counts read the scan table.  A scan
-    point with no surface is refused first, then a Chern pair whose
-    sectional genus is not an integer, then a surface degree or genus
-    that differs from the pair's, each naming the case; then a count
-    that moves across the scan points, h^0(I_S(r)) before h^0(N_S).  The
-    row's first note is the one of the cascade rule that decided it; a
-    catalog annotation for the case and that verdict follows.
+    resolution is validated at its scan points, on the grid when one is
+    given, and its surface type certified (see checked_resolution); a
+    resolution without a parameter ignores the grid.  The counts read
+    the scan table.  A scan point with no surface is refused first, then
+    a surface type that moves across the scan points, then a Chern pair
+    whose sectional genus is not an integer, then a surface degree or
+    genus that differs from the pair's; then a count that moves across
+    the scan points, h^0(I_S(r)) before h^0(N_S).  Each refusal names
+    the case.  The row's first note is the one of the cascade rule that
+    decided it; a catalog annotation for the case and that verdict
+    follows.
     """
     r, c1, c2, res, _ = case
     _check_window(r, has_cases=True)
@@ -340,32 +336,24 @@ def evaluate_case(case: CaseRecord, grid: range | None = None) -> ReportRow:
         genus, parity = None, str(exc)
     ideal = normal = bound = None
     if res is not None:
+        socle = res.socle_twist
         try:
-            table = checked_resolution(res, grid)
+            blocks, surface = checked_resolution(res, grid)
             if genus is None:
                 raise CatalogError(parity)
-            for _, _, invariants in table.values():
-                if invariants.degree != c2:
-                    raise CatalogError(
-                        f"resolution has surface degree {invariants.degree}, not c2"
-                    )
-                if invariants.sectional_genus != genus:
-                    raise CatalogError(
-                        f"resolution sectional genus {invariants.sectional_genus}"
-                        f" != {genus} from the Chern pair"
-                    )
-        except (CatalogError, DegenerateResolutionError) as exc:
+            if surface.degree != c2:
+                raise CatalogError(f"resolution has surface degree {surface.degree}, not c2")
+            if surface.sectional_genus != genus:
+                raise CatalogError(
+                    f"resolution sectional genus {surface.sectional_genus}"
+                    f" != {genus} from the Chern pair"
+                )
+            ideal = scan_constant(
+                lambda x: term_sum(*blocks[x], socle, r), blocks, f"h^0(I_S({r}))"
+            )
+            normal = scan_constant(lambda x: _kmr(*blocks[x], socle), blocks, "h^0(N_S)")
+        except (CatalogError, DegenerateResolutionError, NonConstantScanError) as exc:
             raise type(exc)(f"case {case.label}: {exc}") from exc
-        socle = res.socle_twist
-        (gens, syz, _), *rest = table.values()
-        ideal = term_sum(gens, syz, socle, r)
-        if rest and any(term_sum(g, s, socle, r) != ideal for g, s, _ in rest):
-            ideals = {x: term_sum(g, s, socle, r) for x, (g, s, _) in table.items()}
-            scan_constant(ideals.get, table, f"h^0(I_S({r})) for case {case.label}")
-        normal = _kmr(gens, syz, socle)
-        if rest and any(_kmr(g, s, socle) != normal for g, s, _ in rest):
-            normals = {x: _kmr(g, s, socle) for x, (g, s, _) in table.items()}
-            scan_constant(normals.get, table, f"h^0(N_S) for case {case.label}")
         bound = ideal - 1 + normal
     decided, note = _cascade(case, genus, ideal, normal, bound, moduli)
     annotations = _catalog.REPORT_ANNOTATIONS.get((r, c1, c2, decided._value_), ())

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Mapping, Sequence
 from math import comb
-from typing import NamedTuple
+from typing import NamedTuple, TypeVar
 
 from .combinatorics import Count, EulerNumber
 
@@ -145,6 +145,8 @@ TwistVector = tuple[tuple[int, AffineExpr], ...]
 
 #: (twist, count) pairs at one parameter value: sorted, merged, counts > 0.
 Blocks = list[tuple[int, int]]
+
+_Value = TypeVar("_Value")
 
 #: The most [twist, mult] pairs parse_resolution takes in gens or in syz.  The KMR count
 #: pairs every generator block with every syzygy block, so its cost grows as its square.
@@ -289,8 +291,9 @@ class Violation(NamedTuple):
 
     def __str__(self) -> str:
         x = self.param_value
-        if isinstance(x, range):
-            x = f"{x[0]}..{x[-1]}" + ("" if x.step == 1 else f" step {x.step}")
+        if isinstance(x, range):  # a one-point range prints as its point
+            step = "" if x.step == 1 else f" step {x.step}"
+            x = x[0] if x[0] == x[-1] else f"{x[0]}..{x[-1]}{step}"
         where = "" if x is None else f" at x={x}"
         return f"{self.invariant}{where}: {self.detail}"
 
@@ -357,14 +360,12 @@ def scan_points(res: GorensteinResolution, grid: range | None = None) -> list[in
       descending syzygy blocks, so each P(a, b) stays on one branch, and
       the two branches agree at a = b;
     - so each identity checked (rank balance, self-duality per twist,
-      zero third differences, degree = c2, genus, and constancy of
-      h0_ideal, chi(O_S(t)) and kmr_h0_normal) is a polynomial of
-      degree <= 2 in x, which vanishes on the domain when it vanishes at
-      three distinct points;
-    - the one inequality, surface degree > 0, is affine: it holds between
-      the ends of a bounded domain, and on a half-line it also needs the
-      degree not to fall toward the open end, which checked_resolution
-      checks.  A rank, a sum of multiplicities, cannot fall to 0 there.
+      zero third differences, and constancy of the degree, genus,
+      chi(O_S), h0_ideal and kmr_h0_normal) is a polynomial of degree
+      <= 2 in x, which vanishes on the domain when it vanishes at three
+      distinct points;
+    - the one inequality, surface degree > 0, then holds on the whole
+      domain once it holds at one point, as the degree is constant.
     Points are computed, not listed, so a grid past sys.maxsize costs
     what a short one does.  An empty domain raises ValueError.
     """
@@ -391,19 +392,22 @@ def scan_points(res: GorensteinResolution, grid: range | None = None) -> list[in
 
 
 def scan_constant(
-    evaluate: Callable[[int | None], int], points: Iterable[int | None], what: str
-) -> int:
-    """The value at the scan points (see scan_points), which must be constant.
+    evaluate: Callable[[int | None], _Value], points: Collection[int | None], what: str
+) -> _Value:
+    """The value at the scan points (see scan_points), which must be constant; points is not empty.
 
-    The family parameter counts resolution terms that cancel; a value
-    that moves with it means corrupted twist data, so it is reported
+    Each value is compared with the first.  The family parameter counts
+    resolution terms that cancel; a value that moves with it means
+    corrupted twist data, so it is refused with its value at every point
     rather than averaged away.
     """
-    values = {x: evaluate(x) for x in points}
-    distinct = set(values.values())
-    if len(distinct) != 1:
-        raise NonConstantScanError(f"{what} varies across the certificate points: {values}")
-    return distinct.pop()
+    rest = iter(points)
+    first = evaluate(next(rest))
+    for x in rest:
+        if evaluate(x) != first:
+            values = {x: evaluate(x) for x in points}
+            raise NonConstantScanError(f"{what} varies across the certificate points: {values}")
+    return first
 
 
 def validate(res: GorensteinResolution, grid: range | None = None) -> list[Violation]:

@@ -251,6 +251,31 @@ def test_readme_family_without_a_grid_is_certified_on_its_half_line(capsys):
     assert invoke(capsys, "kmr", "--resolution", DEG11) == (0, "83\n", "")
 
 
+def test_a_negative_multiplicity_at_one_grid_point_names_the_point(capsys):
+    """b - 2 is negative at b = 1 alone on the grid 1..3: the range prints as x=1."""
+    code, out, err = invoke(capsys, "kmr", "--resolution", DEG11, "--grid", "1..3")
+    assert (code, out) == (2, "")
+    assert err == (
+        "acmsplit: error: invalid resolution:"
+        " negative-multiplicity at x=1: gens multiplicity b - 2 of twist 3 is negative;"
+        " negative-multiplicity at x=1: syz multiplicity b - 2 of twist 4 is negative\n"
+    )
+
+
+@pytest.mark.parametrize("command", [["kmr"], ["hilbert", "--twist", "1"]])
+def test_a_surface_type_that_moves_on_the_grid_exits_2(capsys, command):
+    """FALLING_DEGREE is a surface at every point of 0..7, but of degree 8, 4 and 1 at 0, 4, 7.
+
+    Each count the commands print is constant there; the surface type is not.
+    """
+    argv = [*command, "--resolution", json.dumps(FALLING_DEGREE), "--grid", "0..7"]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("acmsplit: error: the surface type varies across the certificate points:")
+    for x, degree in ((0, 8), (4, 4), (7, 1)):
+        assert f"{x}: SurfaceInvariants(degree={degree}," in err
+
+
 def test_negative_multiplicities_are_reported_once_per_expression(capsys):
     """Each of the four expressions is negative on a sub-range of the grid."""
     code, out, err = invoke(capsys, "kmr", "--resolution", DEG11_REVERSED, "--grid", "0..99999")
@@ -547,7 +572,10 @@ def test_a_twist_past_max_twist_is_refused_whatever_the_socle(capsys, command):
     "c1, c2, shape, message",
     [
         (1, 8, FALLING_DEGREE,
-         "surface degree falls from 8 at x=0 to 7 at x=1, so it is <= 0 further out"),
+         "the surface type varies across the certificate points:"
+         " {0: SurfaceInvariants(degree=8, sectional_genus=9, chi_structure=6),"
+         " 1: SurfaceInvariants(degree=7, sectional_genus=8, chi_structure=6),"
+         " 2: SurfaceInvariants(degree=6, sectional_genus=7, chi_structure=6)}"),
         (1, 2, DEGENERATES_PARTWAY, "Hilbert polynomial has degree < 2 (leading difference 0)"),
     ],
     ids=["falling-degree", "no-surface"],

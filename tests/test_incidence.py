@@ -29,6 +29,8 @@ from acmsplit.resolutions import (
     AffineExpr,
     DegenerateResolutionError,
     GorensteinResolution,
+    NonConstantScanError,
+    SurfaceInvariants,
     h0_ideal,
     parse_resolution,
     scan_points,
@@ -256,10 +258,11 @@ def test_a_report_builds_each_points_blocks_and_its_scan_points_once(monkeypatch
 
 
 def test_a_report_reads_each_records_parameter_once_and_no_admissible_interval(monkeypatch):
-    """One parameter() per record a degree-5 report walks; the built-ins need no admissible().
+    """One parameter() per record a degree-5 report walks, and no admissible() at all.
 
-    admissible is asked only when the surface degree falls between the
-    first two points of a half-line, which no built-in family does.
+    The surface type is certified by its constancy at the scan points,
+    so no rule asks for the admissible interval; incidence does not even
+    import admissible.
     """
     import acmsplit.incidence as incidence
     import acmsplit.resolutions as resolutions
@@ -280,11 +283,10 @@ def test_a_report_reads_each_records_parameter_once_and_no_admissible_interval(m
         return admissible(res)
 
     monkeypatch.setattr(GorensteinResolution, "parameter", counted_parameter)
-    for module in (resolutions, incidence):
-        monkeypatch.setattr(module, "admissible", counted_admissible)
+    monkeypatch.setattr(resolutions, "admissible", counted_admissible)
     generate_report(5)
     assert Counter(asked) == Counter(resolved) and len(asked) == 12
-    assert bounded == []
+    assert bounded == [] and not hasattr(incidence, "admissible")
 
 
 def test_case_record_validation():
@@ -584,25 +586,41 @@ def test_degeneracy_is_reported_before_a_degree_mismatch():
         evaluate_case(case, range(-3, 1))
 
 
+def _moving_type(res, points):
+    """The refusal of a surface type that moves: its invariants at each scan point."""
+    types = {x: surface_invariants(res, x) for x in points}
+    return f"the surface type varies across the certificate points: {types}"
+
+
 def test_checked_resolution_refuses_a_degree_falling_on_a_half_line():
+    """The degree 8 - x moves, so constancy refuses it, on a grid or on the half-line x >= 0."""
     res = parse_resolution(FALLING_DEGREE)
     assert validate(res) == []
     assert [surface_invariants(res, x).degree for x in range(8)] == [8, 7, 6, 5, 4, 3, 2, 1]
-    # a grid that stops before x = 8, such as the old default 0..5, is a surface throughout
-    assert checked_resolution(res, range(0, 8)) == {
-        x: (*res.blocks(x), surface_invariants(res, x)) for x in (0, 4, 7)
-    }
-    message = "surface degree falls from 8 at x=0 to 7 at x=1, so it is <= 0 further out"
-    with pytest.raises(DegenerateResolutionError, match=re.escape(message)):
+    # a grid that stops before x = 8 is a surface throughout, and still refused
+    message = _moving_type(res, (0, 4, 7))
+    assert "{0: SurfaceInvariants(degree=8, sectional_genus=9," in message
+    assert "4: SurfaceInvariants(degree=4," in message
+    assert "7: SurfaceInvariants(degree=1," in message
+    with pytest.raises(NonConstantScanError, match=re.escape(message)):
+        checked_resolution(res, range(0, 8))
+    message = _moving_type(res, (0, 1, 2))
+    with pytest.raises(NonConstantScanError, match="^" + re.escape(message) + "$"):
         checked_resolution(res)
     # a catalog case without a grid is certified on the whole half-line, so it is refused
     case = CaseRecord(r=5, c1=1, c2=8, resolution=res)
-    with pytest.raises(DegenerateResolutionError, match=re.escape(message)):
+    with pytest.raises(NonConstantScanError, match=re.escape(f"case (c1=1, c2=8): {message}")):
         evaluate_case(case)
+    # a family of one surface type, the K3 octic, returns its blocks at each scan point and
+    # that type
+    octic = parse_resolution({"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6})
+    assert checked_resolution(octic, range(0, 10)) == (
+        {x: octic.blocks(x) for x in (0, 5, 9)}, SurfaceInvariants(8, 5, 2)
+    )
 
 
 def test_prepare_case_refuses_a_degree_that_moves_with_the_parameter():
-    """The degree is 64 - 2x: it equals c2 = 58 only at x = 3, inside the grid."""
+    """The degree is 64 - 2x: it equals c2 = 58 at x = 3, but it moves, so the case is refused."""
     res = parse_resolution(
         {
             "gens": [[5, "5-x"], [6, "x"], [4, "x+3"], [7, "x+5"]],
@@ -611,8 +629,10 @@ def test_prepare_case_refuses_a_degree_that_moves_with_the_parameter():
         }
     )
     assert validate(res, range(0, 6)) == []
+    assert [surface_invariants(res, x).degree for x in (0, 3, 5)] == [64, 58, 54]
     case = CaseRecord(r=5, c1=1, c2=58, resolution=res)
-    with pytest.raises(CatalogError, match=r"resolution has surface degree 64, not c2"):
+    message = f"case (c1=1, c2=58): {_moving_type(res, (0, 3, 5))}"
+    with pytest.raises(NonConstantScanError, match="^" + re.escape(message) + "$"):
         evaluate_case(case, range(0, 6))
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from acmsplit.catalog import QUADRIC_RESOLUTION
 from acmsplit.combinatorics import binom_poly, binom_trunc
 from acmsplit.normal_bundle import ConventionViolation, _block_pairs, kmr_h0_normal
 from acmsplit.proj_cohomology import h0_pn
@@ -302,3 +303,55 @@ def test_block_pair_count_is_the_inclusion_exclusion(ends):
     if i1 - i0 <= 12 and j1 - j0 <= 12:
         pairs = sum(i < j for i in range(i0, i1) for j in range(j0, j1))
         assert oracle == pairs
+
+
+# ------------------------------------- known families on the cubic fourfold
+
+
+def _fiber_corrected_gap(res, c1, bound, fiber):
+    """h^0(I_S(3)) - 1 + h^0(N_S) - h^0(I_S(c1)) - dim P(3) for a surface on a cubic fourfold.
+
+    The fiber term h^0(I_S(c1)) = h^0(E) - 1 counts the sections of the
+    bundle E beyond the one that cuts S; it is 0 when c1 <= 0.  The plain
+    bound and the fiber term are pinned, then the gap is returned.
+    """
+    assert validate(res) == []
+    assert h0_ideal(res, 3) - 1 + kmr_h0_normal(res) == bound
+    assert (h0_ideal(res, c1) if c1 > 0 else 0) == fiber
+    return bound - fiber - (h0_pn(5, 3) - 1)
+
+
+def test_cubic_fourfolds_containing_a_plane_form_a_divisor():
+    """The plane, (c1, c2) = (0, 1): the incidence count falls exactly one short of dim P(3).
+
+    Cubic fourfolds containing a plane form Voisin's divisor (Invent.
+    Math. 86, 1986), Hassett's C_8 (Compositio Math. 120, 2000), so the
+    fiber-corrected count can at best reach codimension 1.  The test
+    pins equality: a gap of exactly -1, not merely a negative one.
+    """
+    plane = parse_resolution({"gens": [[1, 3]], "syz": [[2, 3]], "socle": 3})
+    assert _fiber_corrected_gap(plane, 0, 54, 0) == -1
+
+
+def test_cubic_fourfolds_containing_a_quadric_surface_form_a_divisor():
+    """The (1,1,2) quadric, (c1, c2) = (1, 2): its bound 56, less the fiber 2, is dim P(3) - 1.
+
+    A quadric surface spans a P^3 that cuts the cubic in the quadric and
+    a residual plane, so these cubics are again Voisin's divisor (Invent.
+    Math. 86, 1986), Hassett's C_8 (Compositio Math. 120, 2000).  The
+    test pins equality: a gap of exactly -1, not merely a negative one.
+    """
+    quadric = parse_resolution(QUADRIC_RESOLUTION)  # the report's boundary row
+    assert _fiber_corrected_gap(quadric, 1, 56, 2) == -1
+
+
+def test_pfaffian_cubic_fourfolds_form_a_divisor():
+    """The quintic del Pezzo surface, (c1, c2) = (2, 5): its bound 59, less the fiber 5, is 54.
+
+    Pfaffian cubic fourfolds, which contain such a surface, form the
+    divisor of Beauville and Donagi (C. R. Acad. Sci. Paris 301, 1985),
+    Hassett's C_14 (Compositio Math. 120, 2000).  The test pins
+    equality: a gap of exactly -1, not merely a negative one.
+    """
+    pfaffian = parse_resolution({"gens": [[2, 5]], "syz": [[3, 5]], "socle": 5})
+    assert _fiber_corrected_gap(pfaffian, 2, 59, 5) == -1
