@@ -22,7 +22,6 @@ from .incidence import (
     verdict,
 )
 from .normal_bundle import kmr_h0_normal
-from .proj_cohomology import HypersurfaceContext
 from .resolutions import (
     GorensteinResolution,
     NonConstantScanError,
@@ -37,7 +36,6 @@ __all__ = [
     "CaseRecord",
     "CatalogError",
     "GorensteinResolution",
-    "HypersurfaceContext",
     "NonConstantScanError",
     "Report",
     "ReportRow",

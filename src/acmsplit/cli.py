@@ -33,7 +33,7 @@ from .incidence import (
     row_to_jsonable,
 )
 from .normal_bundle import _kmr
-from .proj_cohomology import AMBIENT_DIM, HypersurfaceContext, h0_pn
+from .proj_cohomology import AMBIENT_DIM, h0_pn
 from .resolutions import GorensteinResolution, parse_resolution, scan_constant, term_sum
 
 _GRID_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")
@@ -156,8 +156,7 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve_c2(args: argparse.Namespace) -> int:
-    ctx = HypersurfaceContext(args.degree)
-    value = solve_c2_boundary(ctx, args.c1)
+    value = solve_c2_boundary(args.degree, args.c1)
     _emit(_scalar_text(args, {"c1": args.c1, "c2": value}, "c2"), args.out)
     return 0
 

@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 from . import catalog as _catalog
 from .combinatorics import Count
-from .euler import ParityError, pfaffian_c2, sectional_genus, solve_c2_boundary
+from .euler import ParityError, pfaffian_c2, sectional_genus
 from .normal_bundle import _kmr
-from .proj_cohomology import HypersurfaceContext, moduli_dim
+from .proj_cohomology import moduli_dim
 from .resolutions import (
     Blocks,
     DegenerateResolutionError,
@@ -225,32 +225,28 @@ def builtin_catalog(degree: int) -> list[CaseRecord]:
 _QUADRIC = parse_resolution(_catalog.QUADRIC_RESOLUTION)
 
 
-def _boundary_cases(ctx: HypersurfaceContext) -> list[CaseRecord]:
-    """Re-derive the two boundary cases instead of storing them.
+def _boundary_cases(r: int) -> list[CaseRecord]:
+    """The two boundary cases, stated rather than stored in a catalog.
 
     c1 = 3 - r forces c2 = 1 (a plane).  c1 = 4 - r forces c2 = 2, a
     quadric surface, which is a (1,1,2) complete intersection because
     degree 2 plus the no-planes property forces it to be reduced; the
-    quadric case therefore carries that resolution.
+    quadric case therefore carries that resolution.  The proof of both
+    values of c2 is the two-twist Euler elimination,
+    euler.solve_c2_boundary; tests/test_euler.py::test_boundary_c2_solving
+    runs it for every degree r in 1..200.
     """
-    r = ctx.degree
-    plane_c2 = solve_c2_boundary(ctx, 3 - r)
-    quadric_c2 = solve_c2_boundary(ctx, 4 - r)
-    if (plane_c2, quadric_c2) != (1, 2):
-        raise CatalogError(
-            f"boundary elimination returned ({plane_c2}, {quadric_c2}), expected (1, 2)"
-        )
     return [
         CaseRecord(
             r=r,
             c1=3 - r,
-            c2=plane_c2,
+            c2=1,
             provenance="boundary case: c2 forced by the two-twist Euler elimination",
         ),
         CaseRecord(
             r=r,
             c1=4 - r,
-            c2=quadric_c2,
+            c2=2,
             resolution=_QUADRIC,
             provenance="boundary case: c2 forced by the two-twist Euler elimination;"
             " the degree-2 locus is a (1,1,2) complete intersection quadric",
@@ -396,29 +392,29 @@ def generate_report(
     pair is refused.
     """
     _check_window(degree, has_cases=bool(cases))
-    ctx = HypersurfaceContext(degree)
+    moduli = moduli_dim(degree)
     if degree == 6:
         reduction = ReportRow(
-            None, None, None, None, None, ctx.moduli_dim, Verdict.REDUCED_TO_THREEFOLD,
+            None, None, None, None, None, moduli, Verdict.REDUCED_TO_THREEFOLD,
             (
                 "hyperplane sections reduce the sextic fourfold to the general sextic"
                 " threefold, where every rank-2 ACM bundle splits",
             ),
         )
-        return Report(degree, ctx.moduli_dim, (reduction,))
+        return Report(degree, moduli, (reduction,))
     if cases is None:
         cases = builtin_catalog(degree)
     for case in cases:
         if case.r != degree:
             raise CatalogError(f"case {case.label} is for degree {case.r}, not {degree}")
-    rows = [evaluate_case(c, grid_override) for c in _boundary_cases(ctx) + list(cases)]
+    rows = [evaluate_case(c, grid_override) for c in _boundary_cases(degree) + list(cases)]
     rows.sort(key=lambda row: (row.case.c1, row.case.c2))
     for row, following in zip(rows, rows[1:]):
         if (row.case.c1, row.case.c2) == (following.case.c1, following.case.c2):
             raise CatalogError(
                 f"case {row.case.label} appears twice; boundary cases are derived, not listed"
             )
-    return Report(degree, ctx.moduli_dim, tuple(rows))
+    return Report(degree, moduli, tuple(rows))
 
 
 def render_report_markdown(report: Report) -> str:

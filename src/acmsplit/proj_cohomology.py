@@ -8,33 +8,12 @@ exact sequence.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from math import comb
 
 from .combinatorics import Count, EulerNumber, binom_poly, binom_trunc
 
 #: Every computation in this package lives in P^5.
 AMBIENT_DIM = 5
-
-
-class HypersurfaceContext(namedtuple("HypersurfaceContext", "degree")):
-    """A general smooth degree-r hypersurface in P^5.
-
-    Carries only the degree; generality assumptions (no planes, not
-    pfaffian for r >= 3) enter through verdict annotations, not here.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, degree: int) -> HypersurfaceContext:
-        if degree < 1:
-            raise ValueError(f"degree must be positive, got {degree}")
-        return super().__new__(cls, degree)
-
-    @property
-    def moduli_dim(self) -> Count:
-        """Dimension of the projective space of degree-r forms in 6 variables."""
-        return moduli_dim(self.degree)
 
 
 def moduli_dim(degree: int) -> Count:
@@ -56,15 +35,15 @@ def chi_pn(n: int, k: int) -> EulerNumber:
     return binom_poly(k + n, n)
 
 
-def h0_hyp(ctx: HypersurfaceContext, n: int) -> Count:
-    """h^0(O_X(n)) from 0 -> O(n - r) -> O(n) -> O_X(n) -> 0 on P^5.
+def h0_hyp(r: int, n: int) -> Count:
+    """h^0(O_X(n)) on X of degree r, from 0 -> O(n - r) -> O(n) -> O_X(n) -> 0 on P^5.
 
     Restriction is surjective on sections because h^1 of line bundles
     on P^5 vanishes, so the count is an exact difference.
     """
-    return h0_pn(AMBIENT_DIM, n) - h0_pn(AMBIENT_DIM, n - ctx.degree)
+    return h0_pn(AMBIENT_DIM, n) - h0_pn(AMBIENT_DIM, n - r)
 
 
-def chi_hyp(ctx: HypersurfaceContext, n: int) -> EulerNumber:
-    """chi(O_X(n)) as the difference of two ambient Euler characteristics."""
-    return chi_pn(AMBIENT_DIM, n) - chi_pn(AMBIENT_DIM, n - ctx.degree)
+def chi_hyp(r: int, n: int) -> EulerNumber:
+    """chi(O_X(n)) on X of degree r, as the difference of two ambient Euler characteristics."""
+    return chi_pn(AMBIENT_DIM, n) - chi_pn(AMBIENT_DIM, n - r)

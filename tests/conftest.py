@@ -8,7 +8,7 @@ from acmsplit.catalog import BUILTIN_CATALOGS
 from acmsplit.combinatorics import binom_trunc
 from acmsplit.euler import sectional_genus
 from acmsplit.incidence import builtin_catalog
-from acmsplit.proj_cohomology import HypersurfaceContext, chi_pn, h0_pn
+from acmsplit.proj_cohomology import chi_pn, h0_pn
 from acmsplit.resolutions import (
     DegenerateResolutionError,
     ResolutionValidationError,
@@ -395,9 +395,9 @@ def located(violations):
 
 @dataclass(frozen=True)
 class BundleNumerics:
-    """Chern data (c1, c2) of a rank-2 bundle, with normalization offset b."""
+    """Chern data (c1, c2) of a rank-2 bundle on X_r, with normalization offset b."""
 
-    ctx: HypersurfaceContext
+    r: int
     c1: int
     c2: int
     b: int = 0
@@ -411,7 +411,7 @@ class BundleNumerics:
         return self.b == 0
 
     def sectional_genus(self) -> int:
-        return sectional_genus(self.ctx.degree, self.c1, self.c2)
+        return sectional_genus(self.r, self.c1, self.c2)
 
 
 def stability_index(bundle: BundleNumerics) -> int:

@@ -18,7 +18,7 @@ from acmsplit.incidence import (
     verdict,
 )
 from acmsplit.normal_bundle import kmr_h0_normal
-from acmsplit.proj_cohomology import HypersurfaceContext
+from acmsplit.proj_cohomology import moduli_dim
 from acmsplit.resolutions import h0_ideal, parse_resolution, surface_invariants
 from conftest import (
     CI_TYPES,
@@ -41,17 +41,16 @@ def _scan(degree, c1, c2, func):
 
 
 def test_criterion_01_moduli_dimensions():
-    assert HypersurfaceContext(4).moduli_dim == 125
-    assert HypersurfaceContext(5).moduli_dim == 251
-    assert HypersurfaceContext(3).moduli_dim == 55
+    assert moduli_dim(4) == 125
+    assert moduli_dim(5) == 251
+    assert moduli_dim(3) == 55
     print("CRITERION 1: PASS")
 
 
 def test_criterion_02_boundary_c2():
     for r in (3, 4, 5, 6):
-        ctx = HypersurfaceContext(r)
-        assert solve_c2_boundary(ctx, 3 - r) == 1
-        assert solve_c2_boundary(ctx, 4 - r) == 2
+        assert solve_c2_boundary(r, 3 - r) == 1
+        assert solve_c2_boundary(r, 4 - r) == 2
     print("CRITERION 2: PASS")
 
 

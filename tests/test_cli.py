@@ -343,6 +343,8 @@ def test_solve_c2(capsys):
     code, _, err = invoke(capsys, "solve-c2", "--degree", "5", "--c1", "1")
     assert code == 2
     assert "error" in err
+    expected = (2, "", "acmsplit: error: degree must be positive, got 0\n")
+    assert invoke(capsys, "solve-c2", "--degree", "0", "--c1", "3") == expected
 
 
 def test_hilbert(capsys):
@@ -825,11 +827,10 @@ def test_public_api_is_what_the_readme_uses():
     import acmsplit
 
     assert sorted(acmsplit.__all__) == [
-        "CaseRecord", "CatalogError", "GorensteinResolution", "HypersurfaceContext",
-        "NonConstantScanError", "Report", "ReportRow", "Verdict", "builtin_catalog",
-        "dimension_bound", "generate_report", "h0_ideal", "kmr_h0_normal",
-        "parse_resolution", "pfaffian_c2", "render_report_json", "render_report_markdown",
-        "sectional_genus", "solve_c2_boundary", "validate", "verdict",
+        "CaseRecord", "CatalogError", "GorensteinResolution", "NonConstantScanError", "Report",
+        "ReportRow", "Verdict", "builtin_catalog", "dimension_bound", "generate_report",
+        "h0_ideal", "kmr_h0_normal", "parse_resolution", "pfaffian_c2", "render_report_json",
+        "render_report_markdown", "sectional_genus", "solve_c2_boundary", "validate", "verdict",
     ]
     for name in acmsplit.__all__:
         assert getattr(acmsplit, name) is not None

@@ -8,41 +8,47 @@ from acmsplit.euler import (
     sectional_genus,
     solve_c2_boundary,
 )
-from acmsplit.proj_cohomology import HypersurfaceContext, h0_hyp
+from acmsplit.proj_cohomology import h0_hyp
 
 from conftest import BundleNumerics, stability_index
 
 
-@pytest.mark.parametrize("r", range(3, 11))
+@pytest.mark.parametrize("r", range(1, 201))
 def test_boundary_c2_solving(r):
-    """The two boundary lines force c2 = 1 and c2 = 2 for every degree."""
-    ctx = HypersurfaceContext(r)
-    assert solve_c2_boundary(ctx, 3 - r) == 1
-    assert solve_c2_boundary(ctx, 4 - r) == 2
+    """The two boundary lines force c2 = 1 and c2 = 2 for every degree.
+
+    incidence._boundary_cases states these two rows; this elimination is their proof.
+    """
+    assert solve_c2_boundary(r, 3 - r) == 1
+    assert solve_c2_boundary(r, 4 - r) == 2
 
 
 def test_solver_rejects_interior_c1():
-    ctx = HypersurfaceContext(5)
     for c1 in (0, 1, 2, 5):
         with pytest.raises(ValueError):
-            solve_c2_boundary(ctx, c1)
+            solve_c2_boundary(5, c1)
+
+
+@pytest.mark.parametrize("r", [0, -1, -7])
+def test_solver_refuses_a_nonpositive_degree_before_reading_c1(r):
+    for c1 in (3 - r, 4 - r, 0):
+        with pytest.raises(ValueError, match=f"^degree must be positive, got {r}$"):
+            solve_c2_boundary(r, c1)
 
 
 def test_pinned_chi_is_two_section_counts():
-    ctx = HypersurfaceContext(4)
     c1 = 0
     for n in (-3, -2, -1, 0):
         nu = -c1 - n + 4 - 6
         if n + c1 <= 0 and nu + c1 <= 0:
-            assert chi_bundle_pinned(ctx, c1, n) == h0_hyp(ctx, n) + h0_hyp(ctx, nu)
+            assert chi_bundle_pinned(4, c1, n) == h0_hyp(4, n) + h0_hyp(4, nu)
 
 
 def test_pinning_enforced():
-    ctx = HypersurfaceContext(5)
     with pytest.raises(PinningError):
-        chi_bundle_pinned(ctx, 2, 0)
+        chi_bundle_pinned(5, 2, 0)
     with pytest.raises(PinningError):
-        chi_bundle_pinned(ctx, -1, -9)
+        chi_bundle_pinned(5, -1, -9)
 
 
 @pytest.mark.parametrize("r, expected", [(3, 5), (4, 14), (5, 30)])
@@ -80,13 +86,12 @@ def test_genus_parity_failure():
 
 
 def test_bundle_numerics():
-    ctx = HypersurfaceContext(5)
-    bundle = BundleNumerics(ctx, c1=2, c2=11)
+    bundle = BundleNumerics(5, c1=2, c2=11)
     assert bundle.is_normalized
     assert bundle.sectional_genus() == 12
     assert stability_index(bundle) == -2
-    shifted = BundleNumerics(ctx, c1=2, c2=11, b=3)
+    shifted = BundleNumerics(5, c1=2, c2=11, b=3)
     assert not shifted.is_normalized
     assert stability_index(shifted) == 4
     with pytest.raises(ValueError):
-        BundleNumerics(ctx, c1=2, c2=0)
+        BundleNumerics(5, c1=2, c2=0)

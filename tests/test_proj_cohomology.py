@@ -4,11 +4,11 @@ from hypothesis import strategies as st
 
 from acmsplit.proj_cohomology import (
     AMBIENT_DIM,
-    HypersurfaceContext,
     chi_hyp,
     chi_pn,
     h0_hyp,
     h0_pn,
+    moduli_dim,
 )
 from conftest import canonical_twist, count_monomials, hi_pn
 
@@ -63,15 +63,12 @@ def test_degree_out_of_range_rejected():
     [(3, 55), (4, 125), (5, 251), (6, 461)],
 )
 def test_moduli_dimension(degree, expected):
-    ctx = HypersurfaceContext(degree)
-    assert ctx.moduli_dim == expected
+    assert moduli_dim(degree) == expected
     # the degree-r forms in 6 variables, counted one monomial at a time
-    assert ctx.moduli_dim == count_monomials(6, degree, lambda e: True) - 1
+    assert moduli_dim(degree) == count_monomials(6, degree, lambda e: True) - 1
 
 
-def test_context_validation_and_twist():
-    with pytest.raises(ValueError):
-        HypersurfaceContext(0)
+def test_canonical_twist():
     assert canonical_twist(3) == -3
     assert canonical_twist(6) == 0
 
@@ -88,27 +85,24 @@ def test_context_validation_and_twist():
     ],
 )
 def test_hypersurface_sections(degree, n, expected):
-    assert h0_hyp(HypersurfaceContext(degree), n) == expected
+    assert h0_hyp(degree, n) == expected
 
 
 @given(n=TWISTS, degree=st.integers(min_value=3, max_value=6))
 @settings(max_examples=60, deadline=None)
 def test_chi_hyp_serre_duality(n, degree):
     """chi(O_X(n)) = chi(O_X(r - 6 - n)): the canonical twist is r - 6."""
-    ctx = HypersurfaceContext(degree)
-    assert chi_hyp(ctx, n) == chi_hyp(ctx, canonical_twist(degree) - n)
+    assert chi_hyp(degree, n) == chi_hyp(degree, canonical_twist(degree) - n)
 
 
 @given(n=st.integers(min_value=1, max_value=12), degree=st.integers(min_value=3, max_value=6))
 @settings(max_examples=60, deadline=None)
 def test_sections_match_chi_in_the_stable_range(n, degree):
     # no higher cohomology once n > canonical_twist, and r - 6 <= 0 here
-    ctx = HypersurfaceContext(degree)
-    assert h0_hyp(ctx, n) == chi_hyp(ctx, n)
+    assert h0_hyp(degree, n) == chi_hyp(degree, n)
 
 
 def test_trivial_canonical_class_on_the_sextic():
     # n = 0 on degree 6 keeps an h^4 = h^0(K) = 1, so chi exceeds h^0
-    ctx = HypersurfaceContext(6)
-    assert h0_hyp(ctx, 0) == 1
-    assert chi_hyp(ctx, 0) == 2
+    assert h0_hyp(6, 0) == 1
+    assert chi_hyp(6, 0) == 2
