@@ -24,7 +24,6 @@ from .incidence import (
 from .normal_bundle import kmr_h0_normal
 from .resolutions import (
     GorensteinResolution,
-    NonConstantScanError,
     h0_ideal,
     parse_resolution,
     validate,
@@ -36,7 +35,6 @@ __all__ = [
     "CaseRecord",
     "CatalogError",
     "GorensteinResolution",
-    "NonConstantScanError",
     "Report",
     "ReportRow",
     "Verdict",

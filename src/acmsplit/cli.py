@@ -34,7 +34,7 @@ from .incidence import (
 )
 from .normal_bundle import _kmr
 from .proj_cohomology import AMBIENT_DIM, h0_pn
-from .resolutions import GorensteinResolution, parse_resolution, scan_constant, term_sum
+from .resolutions import GorensteinResolution, parse_resolution, term_sum
 
 _GRID_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")
 
@@ -133,7 +133,7 @@ def _cmd_check_case(args: argparse.Namespace) -> int:
 def _cmd_kmr(args: argparse.Namespace) -> int:
     res = _load_resolution(args.resolution)
     blocks, _ = checked_resolution(res, args.grid)
-    value = scan_constant(lambda x: _kmr(*blocks[x], res.socle_twist), blocks, "h^0(N_S)")
+    value = _kmr(*blocks, res.socle_twist)
     _emit(_scalar_text(args, {"h0_normal": value}, "h0_normal"), args.out)
     return 0
 
@@ -142,9 +142,7 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
     res = _load_resolution(args.resolution)
     blocks, surface = checked_resolution(res, args.grid)
     t = args.twist
-    ideal = scan_constant(
-        lambda x: term_sum(*blocks[x], res.socle_twist, t), blocks, f"h^0(I_S({t}))"
-    )
+    ideal = term_sum(*blocks, res.socle_twist, t)
     payload = {
         "twist": t,
         "h0_ideal": ideal,

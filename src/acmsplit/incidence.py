@@ -29,13 +29,11 @@ from .resolutions import (
     Blocks,
     DegenerateResolutionError,
     GorensteinResolution,
-    NonConstantScanError,
     SurfaceInvariants,
     _invariants,
     _walk,
     h0_ideal,  # noqa: F401  (perfbench's tracer wraps the incidence.h0_ideal alias)
     parse_resolution,
-    scan_constant,
     term_sum,
 )
 
@@ -96,26 +94,22 @@ def resolve_parameters(res: GorensteinResolution) -> GorensteinResolution:
 
 def checked_resolution(
     res: GorensteinResolution, grid: range | None = None
-) -> tuple[dict[int | None, tuple[Blocks, Blocks]], SurfaceInvariants]:
-    """Validate a resolution and certify its surface type: (blocks, invariants).
+) -> tuple[tuple[Blocks, Blocks], SurfaceInvariants]:
+    """Validate a resolution and read its surface type: ((gens, syz), invariants).
 
     This is the one path from raw twist data to counts: evaluate_case
     and the kmr and hilbert commands take it.  One walk over the scan
     points (see scan_points) builds each point's generator and syzygy
-    blocks, which validation reads; blocks maps each point to them for
-    the counts.  invariants is the one SurfaceInvariants of the family,
-    which scan_constant requires at every point.  Invalid twist data
-    raises CatalogError, a Hilbert polynomial that is no surface at a
-    scan point DegenerateResolutionError, and a surface type that moves
-    with the parameter NonConstantScanError.
+    blocks, which validation reads.  validate lets a parameter add only
+    cancelling pairs, which move no count (see _kmr), so the blocks of
+    the first scan point and the invariants read there stand for every
+    admissible value.  Invalid twist data raises CatalogError, and a
+    Hilbert polynomial that is no surface DegenerateResolutionError.
     """
     problems, blocks = _walk(res, grid)
     if problems:
         raise CatalogError("invalid resolution: " + "; ".join(str(p) for p in problems))
-    socle = res.socle_twist
-    return blocks, scan_constant(
-        lambda x: _invariants(*blocks[x], socle), blocks, "the surface type"
-    )
+    return blocks, _invariants(*blocks, res.socle_twist)
 
 
 class ReportRow(NamedTuple):
@@ -312,13 +306,12 @@ def evaluate_case(case: CaseRecord, grid: range | None = None) -> ReportRow:
 
     A degree the report refuses is refused with its message.  A
     resolution is validated at its scan points, on the grid when one is
-    given, and its surface type certified (see checked_resolution); a
-    resolution without a parameter ignores the grid.  The counts read
-    the scan table.  A scan point with no surface is refused first, then
-    a surface type that moves across the scan points, then a Chern pair
-    whose sectional genus is not an integer, then a surface degree or
-    genus that differs from the pair's; then a count that moves across
-    the scan points, h^0(I_S(r)) before h^0(N_S).  Each refusal names
+    given, and counted at one of them (see checked_resolution); a
+    resolution without a parameter ignores the grid.  Invalid twist
+    data, a parameter that adds more than cancelling pairs included, is
+    refused first; then a Hilbert polynomial that is no surface, then a
+    Chern pair whose sectional genus is not an integer, then a surface
+    degree or genus that differs from the pair's.  Each refusal names
     the case.  The row's first note is the one of the cascade rule that
     decided it; a catalog annotation for the case and that verdict
     follows.
@@ -332,9 +325,8 @@ def evaluate_case(case: CaseRecord, grid: range | None = None) -> ReportRow:
         genus, parity = None, str(exc)
     ideal = normal = bound = None
     if res is not None:
-        socle = res.socle_twist
         try:
-            blocks, surface = checked_resolution(res, grid)
+            (gens, syz), surface = checked_resolution(res, grid)
             if genus is None:
                 raise CatalogError(parity)
             if surface.degree != c2:
@@ -344,12 +336,10 @@ def evaluate_case(case: CaseRecord, grid: range | None = None) -> ReportRow:
                     f"resolution sectional genus {surface.sectional_genus}"
                     f" != {genus} from the Chern pair"
                 )
-            ideal = scan_constant(
-                lambda x: term_sum(*blocks[x], socle, r), blocks, f"h^0(I_S({r}))"
-            )
-            normal = scan_constant(lambda x: _kmr(*blocks[x], socle), blocks, "h^0(N_S)")
-        except (CatalogError, DegenerateResolutionError, NonConstantScanError) as exc:
+        except (CatalogError, DegenerateResolutionError) as exc:
             raise type(exc)(f"case {case.label}: {exc}") from exc
+        ideal = term_sum(gens, syz, res.socle_twist, r)
+        normal = _kmr(gens, syz, res.socle_twist)
         bound = ideal - 1 + normal
     decided, note = _cascade(case, genus, ideal, normal, bound, moduli)
     annotations = _catalog.REPORT_ANNOTATIONS.get((r, c1, c2, decided._value_), ())

@@ -66,6 +66,18 @@ def _kmr(gens: Blocks, syz: Blocks, socle: int) -> Count:
     positions [i0, i1) and a syzygy block at descending positions
     [j0, j1) share the _block_pairs(i0, i1, j0, j1) pairs i < j of the
     positional sum, counted in closed form.
+
+    Lemma: a cancelling ("ghost") pair {t, s - t}, 1 <= t <= s - 1 with
+    s the socle, added to both gens and syz of a self-dual resolution
+    with generator twists in 1..s - 1 changes no count.  The pair term
+    is f(d) = C(d+5, 5)+ - C(5-d, 5)+ at d = m_j - n_i, and m_j = s - n_j,
+    so the pair sum is sum f(s - n_i - n_j) over unordered pairs of
+    generator positions.  The ghost adds sum_i [f(t - n_i) + f(s - t - n_i)]
+    to it (and f(0) = 0 for the new pair), which is h^0(I_S(t)) +
+    h^0(I_S(s - t)): the truncated terms at t - s and -t vanish.  That is
+    what the -sum h^0(I_S(n_i)) term loses, as I_S keeps its Hilbert
+    function.  The one ghost at t = s/2 adds sum_i f(t - n_i) = h^0(I_S(t))
+    and loses it the same way.
     """
     total = 0
     i0 = 0

@@ -5,21 +5,21 @@ A surface S in P^5 in this family has a self-dual length-3 resolution
     0 -> O(-socle) -> (+) O(-m_j) -> (+) O(-n_i) -> I_S -> 0
 
 recorded here as twist/multiplicity pairs.  Multiplicities may be affine
-expressions in one named parameter, so a whole family of resolutions (for
-example a varying number of cubic generators) is a single record;
-parse_resolution refuses a second parameter.  All section counts derived
-from a resolution are exact, not Euler-characteristic approximations,
-because the terms are sums of line bundles on P^5 whose middle cohomology
-vanishes.
+expressions in one named parameter, so one surface's resolution padded with
+a varying number of cancelling pairs is a single record; parse_resolution
+refuses a second parameter, and validate a parameter that adds more than
+cancelling pairs.  All section counts derived from a resolution are exact,
+not Euler-characteristic approximations, because the terms are sums of line
+bundles on P^5 whose middle cohomology vanishes.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from collections.abc import Callable, Collection, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from math import comb
-from typing import NamedTuple, TypeVar
+from typing import NamedTuple
 
 from .combinatorics import Count, EulerNumber
 
@@ -34,10 +34,6 @@ class ResolutionValidationError(ValueError):
 
 class DegenerateResolutionError(ValueError):
     """The Hilbert polynomial does not describe a surface."""
-
-
-class NonConstantScanError(ArithmeticError):
-    """A quantity that must not depend on the family parameter did."""
 
 
 _TERM_RE = re.compile(
@@ -145,8 +141,6 @@ TwistVector = tuple[tuple[int, AffineExpr], ...]
 
 #: (twist, count) pairs at one parameter value: sorted, merged, counts > 0.
 Blocks = list[tuple[int, int]]
-
-_Value = TypeVar("_Value")
 
 #: The most [twist, mult] pairs parse_resolution takes in gens or in syz.  The KMR count
 #: pairs every generator block with every syzygy block, so its cost grows as its square.
@@ -342,32 +336,20 @@ def _negative_span(mult: AffineExpr, grid: range) -> range:
 
 
 def scan_points(res: GorensteinResolution, grid: range | None = None) -> list[int | None]:
-    """The certificate points a resolution is evaluated at: [None] without a parameter.
+    """The points a resolution is validated at: [None] without a parameter.
 
     The scan domain is the grid, which validate requires to lie inside
     the admissible interval, or else that interval itself.  Its points
     are both ends and a middle point of a bounded domain, or the finite
     end and the next two values of a half-line.  They certify the whole
-    domain of a balanced one-parameter resolution that validate accepts:
-    - every multiplicity is affine in x and >= 0 on the domain, so block
-      counts, ranks, h0_ideal and the degree, genus, chi(O_S) and
-      third differences of surface_invariants are affine there;
-    - kmr_h0_normal is quadratic: the pairs i < j between two blocks
-      number P(i1, j1) - P(i0, j1) - P(i1, j0) + P(i0, j0) for the prefix
-      count P(a, b) = #{i < a, j < b, i < j}, which is b(b-1)/2 for
-      b <= a and a(a-1)/2 + (b - a)a above; by self-duality the partial
-      sums of the ascending generator blocks equal those of the
-      descending syzygy blocks, so each P(a, b) stays on one branch, and
-      the two branches agree at a = b;
-    - so each identity checked (rank balance, self-duality per twist,
-      zero third differences, and constancy of the degree, genus,
-      chi(O_S), h0_ideal and kmr_h0_normal) is a polynomial of degree
-      <= 2 in x, which vanishes on the domain when it vanishes at three
-      distinct points;
-    - the one inequality, surface degree > 0, then holds on the whole
-      domain once it holds at one point, as the degree is constant.
-    Points are computed, not listed, so a grid past sys.maxsize costs
-    what a short one does.  An empty domain raises ValueError.
+    domain for the checks validate runs at each point.  Every
+    multiplicity is affine in x and >= 0 on the domain, so each merged
+    block count is too: rank balance and self-duality per twist are
+    affine identities, which hold on the domain when they hold at two of
+    its points, and a count positive somewhere on the domain is positive
+    at one of the points, so the twist range sees every block.  Points
+    are computed, not listed, so a grid past sys.maxsize costs what a
+    short one does.  An empty domain raises ValueError.
     """
     name, lo, hi = _domain(res)
     if name is None:
@@ -391,52 +373,41 @@ def scan_points(res: GorensteinResolution, grid: range | None = None) -> list[in
     return list(dict.fromkeys([lo, middle, hi]))
 
 
-def scan_constant(
-    evaluate: Callable[[int | None], _Value], points: Collection[int | None], what: str
-) -> _Value:
-    """The value at the scan points (see scan_points), which must be constant; points is not empty.
-
-    Each value is compared with the first.  The family parameter counts
-    resolution terms that cancel; a value that moves with it means
-    corrupted twist data, so it is refused with its value at every point
-    rather than averaged away.
-    """
-    rest = iter(points)
-    first = evaluate(next(rest))
-    for x in rest:
-        if evaluate(x) != first:
-            values = {x: evaluate(x) for x in points}
-            raise NonConstantScanError(f"{what} varies across the certificate points: {values}")
-    return first
-
-
 def validate(res: GorensteinResolution, grid: range | None = None) -> list[Violation]:
-    """Check self-duality, rank balance, degree balance and twist range; never raises.
+    """Check balance, cancelling pairs, self-duality and twist range; never raises.
 
-    A negative multiplicity is reported once per expression, with the
-    grid points where it is negative; the rest is checked at the scan
-    points (see scan_points).  An ideal sheaf of a surface has no
-    sections in degree <= 0, so a generator twist n is >= 1; its dual,
-    the syzygy twist socle - n, relates generators of twist >= 1, so it
-    is >= 1 too and n is below the socle.  Under self-duality, checked
-    alongside, that one range 1 <= n <= socle - 1 bounds the syzygy
-    twists as well.  Outside it the KMR pair sum is wrong.  A record
-    built directly with two parameters is one violation.  Returns every
-    violation found, in the order _walk checks them.
+    A parameter may only add cancelling pairs: at every twist t its
+    slope kappa^gens_t summed over gens must equal kappa^syz_t summed
+    over syz, or the violation names each twist whose net count,
+    generators minus syzygies, moves.  The x-part of the Hilbert series
+    of I_S is x sum_t (kappa^gens_t - kappa^syz_t) z^t / (1 - z)^6, so
+    the rule holds exactly when the Hilbert function of S does not
+    depend on x; _kmr's docstring shows that h^0(N_S) then does not
+    either.  A negative multiplicity is reported once per expression,
+    with the grid points where it is negative; the rest is checked at
+    the scan points (see scan_points).  An ideal sheaf of a surface has
+    no sections in degree <= 0, so a generator twist n is >= 1; its
+    dual, the syzygy twist socle - n, relates generators of twist >= 1,
+    so it is >= 1 too and n is below the socle.  Under self-duality,
+    checked alongside, that one range 1 <= n <= socle - 1 bounds the
+    syzygy twists as well.  Outside it the KMR pair sum is wrong.  A
+    record built directly with two parameters is one violation.
+    Returns every violation found, in the order _walk checks them.
     """
     return _walk(res, grid)[0]
 
 
 def _walk(
     res: GorensteinResolution, grid: range | None = None
-) -> tuple[list[Violation], dict[int | None, tuple[Blocks, Blocks]]]:
-    """validate's checks, and the (generators, syzygies) blocks of each scan point they read.
+) -> tuple[list[Violation], tuple[Blocks, Blocks] | None]:
+    """validate's checks, and the (generators, syzygies) blocks of the first scan point.
 
     The checks run in this order, and each of 1, 3 and 4 ends the walk
-    when it fails, so the blocks are empty:
+    when it fails, so there are no blocks (None):
     1. two parameter names, read once from parameter();
     2. degree balance: Sum(n_i) - Sum(m_j) + socle, as const + coeff * x,
-       must vanish for the twist data to come from a resolution;
+       must vanish for the twist data to come from a resolution; then
+       cancelling pairs: the slope of each twist's net count must vanish;
     3. an empty grid or admissible interval (scan_points);
     4. negative multiplicities, once per expression: on a grid, the
        points where it is negative; off one the scan points are
@@ -449,9 +420,10 @@ def _walk(
     try:
         name = res.parameter()
     except UnresolvedParameterError as exc:
-        return [Violation("unresolved-parameters", None, str(exc))], {}
+        return [Violation("unresolved-parameters", None, str(exc))], None
 
     const, coeff = res.socle_twist, 0
+    net: dict[int, int] = {}  # twist -> slope of its count of generators minus syzygies
     on_grid = name is not None and bool(grid)  # an empty grid is refused below
     negative = []
     for sign, label, vector in ((1, "gens", res.generators), (-1, "syz", res.syzygies)):
@@ -459,6 +431,8 @@ def _walk(
             count, slope, _ = mult
             const += sign * twist * count
             coeff += sign * twist * slope
+            if slope:
+                net[twist] = net.get(twist, 0) + sign * slope
             where = _negative_span(mult, grid) if on_grid else None
             if where or (where is None and count < 0 and not slope):
                 detail = f"{label} multiplicity {mult} of twist {twist} is negative"
@@ -467,18 +441,25 @@ def _walk(
         residual = f"{const} {coeff:+d}*{name}" if coeff else str(const)
         detail = f"twist sums leave residual {residual}"
         violations.append(Violation("degree-balance", None, detail))
+    moving = ", ".join(str(t) for t in sorted(net) if net[t])
+    if moving:
+        detail = (
+            f"{name} moves the net count of generators minus syzygies at twists {moving};"
+            " a parameter may only add cancelling pairs"
+        )
+        violations.append(Violation("cancelling-pairs", None, detail))
 
     try:
         points = scan_points(res, grid)
     except ValueError as exc:
         tag = "empty-domain" if grid is None else "empty-grid"
-        return violations + [Violation(tag, None, str(exc))], {}
+        return violations + [Violation(tag, None, str(exc))], None
     if negative:
-        return violations + negative, {}
+        return violations + negative, None
 
     socle = res.socle_twist
-    table = {x: res.blocks(x) for x in points}
-    for x, (gens, syz) in table.items():
+    table = [res.blocks(x) for x in points]
+    for x, (gens, syz) in zip(points, table):
         if not gens:
             violations.append(Violation("trivial-rank", x, "no generators"))
             continue
@@ -497,7 +478,7 @@ def _walk(
                 f"generator twist {n} is not below the socle {socle}" for n, _ in gens if n >= socle
             ]
             violations += [Violation("twist-range", x, detail) for detail in low + high]
-    return violations, table
+    return violations, table[0]
 
 
 def term_sum(gens: Blocks, syz: Blocks, socle: int, t: int) -> Count:

@@ -20,7 +20,8 @@ from acmsplit.resolutions import (
 #: Complete-intersection types appearing in the built-in catalogs.
 CI_TYPES = [(1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 1, 4), (1, 2, 3)]
 
-#: Surface degree 8 - x on the admissible half-line x >= 0: a surface for x <= 7 only.
+#: Surface degree 8 - x on the admissible half-line x >= 0: a surface for x <= 7 only.  The
+#: parameter moves the net count at twists 2, 3, 4 and 5, so validate refuses it.
 FALLING_DEGREE = {
     "gens": [[1, 1], [2, 1], [4, 1], [4, "3*x"], [2, "x"]],
     "syz": [[6, 1], [5, 1], [3, 1], [3, "3*x"], [5, "x"]],
@@ -28,11 +29,16 @@ FALLING_DEGREE = {
 }
 
 #: Admissible on -3 <= x <= 0, with degree 4 and 2 at x = -3 and -2, and no surface at x = -1.
+#: The parameter moves the net count at twists 1, 2, 4 and 5, so validate refuses it.
 DEGENERATES_PARTWAY = {
     "gens": [[4, "2*x+7"], [5, "-2*x"], [1, "-x+5"]],
     "syz": [[2, "2*x+7"], [1, "-2*x"], [5, "-x+5"]],
     "socle": 6,
 }
+
+#: DEGENERATES_PARTWAY at x = -1: balanced, self-dual and in range, but its Hilbert
+#: polynomial has degree < 2.
+NO_SURFACE = {"gens": [[4, 5], [5, 2], [1, 6]], "syz": [[2, 5], [1, 2], [5, 6]], "socle": 6}
 
 #: Multiplicities x and -x - 1 are never both >= 0: the admissible interval is empty.
 EMPTY_DOMAIN = {
@@ -99,12 +105,6 @@ def admissible_search(res):
     """
     mults = [mult for _, mult in res.generators + res.syzygies if mult.param is not None]
     return [x for x in WINDOW if all(mult.evaluate(x) >= 0 for mult in mults)]
-
-
-def is_half_line(res):
-    """Whether the admissible values of a family run off an edge of WINDOW."""
-    found = admissible_search(res)
-    return bool(found) and (found[0] == WINDOW[0] or found[-1] == WINDOW[-1])
 
 
 def walk_points(res, grid=None, count=40):
@@ -284,10 +284,41 @@ def degree_balance_form(res):
     return const, coeff
 
 
+def net_counts(res, x):
+    """Generators minus syzygies at each twist at x, entry by entry; negative counts allowed."""
+    net = Counter()
+    for sign, vector in ((1, res.generators), (-1, res.syzygies)):
+        for twist, mult in vector:
+            net[twist] += sign * mult.evaluate(x)
+    return net
+
+
+def moving_twists(res):
+    """The twists whose net count differs between x = 0 and 1, ascending; [] without a parameter.
+
+    Each count is affine in x, so two values of x show every twist it moves.
+    """
+    if res.parameter() is None:
+        return []
+    at0, at1 = net_counts(res, 0), net_counts(res, 1)
+    return sorted(t for t in at0.keys() | at1.keys() if at0[t] != at1[t])
+
+
+def cancelling_pairs(name, twists):
+    """The violation of a parameter that moves the net count at the twists, as validate words it."""
+    detail = (
+        f"{name} moves the net count of generators minus syzygies at twists"
+        f" {', '.join(map(str, twists))}; a parameter may only add cancelling pairs"
+    )
+    return Violation("cancelling-pairs", None, detail)
+
+
 def flat_validate(res, grid=None):
     """validate() as a walk over walk_points, checking each point's record entries.
 
-    A negative multiplicity is reported at every point and for every
+    A parameter that moves the net count at some twist is reported once,
+    with those twists (moving_twists).  A negative multiplicity is
+    reported at every point and for every
     expression where it is negative.  Off a grid the walk visits values
     where every multiplicity with the parameter is >= 0, and a constant
     one is negative at all of them or at none: a family reports each
@@ -308,6 +339,9 @@ def flat_validate(res, grid=None):
         violations.append(
             Violation("degree-balance", None, f"twist sums leave residual {residual}")
         )
+    moving = moving_twists(res)
+    if moving:
+        violations.append(cancelling_pairs(name, moving))
     points = walk_points(res, grid)
     if not points:
         tag = "empty-domain" if grid is None else "empty-grid"

@@ -17,11 +17,11 @@ from acmsplit.resolutions import (
     MAX_PAIRS,
     MAX_TWIST,
     h0_ideal,
-    scan_constant,
+    parse_resolution,
     scan_points,
     surface_invariants,
 )
-from conftest import DEGENERATES_PARTWAY, EMPTY_DOMAIN, FALLING_DEGREE, ci_resolution
+from conftest import EMPTY_DOMAIN, FALLING_DEGREE, NO_SURFACE, cancelling_pairs, ci_resolution
 from test_resolutions import certificate_families
 
 QUADRIC = json.dumps(ci_resolution(1, 1, 2))
@@ -29,8 +29,8 @@ QUADRIC = json.dumps(ci_resolution(1, 1, 2))
 NESTED = '{"gens": ' + "[" * 5000 + "]" * 5000 + ', "syz": [], "socle": 5}'
 #: Neither degree-balanced nor self-dual, though the KMR sum still evaluates.
 UNBALANCED = '{"gens":[[1,1],[2,1]],"syz":[[3,1],[9,1]],"socle":5}'
-#: A family with positive twists whose Hilbert polynomial has degree 0 at x = -1.
-PARTWAY = json.dumps(DEGENERATES_PARTWAY)
+#: Balanced, self-dual and in range, with a Hilbert polynomial of degree 0.
+DEGENERATE = json.dumps(NO_SURFACE)
 OCTIC = json.dumps({"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6})
 #: The README degree-11 family, admissible for b >= 2.
 DEG11 = json.dumps(
@@ -150,7 +150,7 @@ def test_a_wide_grid_is_certified(capsys, grid):
 
 
 def test_kmr_cost_does_not_grow_with_the_grid(capsys, monkeypatch):
-    """The validating walk builds three points' blocks, and the count reads its table."""
+    """The validating walk builds three points' blocks, and the count reads the first point's."""
     from acmsplit.resolutions import GorensteinResolution
 
     seen = []
@@ -173,7 +173,7 @@ def test_kmr_cost_does_not_grow_with_the_grid(capsys, monkeypatch):
 
 
 def test_hilbert_reads_its_counts_off_the_scan_table(capsys, monkeypatch):
-    """Only the validating walk builds blocks; every count reads its table."""
+    """Only the validating walk builds blocks; every count reads the first scan point's."""
     from acmsplit.resolutions import GorensteinResolution
 
     seen = []
@@ -213,14 +213,14 @@ def _expected(count):
 @settings(max_examples=100, deadline=None)
 @given(certificate_families(), st.integers(-3, 8))
 def test_kmr_and_hilbert_print_what_the_public_wrappers_count(drawn, t):
-    """The commands read the scan table; the (res, x) wrappers build blocks of their own.
+    """The commands count one point's blocks; the (res, x) wrappers build blocks of their own.
 
-    Where checked_resolution accepts the family, both commands print the
-    wrappers' constant value at the scan points, or exit 2 with the error
-    the wrappers raise; elsewhere both exit 2 with checked_resolution's
-    error.
+    Where checked_resolution accepts the family, the wrappers take one
+    value at every scan point, and both commands print it, or exit 2 with
+    the error the wrappers raise; elsewhere both exit 2 with
+    checked_resolution's error.
     """
-    res, grid, _ = drawn
+    res, grid = drawn
     if grid is not None:
         grid = range(min(grid), max(grid) + 1)
     text = json.dumps({
@@ -232,15 +232,16 @@ def test_kmr_and_hilbert_print_what_the_public_wrappers_count(drawn, t):
 
     def kmr():
         checked_resolution(res, grid)
-        points = scan_points(res, grid)
-        return scan_constant(lambda x: kmr_h0_normal(res, x), points, "h^0(N_S)")
+        values = {kmr_h0_normal(res, x) for x in scan_points(res, grid)}
+        assert len(values) == 1
+        return values.pop()
 
     def hilbert():
         checked_resolution(res, grid)
         points = scan_points(res, grid)
-        ideal = scan_constant(lambda x: h0_ideal(res, t, x), points, f"h^0(I_S({t}))")
-        scan_constant(lambda x: surface_invariants(res, x).chi(t), points, f"chi(O_S({t}))")
-        return ideal
+        ideal = {h0_ideal(res, t, x) for x in points}
+        assert len(ideal) == len({surface_invariants(res, x).chi(t) for x in points}) == 1
+        return ideal.pop()
 
     assert _outcome(["kmr", *argv]) == _expected(kmr)
     assert _outcome(["hilbert", "--twist", str(t), *argv]) == _expected(hilbert)
@@ -262,18 +263,48 @@ def test_a_negative_multiplicity_at_one_grid_point_names_the_point(capsys):
     )
 
 
+def _cancelling_pairs(twists):
+    """What kmr and hilbert print when x moves the net count at the twists."""
+    return f"acmsplit: error: invalid resolution: {cancelling_pairs('x', twists)}\n"
+
+
 @pytest.mark.parametrize("command", [["kmr"], ["hilbert", "--twist", "1"]])
 def test_a_surface_type_that_moves_on_the_grid_exits_2(capsys, command):
     """FALLING_DEGREE is a surface at every point of 0..7, but of degree 8, 4 and 1 at 0, 4, 7.
 
-    Each count the commands print is constant there; the surface type is not.
+    Its parameter moves the net count at twists 2 to 5, so validation refuses it on any
+    grid, a one-point grid included, and on its half-line.
     """
-    argv = [*command, "--resolution", json.dumps(FALLING_DEGREE), "--grid", "0..7"]
-    code, out, err = invoke(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("acmsplit: error: the surface type varies across the certificate points:")
-    for x, degree in ((0, 8), (4, 4), (7, 1)):
-        assert f"{x}: SurfaceInvariants(degree={degree}," in err
+    res = parse_resolution(FALLING_DEGREE)
+    assert [surface_invariants(res, x).degree for x in (0, 4, 7)] == [8, 4, 1]
+    for grid in (["--grid", "0..7"], ["--grid", "3..3"], []):
+        argv = [*command, "--resolution", json.dumps(FALLING_DEGREE), *grid]
+        assert invoke(capsys, *argv) == (2, "", _cancelling_pairs([2, 3, 4, 5]))
+
+
+#: A (2,3,5) complete intersection with 40 ghost pairs at each twist 1..9, plus x z(1-z)^6 on
+#: gens and its dual on syz: admissible for -2 <= x <= 2, one surface type throughout, but
+#: h^0(I_S(1)) and h^0(I_S(3)) move with x.
+WOBBLE = {
+    "gens": [[1, "40+1*x"], [2, "41-6*x"], [3, "41+15*x"], [4, "40-20*x"], [5, "41+15*x"],
+             [6, "40-6*x"], [7, "40+1*x"], [8, 40], [9, 40]],
+    "syz": [[9, "40+1*x"], [8, "41-6*x"], [7, "41+15*x"], [6, "40-20*x"], [5, "41+15*x"],
+            [4, "40-6*x"], [3, "40+1*x"], [2, 40], [1, 40]],
+    "socle": 10,
+}
+
+
+@pytest.mark.parametrize(
+    "command", [["kmr"], *(["hilbert", "--twist", str(t)] for t in range(8))],
+    ids=["kmr", *(f"hilbert-{t}" for t in range(8))],
+)
+def test_a_family_of_one_surface_type_whose_hilbert_function_moves_exits_2(capsys, command):
+    """Whether the record is refused does not depend on the twist asked for."""
+    res = parse_resolution(WOBBLE)
+    assert len({surface_invariants(res, x) for x in range(-2, 3)}) == 1
+    assert [h0_ideal(res, 1, x) for x in (-2, 2)] == [-2, 2]
+    argv = [*command, "--resolution", json.dumps(WOBBLE)]
+    assert invoke(capsys, *argv) == (2, "", _cancelling_pairs([1, 2, 3, 4, 6, 7, 8, 9]))
 
 
 def test_negative_multiplicities_are_reported_once_per_expression(capsys):
@@ -288,7 +319,7 @@ def test_negative_multiplicities_are_reported_once_per_expression(capsys):
 
 @pytest.mark.parametrize("command", [["kmr"], ["hilbert", "--twist", "2"]])
 def test_degenerate_resolution_is_refused(capsys, command):
-    code, out, err = invoke(capsys, *command, "--resolution", PARTWAY)
+    code, out, err = invoke(capsys, *command, "--resolution", DEGENERATE)
     assert (code, out) == (2, "")
     assert "Hilbert polynomial has degree < 2" in err
 
@@ -433,8 +464,8 @@ def test_custom_catalog(tmp_path, capsys):
         ["kmr", "--resolution", NESTED],
         ["kmr", "--resolution", UNBALANCED],
         ["hilbert", "--resolution", UNBALANCED, "--twist", "3"],
-        ["kmr", "--resolution", PARTWAY],
-        ["hilbert", "--resolution", PARTWAY, "--twist", "2"],
+        ["kmr", "--resolution", DEGENERATE],
+        ["hilbert", "--resolution", DEGENERATE, "--twist", "2"],
         ["hilbert", "--resolution", json.dumps(FALLING_DEGREE), "--twist", "0"],
         ["kmr", "--resolution", json.dumps(EMPTY_DOMAIN)],
     ],
@@ -573,12 +604,8 @@ def test_a_twist_past_max_twist_is_refused_whatever_the_socle(capsys, command):
 @pytest.mark.parametrize(
     "c1, c2, shape, message",
     [
-        (1, 8, FALLING_DEGREE,
-         "the surface type varies across the certificate points:"
-         " {0: SurfaceInvariants(degree=8, sectional_genus=9, chi_structure=6),"
-         " 1: SurfaceInvariants(degree=7, sectional_genus=8, chi_structure=6),"
-         " 2: SurfaceInvariants(degree=6, sectional_genus=7, chi_structure=6)}"),
-        (1, 2, DEGENERATES_PARTWAY, "Hilbert polynomial has degree < 2 (leading difference 0)"),
+        (1, 8, FALLING_DEGREE, f"invalid resolution: {cancelling_pairs('x', [2, 3, 4, 5])}"),
+        (1, 2, NO_SURFACE, "Hilbert polynomial has degree < 2 (leading difference 0)"),
     ],
     ids=["falling-degree", "no-surface"],
 )
@@ -827,10 +854,10 @@ def test_public_api_is_what_the_readme_uses():
     import acmsplit
 
     assert sorted(acmsplit.__all__) == [
-        "CaseRecord", "CatalogError", "GorensteinResolution", "NonConstantScanError", "Report",
-        "ReportRow", "Verdict", "builtin_catalog", "dimension_bound", "generate_report",
-        "h0_ideal", "kmr_h0_normal", "parse_resolution", "pfaffian_c2", "render_report_json",
-        "render_report_markdown", "sectional_genus", "solve_c2_boundary", "validate", "verdict",
+        "CaseRecord", "CatalogError", "GorensteinResolution", "Report", "ReportRow", "Verdict",
+        "builtin_catalog", "dimension_bound", "generate_report", "h0_ideal", "kmr_h0_normal",
+        "parse_resolution", "pfaffian_c2", "render_report_json", "render_report_markdown",
+        "sectional_genus", "solve_c2_boundary", "validate", "verdict",
     ]
     for name in acmsplit.__all__:
         assert getattr(acmsplit, name) is not None

@@ -29,7 +29,6 @@ from acmsplit.resolutions import (
     AffineExpr,
     DegenerateResolutionError,
     GorensteinResolution,
-    NonConstantScanError,
     SurfaceInvariants,
     h0_ideal,
     parse_resolution,
@@ -40,6 +39,8 @@ from acmsplit.resolutions import (
 from conftest import (
     DEGENERATES_PARTWAY,
     FALLING_DEGREE,
+    NO_SURFACE,
+    cancelling_pairs,
     case_points,
     ci_resolution,
     degree_balance_form,
@@ -230,7 +231,7 @@ def test_dimension_bound_and_verdict_refuse_what_the_report_refuses(case, messag
 
 
 def test_a_report_builds_each_points_blocks_and_its_scan_points_once(monkeypatch):
-    """The walk alone takes each scan point's blocks; every count reads its table."""
+    """The walk alone takes each scan point's blocks; every count reads the first point's."""
     import acmsplit.resolutions as resolutions
     from acmsplit.catalog import QUADRIC_RESOLUTION
     from acmsplit.resolutions import GorensteinResolution
@@ -257,12 +258,32 @@ def test_a_report_builds_each_points_blocks_and_its_scan_points_once(monkeypatch
     assert points == 18 and len(built) == points
 
 
+def test_a_report_counts_each_case_with_a_resolution_once(monkeypatch):
+    """evaluate_case reads the invariants, h^0(I_S(r)) and h^0(N_S) at one point per case.
+
+    The four built-in family cases are counted once too, not once per scan point.
+    """
+    import acmsplit.incidence as incidence
+
+    calls = Counter()
+    for name in ("_kmr", "_invariants", "term_sum"):
+
+        def counted(*args, name=name, kernel=getattr(incidence, name)):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(incidence, name, counted)
+    rows = [row for degree in (3, 4, 5, 6) for row in generate_report(degree).rows]
+    assert sum(row.case is not None and row.case.resolution is not None for row in rows) == 18
+    assert calls == {"_kmr": 18, "_invariants": 18, "term_sum": 18}
+
+
 def test_a_report_reads_each_records_parameter_once_and_no_admissible_interval(monkeypatch):
     """One parameter() per record a degree-5 report walks, and no admissible() at all.
 
-    The surface type is certified by its constancy at the scan points,
-    so no rule asks for the admissible interval; incidence does not even
-    import admissible.
+    The cancelling-pairs rule makes the surface type constant, so no rule
+    asks for the admissible interval; incidence does not even import
+    admissible.
     """
     import acmsplit.incidence as incidence
     import acmsplit.resolutions as resolutions
@@ -570,53 +591,55 @@ def test_report_rejects_invalid_resolution():
 DEGENERATE_MESSAGE = "Hilbert polynomial has degree < 2 (leading difference 0)"
 
 
+def _cancelling_pairs(twists):
+    """checked_resolution's refusal when x moves the net count at the twists."""
+    return f"invalid resolution: {cancelling_pairs('x', twists)}"
+
+
 def test_checked_resolution_names_the_first_degenerate_point():
+    """A family with a surface at some points and none at others moves a net count, so
+    validation refuses it; a record without a parameter and no surface is refused as such."""
     res = parse_resolution(DEGENERATES_PARTWAY)
-    assert validate(res, range(-3, 1)) == []
     assert [surface_invariants(res, x).degree for x in (-3, -2)] == [4, 2]
-    with pytest.raises(DegenerateResolutionError, match=re.escape(DEGENERATE_MESSAGE)):
+    message = _cancelling_pairs([1, 2, 4, 5])
+    assert validate(res, range(-3, 1)) == [cancelling_pairs("x", [1, 2, 4, 5])]
+    with pytest.raises(CatalogError, match="^" + re.escape(message) + "$"):
         checked_resolution(res, range(-3, 1))
+    with pytest.raises(DegenerateResolutionError, match=re.escape(DEGENERATE_MESSAGE)):
+        checked_resolution(parse_resolution(NO_SURFACE))
 
 
 def test_degeneracy_is_reported_before_a_degree_mismatch():
-    """The degree is c2 = 4 at x = -3, but x = -1 and x = 0 carry no surface at all."""
-    res = parse_resolution(DEGENERATES_PARTWAY)
-    case = CaseRecord(r=5, c1=1, c2=4, resolution=res)
-    with pytest.raises(DegenerateResolutionError, match=re.escape(DEGENERATE_MESSAGE)):
+    """The family's degree is c2 = 4 at x = -3, but its moving net counts are refused first;
+    a record that is no surface is refused as such before its degree is compared with c2."""
+    case = CaseRecord(r=5, c1=1, c2=4, resolution=parse_resolution(DEGENERATES_PARTWAY))
+    message = f"case (c1=1, c2=4): {_cancelling_pairs([1, 2, 4, 5])}"
+    with pytest.raises(CatalogError, match="^" + re.escape(message) + "$"):
         evaluate_case(case, range(-3, 1))
-
-
-def _moving_type(res, points):
-    """The refusal of a surface type that moves: its invariants at each scan point."""
-    types = {x: surface_invariants(res, x) for x in points}
-    return f"the surface type varies across the certificate points: {types}"
+    case = case._replace(resolution=parse_resolution(NO_SURFACE))
+    message = f"case (c1=1, c2=4): {DEGENERATE_MESSAGE}"
+    with pytest.raises(DegenerateResolutionError, match="^" + re.escape(message) + "$"):
+        evaluate_case(case)
 
 
 def test_checked_resolution_refuses_a_degree_falling_on_a_half_line():
-    """The degree 8 - x moves, so constancy refuses it, on a grid or on the half-line x >= 0."""
+    """The degree 8 - x moves with the net count at twists 2 to 5, so validation refuses it."""
     res = parse_resolution(FALLING_DEGREE)
-    assert validate(res) == []
     assert [surface_invariants(res, x).degree for x in range(8)] == [8, 7, 6, 5, 4, 3, 2, 1]
-    # a grid that stops before x = 8 is a surface throughout, and still refused
-    message = _moving_type(res, (0, 4, 7))
-    assert "{0: SurfaceInvariants(degree=8, sectional_genus=9," in message
-    assert "4: SurfaceInvariants(degree=4," in message
-    assert "7: SurfaceInvariants(degree=1," in message
-    with pytest.raises(NonConstantScanError, match=re.escape(message)):
-        checked_resolution(res, range(0, 8))
-    message = _moving_type(res, (0, 1, 2))
-    with pytest.raises(NonConstantScanError, match="^" + re.escape(message) + "$"):
-        checked_resolution(res)
-    # a catalog case without a grid is certified on the whole half-line, so it is refused
+    message = _cancelling_pairs([2, 3, 4, 5])
+    assert validate(res) == [cancelling_pairs("x", [2, 3, 4, 5])]
+    # a grid that stops before x = 8 is a surface throughout, and still refused, as is one point
+    for grid in (range(0, 8), range(3, 4), None):
+        with pytest.raises(CatalogError, match="^" + re.escape(message) + "$"):
+            checked_resolution(res, grid)
     case = CaseRecord(r=5, c1=1, c2=8, resolution=res)
-    with pytest.raises(NonConstantScanError, match=re.escape(f"case (c1=1, c2=8): {message}")):
+    with pytest.raises(CatalogError, match=re.escape(f"case (c1=1, c2=8): {message}")):
         evaluate_case(case)
-    # a family of one surface type, the K3 octic, returns its blocks at each scan point and
+    # a family of one surface type, the K3 octic, returns its first scan point's blocks and
     # that type
     octic = parse_resolution({"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6})
-    assert checked_resolution(octic, range(0, 10)) == (
-        {x: octic.blocks(x) for x in (0, 5, 9)}, SurfaceInvariants(8, 5, 2)
-    )
+    assert checked_resolution(octic, range(0, 10)) == (octic.blocks(0), SurfaceInvariants(8, 5, 2))
+    assert checked_resolution(octic, range(9, -1, -1)) == checked_resolution(octic, range(0, 10))
 
 
 def test_prepare_case_refuses_a_degree_that_moves_with_the_parameter():
@@ -628,12 +651,12 @@ def test_prepare_case_refuses_a_degree_that_moves_with_the_parameter():
             "socle": 12,
         }
     )
-    assert validate(res, range(0, 6)) == []
     assert [surface_invariants(res, x).degree for x in (0, 3, 5)] == [64, 58, 54]
     case = CaseRecord(r=5, c1=1, c2=58, resolution=res)
-    message = f"case (c1=1, c2=58): {_moving_type(res, (0, 3, 5))}"
-    with pytest.raises(NonConstantScanError, match="^" + re.escape(message) + "$"):
-        evaluate_case(case, range(0, 6))
+    message = f"case (c1=1, c2=58): {_cancelling_pairs([4, 5, 7, 8])}"
+    for grid in (range(0, 6), range(3, 4)):
+        with pytest.raises(CatalogError, match="^" + re.escape(message) + "$"):
+            evaluate_case(case, grid)
 
 
 def test_a_wide_grid_renders_the_default_report():

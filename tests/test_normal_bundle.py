@@ -1,27 +1,26 @@
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from acmsplit.catalog import QUADRIC_RESOLUTION
 from acmsplit.combinatorics import binom_poly, binom_trunc
-from acmsplit.normal_bundle import ConventionViolation, _block_pairs, kmr_h0_normal
+from acmsplit.incidence import CatalogError, checked_resolution
+from acmsplit.normal_bundle import ConventionViolation, _block_pairs, _kmr, kmr_h0_normal
 from acmsplit.proj_cohomology import h0_pn
 from acmsplit.resolutions import (
     AffineExpr,
     DegenerateResolutionError,
     GorensteinResolution,
-    NonConstantScanError,
     ResolutionValidationError,
     h0_ideal,
     parse_resolution,
-    scan_constant,
-    scan_points,
     surface_invariants,
     validate,
 )
 from conftest import (
+    cancelling_pairs,
     ci_resolution,
     flat_chi_structure_poly,
     flat_h0_ideal,
@@ -34,6 +33,7 @@ from conftest import (
     resolved_points,
     sorted_twists,
 )
+from test_resolutions import accepted_resolutions
 
 RESOLVED = list(resolved_points())
 RESOLVED_IDS = [f"r{c.r}-c1_{c.c1}-c2_{c.c2}-x_{x}" for c, _, x in RESOLVED]
@@ -76,8 +76,9 @@ def test_constant_resolutions(shape, expected):
 
 
 def kmr_scan(res, grid):
-    """h^0(N_S) through the shared scan: constant over the grid's points."""
-    return scan_constant(lambda x: kmr_h0_normal(res, x), scan_points(res, grid), "h^0(N_S)")
+    """h^0(N_S) as the kmr command counts it: one scan point's blocks, once validated."""
+    blocks, _ = checked_resolution(res, grid)
+    return _kmr(*blocks, res.socle_twist)
 
 
 def test_octic_family_scan():
@@ -100,31 +101,45 @@ def test_scan_on_constant_resolution_is_a_single_evaluation():
     assert kmr_scan(parse_resolution(ci_resolution(1, 1, 2)), range(0, 6)) == 17
 
 
+#: x generators of twist 2 against x syzygies of twist 3, balanced at x = 5 alone: the
+#: parameter moves the net count at twists 2 and 3, and with it KMR, 2x^2 - 3x.
+STRETCHED = {"gens": [[2, "x"]], "syz": [[3, "x"]], "socle": 5}
+MOVES_2_AND_3 = (
+    "invalid resolution: degree-balance: twist sums leave residual 5 -1*x;"
+    f" {cancelling_pairs('x', [2, 3])}"
+)
+
+
 def test_scan_rejects_empty_grid_and_nonconstant_values():
-    stretched = parse_resolution({"gens": [[2, "x"]], "syz": [[3, "x"]], "socle": 5})
-    # 2x^2 - 3x: the elliptic quintic value 35 appears at x = 5 only
+    stretched = parse_resolution(STRETCHED)
+    # the elliptic quintic value 35 appears at x = 5 only
     assert kmr_h0_normal(stretched, 5) == 35
     assert kmr_h0_normal(stretched, 2) == 2
-    with pytest.raises(NonConstantScanError):
+    with pytest.raises(CatalogError):
         kmr_scan(stretched, range(2, 6))
     with pytest.raises(ValueError):
         kmr_scan(stretched, range(5, 5))
 
 
 def test_nonconstant_scan_names_the_certificate_points():
-    stretched = parse_resolution({"gens": [[2, "x"]], "syz": [[3, "x"]], "socle": 5})
-    message = "h^0(N_S) varies across the certificate points: {2: 2, 4: 20, 5: 35}"
-    with pytest.raises(NonConstantScanError, match=re.escape(message)):
+    """A family whose KMR count moves is refused at validation, naming the twists that move it."""
+    stretched = parse_resolution(STRETCHED)
+    assert [kmr_h0_normal(stretched, x) for x in (2, 4, 5)] == [2, 20, 35]
+    with pytest.raises(CatalogError, match="^" + re.escape(MOVES_2_AND_3) + "$"):
         kmr_scan(stretched, range(2, 6))
+    # a one-point grid leaves the parameter in the record, so it is refused too
+    with pytest.raises(CatalogError, match="^" + re.escape(MOVES_2_AND_3) + "$"):
+        kmr_scan(stretched, range(5, 6))
 
 
 def test_scan_refuses_a_family_equal_at_both_ends_of_its_grid():
-    """KMR is quadratic in x, so two end points do not certify it; the middle does."""
+    """KMR is 37 at both ends of 0..4 and 5 in the middle; its moving net counts refuse it."""
     gens = [[1, "4*x+10"], [5, "10-2*x"], [6, "7*x+8"]]
     res = parse_resolution({"gens": gens, "syz": [[8 - n, m] for n, m in gens], "socle": 8})
-    assert validate(res, range(0, 5)) == []
-    message = "varies across the certificate points: {0: 37, 2: 5, 4: 37}"
-    with pytest.raises(NonConstantScanError, match=re.escape(message)):
+    assert [kmr_h0_normal(res, x) for x in (0, 2, 4)] == [37, 5, 37]
+    moved = cancelling_pairs("x", [1, 2, 3, 5, 6, 7])
+    assert validate(res, range(0, 5)) == [moved]
+    with pytest.raises(CatalogError, match=re.escape(str(moved))):
         kmr_scan(res, range(0, 5))
 
 
@@ -190,8 +205,12 @@ def test_subtracted_pair_sums_vanish_without_parameters(shape):
 
 
 def _with_ghost_pair(res, t, count):
-    """res with count more twists t and s - t on both sides: still balanced and self-dual."""
-    ghost = ((t, AffineExpr(const=count)), (res.socle_twist - t, AffineExpr(const=count)))
+    """res with count more twists t and s - t on both sides: still balanced and self-dual.
+
+    count is an int, or an AffineExpr in the parameter of res for a ghost block.
+    """
+    mult = count if isinstance(count, AffineExpr) else AffineExpr(const=count)
+    ghost = ((t, mult), (res.socle_twist - t, mult))
     return res._replace(generators=res.generators + ghost, syzygies=res.syzygies + ghost)
 
 
@@ -201,22 +220,65 @@ def test_a_ghost_pair_inside_the_twist_range_changes_no_count(drawn, data):
     """Twists 1 <= t <= s - 1 leave every count alone; outside, validate refuses the pair.
 
     The count reaches 10**20, as arbitrary_blocks draws it, so the blockwise kernels
-    are checked where no multiplicity-expanded twist list could be built.
+    are checked where no multiplicity-expanded twist list could be built.  A third of the
+    draws make the ghost a block count + k (y - x) in the record's parameter y (x for a
+    record without one), k = +-1, evaluated at y = x.
     """
     _, res, x = drawn
     socle = res.socle_twist
     count = data.draw(st.integers(1, 10**20), label="count")
     grid = None if x is None else range(x, x + 1)
-    ghosted = _with_ghost_pair(res, data.draw(st.integers(1, socle - 1), label="t"), count)
-    assert validate(ghosted, grid) == []
-    assert kmr_h0_normal(ghosted, x) == kmr_h0_normal(res, x)
-    chi, ghosted_chi = surface_invariants(res, x).chi, surface_invariants(ghosted, x).chi
+    slope = data.draw(st.sampled_from([0, 1, -1]), label="slope")
+    at = 0 if x is None else x
+    block = AffineExpr(count - slope * at, slope, res.parameter() or "x")
+    ghosted = _with_ghost_pair(res, data.draw(st.integers(1, socle - 1), label="t"), block)
+    y = None if ghosted.parameter() is None else at
+    assert validate(ghosted, None if y is None else range(y, y + 1)) == []
+    assert kmr_h0_normal(ghosted, y) == kmr_h0_normal(res, x)
+    chi, ghosted_chi = surface_invariants(res, x).chi, surface_invariants(ghosted, y).chi
     for t in range(-2, 10):
-        assert h0_ideal(ghosted, t, x) == h0_ideal(res, t, x)
+        assert h0_ideal(ghosted, t, y) == h0_ideal(res, t, x)
         assert ghosted_chi(t) == chi(t)
     outside = data.draw(st.integers(-3, 0) | st.integers(socle, socle + 3), label="outside")
     invariants = {v.invariant for v in validate(_with_ghost_pair(res, outside, count), grid)}
     assert invariants == {"twist-range"}
+
+
+def _pair_term(d):
+    """The KMR pair term f(d) = C(d+5, 5)+ - C(5-d, 5)+ (see _kmr)."""
+    return binom_trunc(d + 5, 5) - binom_trunc(5 - d, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(accepted_resolutions())
+def test_a_ghost_pair_adds_to_the_pair_sum_what_the_ideal_term_loses(drawn):
+    """The lemma in _kmr, on the flat oracles of conftest, for every t in 1..s - 1.
+
+    The pair sum is sum f(s - n_i - n_j) over unordered pairs of generator positions.
+    A ghost pair {t, s - t} adds sum_i [f(t - n_i) + f(s - t - n_i)] to it, which is
+    h^0(I_S(t)) + h^0(I_S(s - t)); the one ghost at t = s/2 adds sum_i f(t - n_i) =
+    h^0(I_S(t)).  So neither moves flat_kmr_total.
+    """
+    res, _ = drawn
+    assume(validate(res) == [])
+    x = None if res.parameter() is None else 0
+    s = res.socle_twist
+    n, _ = sorted_twists(res, x)
+    pair_sum = sum(binom_trunc(p, 5) - binom_trunc(q, 5) for p, q in pair_arguments(res, x))
+    assert pair_sum == sum(
+        _pair_term(s - n[i] - n[j]) for i in range(len(n)) for j in range(i + 1, len(n))
+    )
+    total = flat_kmr_total(res, x)
+    for t in range(1, s):
+        added = sum(_pair_term(t - ni) + _pair_term(s - t - ni) for ni in n)
+        assert added == flat_h0_ideal(res, t, x) + flat_h0_ideal(res, s - t, x)
+        assert flat_kmr_total(_with_ghost_pair(res, t, 1), x) == total
+    if s % 2 == 0:
+        t = s // 2
+        assert sum(_pair_term(t - ni) for ni in n) == flat_h0_ideal(res, t, x)
+        one = ((t, AffineExpr(const=1)),)
+        ghost = res._replace(generators=res.generators + one, syzygies=res.syzygies + one)
+        assert flat_kmr_total(ghost, x) == total
 
 
 # ---------------------------------------------- blockwise against flat

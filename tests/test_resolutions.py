@@ -6,13 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acmsplit.incidence import CatalogError, checked_resolution
-from acmsplit.normal_bundle import ConventionViolation, kmr_h0_normal
+from acmsplit.normal_bundle import ConventionViolation, _kmr
 from acmsplit.proj_cohomology import h0_pn
 from acmsplit.resolutions import (
     AffineExpr,
     DegenerateResolutionError,
     GorensteinResolution,
-    NonConstantScanError,
     ResolutionValidationError,
     SurfaceInvariants,
     UnresolvedParameterError,
@@ -21,7 +20,6 @@ from acmsplit.resolutions import (
     parse_affine,
     parse_multiplicity,
     parse_resolution,
-    scan_constant,
     scan_points,
     surface_invariants,
     term_sum,
@@ -38,9 +36,9 @@ from conftest import (
     flat_surface_invariants,
     flat_validate,
     hi_pn,
-    is_half_line,
     koszul_ideal_dim,
     located,
+    net_counts,
     resolved_points,
     subcanonical_e,
     walk_points,
@@ -419,15 +417,16 @@ def certificate_families(draw):
     """A balanced, self-dual one-parameter resolution and a grid.
 
     A complete intersection (a, b, c) with socle s = a + b + c carries
-    ghost pairs, twists n and s - n with one affine count, which move
-    only the KMR count, and free pairs, twists n1 > s/2 > n2 with counts
+    ghost pairs, twists n and s - n with one affine count, which move no
+    count when 1 <= n <= s - 1 (see _kmr) and fail the twist range
+    otherwise, and free pairs, twists n1 > s/2 > n2 with counts
     (|w2| y, w1 y) / gcd(w1, w2) for w = 2n - s and y affine, which keep
-    the degree balance but move the Hilbert polynomial.  The grid is an
-    arithmetic progression, ascending or descending, on which every
-    count is >= 0, or one that runs past that range, anywhere or by one
-    step beyond one end, or None, so that the family is scanned on its
-    admissible interval: a half-line, on which the degree may fall, a
-    bounded interval or an empty one.
+    the degree balance but move the net count at n1 and n2, so validate
+    refuses them.  The grid is an arithmetic progression, ascending or
+    descending, on which every count is >= 0, or one that runs past that
+    range, anywhere or by one step beyond one end, or None, so that the
+    family is scanned on its admissible interval: a half-line, a bounded
+    interval or an empty one.
     """
     a, b, c = draw(st.tuples(*[st.integers(1, 3)] * 3))
     socle = a + b + c
@@ -453,7 +452,7 @@ def certificate_families(draw):
             high = min(high, mult.const // -mult.coeff)
     mode = draw(st.sampled_from(["inside", "inside", "past", "one-step-past", "no-grid"]))
     if mode == "no-grid":
-        return res, None, draw(st.integers(0, 8))
+        return res, None
     if low > high or mode == "past":
         low, high = -6, 6
     step = draw(st.integers(1, 2))
@@ -464,47 +463,7 @@ def certificate_families(draw):
         size = (high - low) // step + 2
         start = low - step if draw(st.booleans()) else low
     grid = range(start, start + size * step, step)
-    return res, grid[::-1] if draw(st.booleans()) else grid, draw(st.integers(0, 8))
-
-
-def _outcome(call):
-    """The value of call(), or the type of what it raised."""
-    try:
-        return call()
-    except Exception as exc:
-        return type(exc)
-
-
-def _walk_constant(evaluate, points, what):
-    """scan_constant as a plain walk over every point."""
-    values = {x: evaluate(x) for x in points}
-    if len(set(values.values())) != 1:
-        raise NonConstantScanError(f"{what} varies across the walked points: {values}")
-    return values[points[0]]
-
-
-def _walk_checked_resolution(res, grid, check):
-    """checked_resolution, then check on its surface type, as a plain walk on the flat references.
-
-    A point with no surface is refused first, then a surface type that
-    differs between walked points.  Where the walk covers the domain,
-    a point with no surface anywhere on it is refused as such.  A walk
-    cannot cover a half-line: there a point with no surface is refused
-    as such among the finite end and the next two values, which the
-    certificate reads, and any difference further out as a moving type.
-    """
-    problems = flat_validate(res, grid)
-    if problems:
-        raise CatalogError("invalid resolution: " + "; ".join(str(p) for p in problems))
-    walked = walk_points(res, grid)
-    half_line = grid is None and res.parameter() is not None and is_half_line(res)
-    first = 3 if half_line else len(walked)
-    found = [flat_surface_invariants(res, x) for x in walked[:first]]
-    found += [_outcome(lambda: flat_surface_invariants(res, x)) for x in walked[first:]]
-    if any(invariants != found[0] for invariants in found):
-        raise NonConstantScanError("the surface type differs between walked points")
-    check(found[0])
-    return res
+    return res, grid[::-1] if draw(st.booleans()) else grid
 
 
 def _negative_points(violations):
@@ -518,67 +477,52 @@ def _negative_points(violations):
 
 @settings(max_examples=200, deadline=None)
 @given(certificate_families())
-@example((parse_resolution(FALLING_DEGREE), None, 0))
-@example((parse_resolution(EMPTY_DOMAIN), None, 0))
+@example((parse_resolution(FALLING_DEGREE), None))
+@example((parse_resolution(EMPTY_DOMAIN), None))
+@example((parse_resolution(FALLING_DEGREE), range(3, 4)))
 def test_certificate_agrees_with_the_full_walk(drawn):
-    """The certificate accepts when a walk over every point does, with the same values.
+    """validate and checked_resolution agree with a plain walk over every point.
 
-    Where both refuse they raise the same exception type, and each
-    negative multiplicity is reported on exactly the grid points where
-    the walk finds it negative.
+    validate refuses what flat_validate refuses, and reports each negative
+    multiplicity on exactly the grid points where the walk finds it
+    negative.  It names cancelling pairs exactly when the net count,
+    generators minus syzygies, at some twist differs between two walked
+    points; the walk reads one point past its first as well, as a
+    one-point grid still leaves the parameter free in the record.  On a
+    family it accepts, every walked point has the same flat KMR total,
+    the same invariants or degenerate refusal, and the same h^0(I_S(t))
+    for t in -2..socle + 1, and checked_resolution's one point counts
+    these values.
     """
-    res, grid, pin = drawn
+    res, grid = drawn
     problems = flat_validate(res, grid)
     found = validate(res, grid)
     assert bool(found) == bool(problems)
     assert _negative_points(found) == _negative_points(problems)
-
-    # refuse every degree but the one at a drawn point, as evaluate_case refuses c2
+    certified = _raised(lambda: checked_resolution(res, grid))
     walked = walk_points(res, grid)
-    pinned = _outcome(lambda: flat_surface_invariants(res, walked[pin % len(walked)]))
-
-    def check(invariants):
-        if isinstance(pinned, SurfaceInvariants) and invariants.degree != pinned.degree:
-            raise CatalogError(f"resolution has surface degree {invariants.degree}, not c2")
-
-    def certified():
-        check(checked_resolution(res, grid)[1])
-        return res
-
-    assert _outcome(certified) == _outcome(lambda: _walk_checked_resolution(res, grid, check))
-    if problems:
+    if res.parameter() is not None and walked:
+        nets = [net_counts(res, x) for x in (*walked, walked[0] + 1)]
+        moved = any(net != nets[0] for net in nets)
+        assert moved == any(v.invariant == "cancelling-pairs" for v in found)
+    if found:
+        assert certified[0] is CatalogError
         return
 
-    points = scan_points(res, grid)
-    totals = {x: flat_kmr_total(res, x) for x in walked}
-
-    def flat_kmr(x):
-        if totals[x] < 0:
-            raise ConventionViolation(f"h^0(N_S) computed as {totals[x]} < 0")
-        return totals[x]
-
-    # chi(O_S(t)) comes from the invariants, which exist where checked_resolution accepts
-    surface = not isinstance(_outcome(lambda: checked_resolution(res, grid)), type)
-    quantities = [("h^0(N_S)", lambda x: kmr_h0_normal(res, x), flat_kmr)]
-    for t in (1, 3, 5):
-        quantities.append((f"h^0(I_S({t}))", lambda x, t=t: h0_ideal(res, t, x),
-                           lambda x, t=t: flat_h0_ideal(res, t, x)))
-        if surface:
-            quantities.append((f"chi(O_S({t}))", lambda x, t=t: surface_invariants(res, x).chi(t),
-                               lambda x, t=t: flat_chi_structure_poly(res, t, x)))
-    for what, package, flat in quantities:
-        certificate = _outcome(lambda: scan_constant(package, points, what))
-        walk = _outcome(lambda: _walk_constant(flat, walked, what))
-        # a walk can meet a negative KMR total before it sees the value move
-        assert certificate == walk or (certificate, walk) == (
-            NonConstantScanError, ConventionViolation
-        )
-
-    # the degree <= 2 fact the certificate rests on, at equally spaced points
-    values = list(totals.values())
-    assert all(
-        values[i + 3] - 3 * values[i + 2] + 3 * values[i + 1] - values[i] == 0
-        for i in range(len(values) - 3)
+    (surface,) = {_raised(lambda: flat_surface_invariants(res, x)) for x in walked}
+    (ideal,) = {
+        tuple(flat_h0_ideal(res, t, x) for t in range(-2, res.socle_twist + 2)) for x in walked
+    }
+    (kmr,) = {flat_kmr_total(res, x) for x in walked}
+    if not isinstance(surface, SurfaceInvariants):
+        assert certified == surface
+        return
+    (gens, syz), invariants = certified
+    assert invariants == surface
+    socle = res.socle_twist
+    assert tuple(term_sum(gens, syz, socle, t) for t in range(-2, socle + 2)) == ideal
+    assert _raised(lambda: _kmr(gens, syz, socle)) == (
+        kmr if kmr >= 0 else (ConventionViolation, f"h^0(N_S) computed as {kmr} < 0")
     )
 
 
@@ -729,19 +673,13 @@ def accepted_resolutions(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(accepted_resolutions(), certificate_families().map(lambda drawn: drawn[:2])))
+@given(st.one_of(accepted_resolutions(), certificate_families()))
 def test_a_validated_resolution_never_has_degree_above_2(drawn):
-    """The lemma in _invariants: balance and self-duality kill the third differences.
-
-    A surface type that moves is refused only once the invariants at
-    every scan point are computed, so that refusal counts as well.
-    """
+    """The lemma in _invariants: balance and self-duality kill the third differences."""
     res, grid = drawn
     if validate(res, grid):
         return
     try:
         checked_resolution(res, grid)
-    except NonConstantScanError:
-        pass
     except DegenerateResolutionError as exc:
         assert "degree > 2" not in str(exc)
