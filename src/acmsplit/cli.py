@@ -36,7 +36,7 @@ from .normal_bundle import _kmr
 from .proj_cohomology import AMBIENT_DIM, h0_pn
 from .resolutions import GorensteinResolution, parse_resolution, term_sum
 
-_GRID_RE = re.compile(r"(-?\d+)\.\.(-?\d+)")
+_GRID_RE = re.compile(r"(-?\d+)\.\.(-?\d+)", re.ASCII)
 
 
 class _Parser(argparse.ArgumentParser):

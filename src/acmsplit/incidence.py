@@ -98,13 +98,14 @@ def checked_resolution(
     """Validate a resolution and read its surface type: ((gens, syz), invariants).
 
     This is the one path from raw twist data to counts: evaluate_case
-    and the kmr and hilbert commands take it.  One walk over the scan
-    points (see scan_points) builds each point's generator and syzygy
-    blocks, which validation reads.  validate lets a parameter add only
-    cancelling pairs, which move no count (see _kmr), so the blocks of
-    the first scan point and the invariants read there stand for every
-    admissible value.  Invalid twist data raises CatalogError, and a
-    Hilbert polynomial that is no surface DegenerateResolutionError.
+    and the kmr and hilbert commands take it.  One walk over the record
+    (see _walk) builds the generator and syzygy blocks of one point x0,
+    the grid's low end or the admissible interval's finite end, and
+    validates them.  validate lets a parameter add only ghost pairs,
+    which move no check and no count (see _kmr), so the blocks of x0
+    and the invariants read there stand for every admissible value.
+    Invalid twist data raises CatalogError, and a Hilbert polynomial
+    that is no surface DegenerateResolutionError.
     """
     problems, blocks = _walk(res, grid)
     if problems:
@@ -305,16 +306,15 @@ def evaluate_case(case: CaseRecord, grid: range | None = None) -> ReportRow:
     """One report row for a case: checked, counted, decided and explained in one walk.
 
     A degree the report refuses is refused with its message.  A
-    resolution is validated at its scan points, on the grid when one is
-    given, and counted at one of them (see checked_resolution); a
-    resolution without a parameter ignores the grid.  Invalid twist
-    data, a parameter that adds more than cancelling pairs included, is
-    refused first; then a Hilbert polynomial that is no surface, then a
-    Chern pair whose sectional genus is not an integer, then a surface
-    degree or genus that differs from the pair's.  Each refusal names
-    the case.  The row's first note is the one of the cascade rule that
-    decided it; a catalog annotation for the case and that verdict
-    follows.
+    resolution is validated and counted at one point, of the grid when
+    one is given (see checked_resolution); a resolution without a
+    parameter ignores the grid.  Invalid twist data, a parameter that
+    adds more than ghost pairs included, is refused first; then a
+    Hilbert polynomial that is no surface, then a Chern pair whose
+    sectional genus is not an integer, then a surface degree or genus
+    that differs from the pair's.  Each refusal names the case.  The
+    row's first note is the one of the cascade rule that decided it; a
+    catalog annotation for the case and that verdict follows.
     """
     r, c1, c2, res, _ = case
     _check_window(r, has_cases=True)

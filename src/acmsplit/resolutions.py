@@ -6,10 +6,11 @@ A surface S in P^5 in this family has a self-dual length-3 resolution
 
 recorded here as twist/multiplicity pairs.  Multiplicities may be affine
 expressions in one named parameter, so one surface's resolution padded with
-a varying number of cancelling pairs is a single record; parse_resolution
+a varying number of ghost pairs is a single record; parse_resolution
 refuses a second parameter, and validate a parameter that adds more than
-cancelling pairs.  All section counts derived from a resolution are exact,
-not Euler-characteristic approximations, because the terms are sums of line
+ghost pairs, so every check and count at one value holds at all of them.
+All section counts derived from a resolution are exact, not
+Euler-characteristic approximations, because the terms are sums of line
 bundles on P^5 whose middle cohomology vanishes.
 """
 
@@ -42,7 +43,7 @@ _TERM_RE = re.compile(
       | (?P<svar>[+-]?)\s*(?P<bvar>[A-Za-z_]\w*)            # x or -x
       | (?P<csign>[+-]?)\s*(?P<cdigits>\d+)                 # bare integer
     )\s*""",
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,  # \d would match every Unicode digit, and int() reads them all
 )
 
 
@@ -292,35 +293,23 @@ class Violation(NamedTuple):
         return f"{self.invariant}{where}: {self.detail}"
 
 
-def admissible(res: GorensteinResolution) -> tuple[int | None, int | None]:
-    """The interval {x : every multiplicity >= 0} as (lo, hi), lo > hi when empty.
+def _domain(res: GorensteinResolution) -> tuple[int | None, int | None]:
+    """The interval {x : every multiplicity >= 0} of a one-parameter record as (lo, hi).
 
-    None marks an open end: no multiplicity bounds x on that side.  The
-    bounds are on one parameter, so two raise UnresolvedParameterError.
+    lo > hi when it is empty; None marks an open end, where no
+    multiplicity bounds x.
     """
-    return _domain(res)[1:]
-
-
-def _domain(res: GorensteinResolution) -> tuple[str | None, int | None, int | None]:
-    """The one parameter and the admissible (lo, hi) of admissible, in one pass."""
-    name = lo = hi = None
-    for _, mult in res.generators + res.syzygies:
-        const, coeff, param = mult
-        if param is None:
-            continue
-        if param != name:
-            if name is not None:
-                res.parameter()  # raises: a second name
-            name = param
+    lo = hi = None
+    for _, (const, coeff, _) in res.generators + res.syzygies:
         if coeff > 0:
             bound = -(const // coeff)  # ceil(-const / coeff)
             if lo is None or bound > lo:
                 lo = bound
-        else:
+        elif coeff < 0:
             bound = const // -coeff
             if hi is None or bound < hi:
                 hi = bound
-    return name, lo, hi
+    return lo, hi
 
 
 def _negative_span(mult: AffineExpr, grid: range) -> range:
@@ -335,64 +324,31 @@ def _negative_span(mult: AffineExpr, grid: range) -> range:
     return grid if value < 0 else grid[:0]
 
 
-def scan_points(res: GorensteinResolution, grid: range | None = None) -> list[int | None]:
-    """The points a resolution is validated at: [None] without a parameter.
-
-    The scan domain is the grid, which validate requires to lie inside
-    the admissible interval, or else that interval itself.  Its points
-    are both ends and a middle point of a bounded domain, or the finite
-    end and the next two values of a half-line.  They certify the whole
-    domain for the checks validate runs at each point.  Every
-    multiplicity is affine in x and >= 0 on the domain, so each merged
-    block count is too: rank balance and self-duality per twist are
-    affine identities, which hold on the domain when they hold at two of
-    its points, and a count positive somewhere on the domain is positive
-    at one of the points, so the twist range sees every block.  Points
-    are computed, not listed, so a grid past sys.maxsize costs what a
-    short one does.  An empty domain raises ValueError.
-    """
-    name, lo, hi = _domain(res)
-    if name is None:
-        return [None]
-    if grid is not None:
-        if not grid:
-            raise ValueError("parameter grid is empty")
-        (lo, hi), step = sorted((grid[0], grid[-1])), abs(grid.step)
-    else:
-        step = 1
-        if hi is None:
-            return [lo, lo + 1, lo + 2]
-        if lo is None:
-            return [hi, hi - 1, hi - 2]
-        if lo > hi:
-            raise ValueError(
-                f"no value of {name} makes every multiplicity >= 0"
-                f" ({lo} <= {name} <= {hi} is empty)"
-            )
-    middle = lo + step * (((hi - lo) // step + 1) // 2)
-    return list(dict.fromkeys([lo, middle, hi]))
-
-
 def validate(res: GorensteinResolution, grid: range | None = None) -> list[Violation]:
-    """Check balance, cancelling pairs, self-duality and twist range; never raises.
+    """Check balance, ghost pairs, self-duality and twist range; never raises.
 
-    A parameter may only add cancelling pairs: at every twist t its
-    slope kappa^gens_t summed over gens must equal kappa^syz_t summed
-    over syz, or the violation names each twist whose net count,
-    generators minus syzygies, moves.  The x-part of the Hilbert series
-    of I_S is x sum_t (kappa^gens_t - kappa^syz_t) z^t / (1 - z)^6, so
-    the rule holds exactly when the Hilbert function of S does not
-    depend on x; _kmr's docstring shows that h^0(N_S) then does not
-    either.  A negative multiplicity is reported once per expression,
-    with the grid points where it is negative; the rest is checked at
-    the scan points (see scan_points).  An ideal sheaf of a surface has
-    no sections in degree <= 0, so a generator twist n is >= 1; its
-    dual, the syzygy twist socle - n, relates generators of twist >= 1,
-    so it is >= 1 too and n is below the socle.  Under self-duality,
-    checked alongside, that one range 1 <= n <= socle - 1 bounds the
-    syzygy twists as well.  Outside it the KMR pair sum is wrong.  A
-    record built directly with two parameters is one violation.
-    Returns every violation found, in the order _walk checks them.
+    An ideal sheaf of a surface has no sections in degree <= 0, so a
+    generator twist n is >= 1; its dual, the syzygy twist socle - n,
+    relates generators of twist >= 1, so it is >= 1 too and n is below
+    the socle.  Under self-duality that one range 1 <= n <= socle - 1
+    bounds the syzygy twists as well.  Outside it the KMR pair sum is
+    wrong.  A parameter may only add ghost pairs: twists t and socle - t
+    with 1 <= t <= socle - 1, with one slope on both lists.  First, at
+    every twist t, its slope summed over gens must equal its slope summed
+    over syz (cancelling pairs), or the violation names each twist whose
+    net count, generators minus syzygies, moves.  The x-part of the
+    Hilbert series of I_S is x sum_t (kappa^gens_t - kappa^syz_t) z^t /
+    (1 - z)^6, so that holds exactly when the Hilbert function of S does
+    not depend on x; _kmr's docstring shows that h^0(N_S) then does not
+    either.  Then the generator slope must be equal at t and socle - t,
+    and zero outside 1..socle - 1 (ghost pairs).  The record at x is then
+    the record at x0 plus (x - x0) times a self-dual set of ghost pairs in
+    range, so the rank balance, self-duality, twist range and generator
+    count that hold at x0 hold at every x, and they are checked there
+    (see _walk).  A negative multiplicity is reported once per
+    expression, with the grid points where it is negative.  A record
+    built directly with two parameters is one violation.  Returns every
+    violation found, in the order _walk checks them.
     """
     return _walk(res, grid)[0]
 
@@ -400,20 +356,24 @@ def validate(res: GorensteinResolution, grid: range | None = None) -> list[Viola
 def _walk(
     res: GorensteinResolution, grid: range | None = None
 ) -> tuple[list[Violation], tuple[Blocks, Blocks] | None]:
-    """validate's checks, and the (generators, syzygies) blocks of the first scan point.
+    """validate's checks, and the (generators, syzygies) blocks of the point x0.
 
-    The checks run in this order, and each of 1, 3 and 4 ends the walk
-    when it fails, so there are no blocks (None):
+    x0 is None without a parameter; else the grid's low end, or without
+    a grid the finite end of the admissible interval (_domain), its low
+    end when both are finite.  The checks run in this order, and each of
+    1, 3 and 4 ends the walk when it fails, so there are no blocks (None):
     1. two parameter names, read once from parameter();
     2. degree balance: Sum(n_i) - Sum(m_j) + socle, as const + coeff * x,
        must vanish for the twist data to come from a resolution; then
-       cancelling pairs: the slope of each twist's net count must vanish;
-    3. an empty grid or admissible interval (scan_points);
+       cancelling pairs: the slope of each twist's net count must vanish,
+       and when it does, ghost pairs: the generator slope must be equal
+       at t and socle - t and vanish outside 1..socle - 1;
+    3. an empty grid or admissible interval;
     4. negative multiplicities, once per expression: on a grid, the
-       points where it is negative; off one the scan points are
-       admissible, so only a constant can be negative there;
-    5. at each scan point, on its blocks: no generators (which skips
-       the rest of that point), rank balance, self-duality, twist range.
+       points where it is negative; off one x0 is admissible, so only a
+       constant can be negative there;
+    5. on the blocks of x0: no generators (which skips the rest), rank
+       balance, self-duality, twist range.
     Checks 2 and 4 read the record in one pass per twist vector.
     """
     violations: list[Violation] = []
@@ -422,8 +382,10 @@ def _walk(
     except UnresolvedParameterError as exc:
         return [Violation("unresolved-parameters", None, str(exc))], None
 
-    const, coeff = res.socle_twist, 0
+    socle = res.socle_twist
+    const, coeff = socle, 0
     net: dict[int, int] = {}  # twist -> slope of its count of generators minus syzygies
+    added: dict[int, int] = {}  # twist -> slope of its count of generators
     on_grid = name is not None and bool(grid)  # an empty grid is refused below
     negative = []
     for sign, label, vector in ((1, "gens", res.generators), (-1, "syz", res.syzygies)):
@@ -433,6 +395,8 @@ def _walk(
             coeff += sign * twist * slope
             if slope:
                 net[twist] = net.get(twist, 0) + sign * slope
+                if sign > 0:
+                    added[twist] = added.get(twist, 0) + slope
             where = _negative_span(mult, grid) if on_grid else None
             if where or (where is None and count < 0 and not slope):
                 detail = f"{label} multiplicity {mult} of twist {twist} is negative"
@@ -442,43 +406,60 @@ def _walk(
         detail = f"twist sums leave residual {residual}"
         violations.append(Violation("degree-balance", None, detail))
     moving = ", ".join(str(t) for t in sorted(net) if net[t])
+    unpaired = ", ".join(
+        str(t)
+        for t in sorted(added)
+        if added[t] and (added.get(socle - t, 0) != added[t] or not 1 <= t < socle)
+    )
     if moving:
         detail = (
             f"{name} moves the net count of generators minus syzygies at twists {moving};"
             " a parameter may only add cancelling pairs"
         )
         violations.append(Violation("cancelling-pairs", None, detail))
+    elif unpaired:
+        detail = (
+            f"{name} adds pairs at twists {unpaired} that are not ghost pairs"
+            f" {{t, {socle} - t}} with 1 <= t <= {socle - 1}"
+        )
+        violations.append(Violation("ghost-pairs", None, detail))
 
-    try:
-        points = scan_points(res, grid)
-    except ValueError as exc:
-        tag = "empty-domain" if grid is None else "empty-grid"
-        return violations + [Violation(tag, None, str(exc))], None
+    x0 = None
+    if name is not None and grid is not None:
+        if not grid:
+            return violations + [Violation("empty-grid", None, "parameter grid is empty")], None
+        x0 = min(grid[0], grid[-1])
+    elif name is not None:
+        lo, hi = _domain(res)
+        if lo is not None and hi is not None and lo > hi:
+            detail = (
+                f"no value of {name} makes every multiplicity >= 0"
+                f" ({lo} <= {name} <= {hi} is empty)"
+            )
+            return violations + [Violation("empty-domain", None, detail)], None
+        x0 = hi if lo is None else lo
     if negative:
         return violations + negative, None
 
-    socle = res.socle_twist
-    table = [res.blocks(x) for x in points]
-    for x, (gens, syz) in zip(points, table):
-        if not gens:
-            violations.append(Violation("trivial-rank", x, "no generators"))
-            continue
-        # gens ascend with distinct twists, so their duals ascend when reversed; equal
-        # blocks have equal ranks, so the ranks are summed only when self-duality fails
-        if syz != [(socle - n, c) for n, c in reversed(gens)]:
-            rank, syz_rank = sum(c for _, c in gens), sum(c for _, c in syz)
-            if rank != syz_rank:
-                detail = f"{rank} generators vs {syz_rank} syzygies"
-                violations.append(Violation("rank-balance", x, detail))
-            detail = f"syzygy twists differ from {socle} minus generator twists"
-            violations.append(Violation("self-duality", x, detail))
-        if gens[0][0] < 1 or gens[-1][0] >= socle:
-            low = [f"generator twist {n} is below 1" for n, _ in gens if n < 1]
-            high = [
-                f"generator twist {n} is not below the socle {socle}" for n, _ in gens if n >= socle
-            ]
-            violations += [Violation("twist-range", x, detail) for detail in low + high]
-    return violations, table[0]
+    gens, syz = res.blocks(x0)
+    if not gens:
+        return violations + [Violation("trivial-rank", x0, "no generators")], (gens, syz)
+    # gens ascend with distinct twists, so their duals ascend when reversed; equal
+    # blocks have equal ranks, so the ranks are summed only when self-duality fails
+    if syz != [(socle - n, c) for n, c in reversed(gens)]:
+        rank, syz_rank = sum(c for _, c in gens), sum(c for _, c in syz)
+        if rank != syz_rank:
+            detail = f"{rank} generators vs {syz_rank} syzygies"
+            violations.append(Violation("rank-balance", x0, detail))
+        detail = f"syzygy twists differ from {socle} minus generator twists"
+        violations.append(Violation("self-duality", x0, detail))
+    if gens[0][0] < 1 or gens[-1][0] >= socle:
+        low = [f"generator twist {n} is below 1" for n, _ in gens if n < 1]
+        high = [
+            f"generator twist {n} is not below the socle {socle}" for n, _ in gens if n >= socle
+        ]
+        violations += [Violation("twist-range", x0, detail) for detail in low + high]
+    return violations, (gens, syz)
 
 
 def term_sum(gens: Blocks, syz: Blocks, socle: int, t: int) -> Count:

@@ -18,10 +18,16 @@ from acmsplit.resolutions import (
     MAX_TWIST,
     h0_ideal,
     parse_resolution,
-    scan_points,
     surface_invariants,
 )
-from conftest import EMPTY_DOMAIN, FALLING_DEGREE, NO_SURFACE, cancelling_pairs, ci_resolution
+from conftest import (
+    EMPTY_DOMAIN,
+    FALLING_DEGREE,
+    NO_SURFACE,
+    cancelling_pairs,
+    ci_resolution,
+    walk_points,
+)
 from test_resolutions import certificate_families
 
 QUADRIC = json.dumps(ci_resolution(1, 1, 2))
@@ -150,7 +156,7 @@ def test_a_wide_grid_is_certified(capsys, grid):
 
 
 def test_kmr_cost_does_not_grow_with_the_grid(capsys, monkeypatch):
-    """The validating walk builds three points' blocks, and the count reads the first point's."""
+    """The validating walk builds the blocks of one point, the grid's low end, and counts there."""
     from acmsplit.resolutions import GorensteinResolution
 
     seen = []
@@ -162,10 +168,11 @@ def test_kmr_cost_does_not_grow_with_the_grid(capsys, monkeypatch):
 
     monkeypatch.setattr(GorensteinResolution, "blocks", counted)
     for grid, points in (
-        (["--grid", "0..9"], [0, 5, 9]),
-        (["--grid", "0..99999"], [0, 50_000, 99_999]),
-        (["--grid", f"0..{10**30}"], [0, 5 * 10**29, 10**30]),
-        ([], [0, 1, 2]),  # the admissible half-line x >= 0
+        (["--grid", "0..9"], [0]),
+        (["--grid", "0..99999"], [0]),
+        (["--grid", f"0..{10**30}"], [0]),
+        (["--grid", f"3..{10**30}"], [3]),
+        ([], [0]),  # the finite end of the admissible half-line x >= 0
     ):
         seen.clear()
         assert invoke(capsys, "kmr", "--resolution", OCTIC, *grid) == (0, "54\n", "")
@@ -173,7 +180,7 @@ def test_kmr_cost_does_not_grow_with_the_grid(capsys, monkeypatch):
 
 
 def test_hilbert_reads_its_counts_off_the_scan_table(capsys, monkeypatch):
-    """Only the validating walk builds blocks; every count reads the first scan point's."""
+    """Only the validating walk builds blocks, at one point; every count reads them."""
     from acmsplit.resolutions import GorensteinResolution
 
     seen = []
@@ -186,12 +193,12 @@ def test_hilbert_reads_its_counts_off_the_scan_table(capsys, monkeypatch):
     monkeypatch.setattr(GorensteinResolution, "blocks", counted)
     argv = ("hilbert", "--resolution", OCTIC, "--twist", "4")
     assert invoke(capsys, *argv) == (0, "60\n", "")
-    assert sorted(seen) == [0, 1, 2]
+    assert seen == [0]
     seen.clear()
     code, out, _ = invoke(capsys, *argv, "--format", "json")
     assert (code, json.loads(out), len(seen)) == (0, {
         "twist": 4, "h0_ideal": 60, "h0_structure": 66, "chi_structure": 66
-    }, 3)
+    }, 1)
 
 
 def _outcome(argv):
@@ -216,9 +223,9 @@ def test_kmr_and_hilbert_print_what_the_public_wrappers_count(drawn, t):
     """The commands count one point's blocks; the (res, x) wrappers build blocks of their own.
 
     Where checked_resolution accepts the family, the wrappers take one
-    value at every scan point, and both commands print it, or exit 2 with
-    the error the wrappers raise; elsewhere both exit 2 with
-    checked_resolution's error.
+    value at every point a plain walk visits (walk_points), and both
+    commands print it, or exit 2 with the error the wrappers raise;
+    elsewhere both exit 2 with checked_resolution's error.
     """
     res, grid = drawn
     if grid is not None:
@@ -232,13 +239,13 @@ def test_kmr_and_hilbert_print_what_the_public_wrappers_count(drawn, t):
 
     def kmr():
         checked_resolution(res, grid)
-        values = {kmr_h0_normal(res, x) for x in scan_points(res, grid)}
+        values = {kmr_h0_normal(res, x) for x in walk_points(res, grid)}
         assert len(values) == 1
         return values.pop()
 
     def hilbert():
         checked_resolution(res, grid)
-        points = scan_points(res, grid)
+        points = walk_points(res, grid)
         ideal = {h0_ideal(res, t, x) for x in points}
         assert len(ideal) == len({surface_invariants(res, x).chi(t) for x in points}) == 1
         return ideal.pop()
@@ -305,6 +312,49 @@ def test_a_family_of_one_surface_type_whose_hilbert_function_moves_exits_2(capsy
     assert [h0_ideal(res, 1, x) for x in (-2, 2)] == [-2, 2]
     argv = [*command, "--resolution", json.dumps(WOBBLE)]
     assert invoke(capsys, *argv) == (2, "", _cancelling_pairs([1, 2, 3, 4, 6, 7, 8, 9]))
+
+
+#: x adds one generator and one syzygy at twist 2, so the net counts hold, but twist 2 is not
+#: paired with its dual 6 - 2 = 4: the record is self-dual at x = 0 alone.
+UNPAIRED = json.dumps(
+    {"gens": [[2, 3], [3, "x"], [2, "x"]], "syz": [[3, "x"], [4, 3], [2, "x"]], "socle": 6}
+)
+
+
+@pytest.mark.parametrize("grid", [[], ["--grid", "0..0"]], ids=["half-line", "one-point-grid"])
+def test_a_parameter_that_adds_no_ghost_pair_exits_2_even_on_one_point(capsys, grid):
+    """The parameter stays free in the record, so a one-point grid refuses it too."""
+    err = (
+        "acmsplit: error: invalid resolution: ghost-pairs: x adds pairs at twists 2"
+        " that are not ghost pairs {t, 6 - t} with 1 <= t <= 5\n"
+    )
+    assert invoke(capsys, "kmr", "--resolution", UNPAIRED, *grid) == (2, "", err)
+
+
+def _octic_count(mult):
+    """OCTIC with the three cubic generators counted by mult."""
+    return json.dumps({"gens": [[2, mult], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6})
+
+
+_NOT_A_GRID = "acmsplit kmr: error: argument --grid: grid must look like LO..HI (for example 2..5)"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--resolution", OCTIC, "--grid", "\u0660..\u0663"],
+         f"{_NOT_A_GRID}, not '\u0660..\u0663'"),
+        (["--resolution", OCTIC, "--grid", "0..\uff13"], f"{_NOT_A_GRID}, not '0..\uff13'"),
+        (["--resolution", _octic_count("\u0663")],
+         "acmsplit: error: gens: cannot parse multiplicity '\u0663'"),
+        (["--resolution", _octic_count("2*x\u0663")],
+         "acmsplit: error: gens: cannot parse multiplicity '2*x\u0663'"),
+    ],
+    ids=["arabic-indic-grid", "fullwidth-grid", "arabic-indic-count", "name-with-a-digit"],
+)
+def test_a_non_ascii_digit_exits_2(capsys, argv, err):
+    """int() reads every Unicode digit, so both grammars take ASCII digits only."""
+    assert invoke(capsys, "kmr", *argv) == (2, "", err + "\n")
 
 
 def test_negative_multiplicities_are_reported_once_per_expression(capsys):

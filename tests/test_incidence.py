@@ -32,7 +32,6 @@ from acmsplit.resolutions import (
     SurfaceInvariants,
     h0_ideal,
     parse_resolution,
-    scan_points,
     surface_invariants,
     validate,
 )
@@ -47,6 +46,7 @@ from conftest import (
     flat_h0_ideal,
     flat_kmr_total,
     flat_surface_invariants,
+    walk_points,
 )
 
 DEG11 = {"gens": [[2, 3], [3, "b-2"], [4, "b"]], "syz": [[3, "b"], [4, "b-2"], [5, 3]], "socle": 7}
@@ -231,31 +231,27 @@ def test_dimension_bound_and_verdict_refuse_what_the_report_refuses(case, messag
 
 
 def test_a_report_builds_each_points_blocks_and_its_scan_points_once(monkeypatch):
-    """The walk alone takes each scan point's blocks; every count reads the first point's."""
-    import acmsplit.resolutions as resolutions
+    """The walk alone builds blocks, once per resolution, at its one point x0.
+
+    x0 is the first admissible value from the finite end (walk_points), so
+    a degree-5 report makes 12 blocks calls, one per resolution it counts.
+    """
     from acmsplit.catalog import QUADRIC_RESOLUTION
-    from acmsplit.resolutions import GorensteinResolution
 
     resolved = [parse_resolution(QUADRIC_RESOLUTION)] + [
         c.resolution for c in builtin_catalog(5) if c.resolution is not None
     ]
-    points = sum(len(scan_points(res)) for res in resolved)
     blocks = GorensteinResolution.blocks
-    built, scans = [], []
+    built = []
 
     def counted_blocks(self, x=None):
-        built.append(x)
+        built.append((self, x))
         return blocks(self, x)
 
-    def counted_scan(res, grid=None):
-        scans.append(res)
-        return scan_points(res, grid)
-
     monkeypatch.setattr(GorensteinResolution, "blocks", counted_blocks)
-    monkeypatch.setattr(resolutions, "scan_points", counted_scan)
     generate_report(5)
-    assert Counter(scans) == Counter(resolved)
-    assert points == 18 and len(built) == points
+    assert Counter(built) == Counter((res, walk_points(res)[0]) for res in resolved)
+    assert len(built) == 12
 
 
 def test_a_report_counts_each_case_with_a_resolution_once(monkeypatch):
@@ -278,36 +274,23 @@ def test_a_report_counts_each_case_with_a_resolution_once(monkeypatch):
     assert calls == {"_kmr": 18, "_invariants": 18, "term_sum": 18}
 
 
-def test_a_report_reads_each_records_parameter_once_and_no_admissible_interval(monkeypatch):
-    """One parameter() per record a degree-5 report walks, and no admissible() at all.
-
-    The cancelling-pairs rule makes the surface type constant, so no rule
-    asks for the admissible interval; incidence does not even import
-    admissible.
-    """
-    import acmsplit.incidence as incidence
-    import acmsplit.resolutions as resolutions
+def test_a_report_reads_each_records_parameter_once(monkeypatch):
+    """One parameter() per record a degree-5 report walks; no check asks it again."""
     from acmsplit.catalog import QUADRIC_RESOLUTION
 
     resolved = [parse_resolution(QUADRIC_RESOLUTION)] + [
         c.resolution for c in builtin_catalog(5) if c.resolution is not None
     ]
-    parameter, admissible = GorensteinResolution.parameter, resolutions.admissible
-    asked, bounded = [], []
+    parameter = GorensteinResolution.parameter
+    asked = []
 
     def counted_parameter(self):
         asked.append(self)
         return parameter(self)
 
-    def counted_admissible(res):
-        bounded.append(res)
-        return admissible(res)
-
     monkeypatch.setattr(GorensteinResolution, "parameter", counted_parameter)
-    monkeypatch.setattr(resolutions, "admissible", counted_admissible)
     generate_report(5)
     assert Counter(asked) == Counter(resolved) and len(asked) == 12
-    assert bounded == [] and not hasattr(incidence, "admissible")
 
 
 def test_case_record_validation():
@@ -413,12 +396,12 @@ def test_the_boundary_quadric_is_checked_as_a_catalog_case(monkeypatch):
 
 @pytest.mark.parametrize("degree", [3, 4, 5])
 def test_every_counted_row_agrees_with_the_flat_oracles(degree):
-    """The report's counts, at every scan point, against the positional formulas of conftest."""
+    """The report's counts, at six walked points, against the positional formulas of conftest."""
     counted = [row for row in generate_report(degree).rows if row.case.resolution is not None]
     assert counted
     for row in counted:
-        res = row.case.resolution
-        for x in scan_points(res):
+        res, points = case_points(row.case)
+        for x in points:
             assert row.h0_ideal_at_r == flat_h0_ideal(res, degree, x)
             assert row.h0_normal == flat_kmr_total(res, x)
             assert row.genus == flat_surface_invariants(res, x).sectional_genus
@@ -491,9 +474,10 @@ def test_a_report_parses_no_built_in_catalog(monkeypatch):
     assert render_report_markdown(report) == expected
     for row in report.rows:
         if row.case.resolution is not None:
-            for x in scan_points(row.case.resolution):
-                assert row.h0_ideal_at_r == flat_h0_ideal(row.case.resolution, 5, x)
-                assert row.h0_normal == flat_kmr_total(row.case.resolution, x)
+            res, points = case_points(row.case)
+            for x in points:
+                assert row.h0_ideal_at_r == flat_h0_ideal(res, 5, x)
+                assert row.h0_normal == flat_kmr_total(res, x)
 
 
 def test_load_catalog_shape_errors():
@@ -596,7 +580,7 @@ def _cancelling_pairs(twists):
     return f"invalid resolution: {cancelling_pairs('x', twists)}"
 
 
-def test_checked_resolution_names_the_first_degenerate_point():
+def test_checked_resolution_refuses_a_family_that_degenerates_partway():
     """A family with a surface at some points and none at others moves a net count, so
     validation refuses it; a record without a parameter and no surface is refused as such."""
     res = parse_resolution(DEGENERATES_PARTWAY)
@@ -635,14 +619,14 @@ def test_checked_resolution_refuses_a_degree_falling_on_a_half_line():
     case = CaseRecord(r=5, c1=1, c2=8, resolution=res)
     with pytest.raises(CatalogError, match=re.escape(f"case (c1=1, c2=8): {message}")):
         evaluate_case(case)
-    # a family of one surface type, the K3 octic, returns its first scan point's blocks and
+    # a family of one surface type, the K3 octic, returns the blocks of its grid's low end and
     # that type
     octic = parse_resolution({"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6})
     assert checked_resolution(octic, range(0, 10)) == (octic.blocks(0), SurfaceInvariants(8, 5, 2))
     assert checked_resolution(octic, range(9, -1, -1)) == checked_resolution(octic, range(0, 10))
 
 
-def test_prepare_case_refuses_a_degree_that_moves_with_the_parameter():
+def test_evaluate_case_refuses_a_degree_that_moves_with_the_parameter():
     """The degree is 64 - 2x: it equals c2 = 58 at x = 3, but it moves, so the case is refused."""
     res = parse_resolution(
         {

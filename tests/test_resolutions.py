@@ -2,7 +2,7 @@ import re
 from math import gcd
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from acmsplit.incidence import CatalogError, checked_resolution
@@ -15,12 +15,13 @@ from acmsplit.resolutions import (
     ResolutionValidationError,
     SurfaceInvariants,
     UnresolvedParameterError,
-    admissible,
+    Violation,
+    _invariants,
+    _walk,
     h0_ideal,
     parse_affine,
     parse_multiplicity,
     parse_resolution,
-    scan_points,
     surface_invariants,
     term_sum,
     validate,
@@ -41,6 +42,8 @@ from conftest import (
     net_counts,
     resolved_points,
     subcanonical_e,
+    WINDOW,
+    admissible_search,
     walk_points,
 )
 
@@ -142,25 +145,35 @@ def test_blocks_merge_sort_and_drop_empty_twists():
         res.blocks()
 
 
-def test_scan_points_are_the_certificate_points():
+def test_a_family_is_checked_and_counted_at_one_point():
+    """x0: the grid's low end, or else the admissible interval's finite end, or its low end.
+
+    _walk checks and returns the blocks of that point alone, whatever the
+    grid's order, step or size; a record without a parameter has the one
+    point None, whatever the grid.
+    """
     family = parse_resolution({"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6})
-    # a grid: both ends and a middle point, in either order, past sys.maxsize too
-    assert scan_points(family, range(0, 10)) == [0, 5, 9]
-    assert scan_points(family, range(9, -1, -1)) == [0, 5, 9]
-    assert scan_points(family, range(0, 10, 3)) == [0, 6, 9]
-    assert scan_points(family, range(10**30)) == [0, 5 * 10**29, 10**30 - 1]
-    assert scan_points(family, range(3, 5)) == [3, 4]
-    assert validate(family, range(10**30)) == []
-    # no grid: the admissible half-line x >= 0 from its finite end
-    assert scan_points(family) == [0, 1, 2]
-    falling = parse_resolution({"gens": [[2, 3], [3, "4-x"]], "syz": [[3, "4-x"], [4, 3]], "socle": 6})
-    assert scan_points(falling) == [4, 3, 2]
-    both = parse_resolution(
-        {"gens": [[2, 3], [3, "x"], [1, "5-x"]], "syz": [[3, "x"], [4, 3], [5, "5-x"]], "socle": 6}
+    for grid, x0 in (
+        (range(0, 10), 0),
+        (range(9, -1, -1), 0),
+        (range(1, 10, 3), 1),
+        (range(10, 0, -3), 1),
+        (range(10**30), 0),  # past sys.maxsize
+        (range(3, 5), 3),
+        (None, 0),  # the admissible half-line x >= 0
+    ):
+        assert _walk(family, grid) == ([], family.blocks(x0))
+    falling = parse_resolution(
+        {"gens": [[2, 3], [3, "4-x"]], "syz": [[3, "4-x"], [4, 3]], "socle": 6}
     )
-    assert scan_points(both) == [0, 3, 5]
-    # a non-parametric resolution is evaluated once, whatever the grid
-    assert scan_points(parse_resolution(ci_resolution(1, 1, 2)), range(10**12)) == [None]
+    assert _walk(falling) == ([], falling.blocks(4))  # the half-line x <= 4
+    both = parse_resolution({
+        "gens": [[2, 3], [3, "x"], [1, "5-x"], [5, "5-x"]],
+        "syz": [[3, "x"], [4, 3], [5, "5-x"], [1, "5-x"]],
+        "socle": 6,
+    })
+    assert _walk(both) == ([], both.blocks(0))  # 0 <= x <= 5
+    assert _walk(quadric(), range(10**12)) == ([], quadric().blocks())
 
 
 def test_an_empty_admissible_interval_is_one_violation():
@@ -168,8 +181,6 @@ def test_an_empty_admissible_interval_is_one_violation():
     assert [str(v) for v in validate(res)] == [
         "empty-domain: no value of x makes every multiplicity >= 0 (0 <= x <= -1 is empty)"
     ]
-    with pytest.raises(ValueError, match="no value of x"):
-        scan_points(res)
 
 
 #: The degree-11 family before its degree balance c = b - 2 is substituted.
@@ -193,13 +204,7 @@ def test_expand_refuses_two_parameters():
     with pytest.raises(UnresolvedParameterError, match=re.escape(message)):
         parse_resolution(RAW11)
     res = _built_directly(RAW11)
-    for evaluate in (
-        lambda: res.expand(2),
-        lambda: res.blocks(2),
-        lambda: admissible(res),
-        lambda: scan_points(res),
-        lambda: scan_points(res, range(2, 6)),
-    ):
+    for evaluate in (lambda: res.expand(2), lambda: res.blocks(2)):
         with pytest.raises(UnresolvedParameterError, match=re.escape(message)):
             evaluate()
     assert [str(v) for v in validate(res)] == [f"unresolved-parameters: {message}"]
@@ -483,24 +488,29 @@ def _negative_points(violations):
 def test_certificate_agrees_with_the_full_walk(drawn):
     """validate and checked_resolution agree with a plain walk over every point.
 
-    validate refuses what flat_validate refuses, and reports each negative
-    multiplicity on exactly the grid points where the walk finds it
-    negative.  It names cancelling pairs exactly when the net count,
-    generators minus syzygies, at some twist differs between two walked
-    points; the walk reads one point past its first as well, as a
-    one-point grid still leaves the parameter free in the record.  On a
-    family it accepts, every walked point has the same flat KMR total,
-    the same invariants or degenerate refusal, and the same h^0(I_S(t))
-    for t in -2..socle + 1, and checked_resolution's one point counts
-    these values.
+    On a domain of two points or more validate refuses exactly what
+    flat_validate refuses.  A one-point domain still leaves the parameter
+    free in the record, so there validate refuses a superset: it reports
+    what the walk reports at that point, and may add ghost-pairs.  Each
+    negative multiplicity is reported on exactly the grid points where
+    the walk finds it negative.  validate names cancelling pairs exactly
+    when the net count, generators minus syzygies, at some twist differs
+    between two walked points; the walk reads one point past its first as
+    well.  On a family it accepts, every walked point has the same flat
+    KMR total, the same invariants or degenerate refusal, and the same
+    h^0(I_S(t)) for t in -2..socle + 1, and checked_resolution's one
+    point counts these values.
     """
     res, grid = drawn
     problems = flat_validate(res, grid)
     found = validate(res, grid)
-    assert bool(found) == bool(problems)
+    walked = walk_points(res, grid)
+    if len(walked) == 1:
+        assert located(v for v in found if v.invariant != "ghost-pairs") == located(problems)
+    else:
+        assert bool(found) == bool(problems)
     assert _negative_points(found) == _negative_points(problems)
     certified = _raised(lambda: checked_resolution(res, grid))
-    walked = walk_points(res, grid)
     if res.parameter() is not None and walked:
         nets = [net_counts(res, x) for x in (*walked, walked[0] + 1)]
         moved = any(net != nets[0] for net in nets)
@@ -635,21 +645,29 @@ def test_the_inline_term_sum_equals_the_flat_h0_sum(drawn):
 @example((GorensteinResolution(((1, _count(3, -1)),), (), 2), 0))  # no generators at x = 3
 @example((GorensteinResolution((), ((10**30, _count(10**20, 0)),), -(10**30)), 0))
 def test_validate_off_a_grid_equals_the_flat_walk(drawn):
-    """validate(res) with no grid reports what the flat walk reports, in its order and words.
+    """validate(res) with no grid reports what the flat walk reports at x0, in its order and words.
 
     The walk visits up to 40 admissible values of the window it searches,
-    from the finite end; validate visits the scan points.  Each violation
-    located at a point is compared at the scan points, which the walk
-    passes through when they lie in its window.  A family with an end the
-    window does not reach (near 10**20) is compared on the violations
-    located at no point.
+    from the finite end.  validate checks the blocks of x0: the least
+    admissible value when a multiplicity bounds x below, else the
+    greatest.  Each violation located at a point is compared at x0 when
+    x0 lies inside the window, and so on the walk.  A family with an end
+    the window does not reach (near 10**20) is compared on the violations
+    located at no point.  validate refuses what the walk refuses, and on
+    a domain of two points or more nothing else; on a one-point domain it
+    may add ghost-pairs, which the walk, reading that point alone, does
+    not see.
     """
     res, _ = drawn
     found, walked = validate(res), flat_validate(res)
+    if len(walk_points(res)) != 1:
+        assert bool(found) == bool(walked)
+    found = [v for v in found if v.invariant != "ghost-pairs"]
     if res.parameter() is not None:
-        points = scan_points(res)
-        if set(points) <= set(walk_points(res)):
-            walked = [v for v in walked if v.param_value is None or v.param_value in points]
+        bounded_below = any(mult.coeff > 0 for _, mult in res.generators + res.syzygies)
+        x0 = (min if bounded_below else max)(admissible_search(res), default=WINDOW[0])
+        if x0 not in (WINDOW[0], WINDOW[-1]):
+            walked = [v for v in walked if v.param_value in (None, x0)]
         else:
             found = [v for v in found if v.param_value is None]
             walked = [v for v in walked if v.param_value is None]
@@ -670,6 +688,77 @@ def accepted_resolutions(draw):
         gens += [(n, count), (socle - n, count)]
     syz = draw(st.permutations([(socle - n, count) for n, count in gens]))
     return GorensteinResolution(tuple(gens), tuple(syz), socle), None
+
+
+def _with(res, gens=(), syz=()):
+    """res with the (twist, count) entries added to its generators and syzygies."""
+    return res._replace(generators=res.generators + gens, syzygies=res.syzygies + syz)
+
+
+def _ghost_pairs(name, twists, socle):
+    """The violation of a parameter that adds more than ghost pairs, as validate words it."""
+    detail = (
+        f"{name} adds pairs at twists {', '.join(map(str, twists))} that are not ghost pairs"
+        f" {{t, {socle} - t}} with 1 <= t <= {socle - 1}"
+    )
+    return Violation("ghost-pairs", None, detail)
+
+
+@settings(max_examples=200, deadline=None)
+@given(accepted_resolutions(), st.data())
+def test_a_parametric_ghost_pair_is_accepted_on_any_grid_and_moves_no_count(drawn, data):
+    """A ghost pair {t, s - t}, 1 <= t <= s - 1, added to both lists with count c + k x.
+
+    validate accepts it on every grid inside the admissible interval and
+    without one, and at every grid point _kmr, term_sum and _invariants
+    read the ghost-free record's values off its blocks.  The same count
+    at t alone on both lists, or at a twist t <= 0 with its dual, still
+    cancels but is no ghost pair: validate refuses it as ghost-pairs on
+    every grid, a one-point grid included.
+    """
+    res, _ = drawn
+    assume(validate(res) == [])
+    socle = res.socle_twist
+    t = data.draw(st.integers(1, socle - 1))
+    count = _count(data.draw(st.integers(0, 4)), data.draw(st.integers(1, 3)))
+    ghosted = _with(res, ((t, count), (socle - t, count)), ((socle - t, count), (t, count)))
+    low, high = -6, 6  # every constant is >= 0, so x = 0 is admissible
+    for _, mult in ghosted.generators:
+        if mult.coeff > 0:
+            low = max(low, -(mult.const // mult.coeff))
+        elif mult.coeff < 0:
+            high = min(high, mult.const // -mult.coeff)
+    start = data.draw(st.integers(low, high))
+    stop = data.draw(st.integers(start, high)) + 1
+    grid = data.draw(st.sampled_from([None, range(start, stop)]))
+    assert validate(ghosted, grid) == []
+    for x in range(low, high + 1) if grid is None else grid:
+        base, padded = res.blocks(x), ghosted.blocks(x)
+        assert _raised(lambda: _kmr(*padded, socle)) == _raised(lambda: _kmr(*base, socle))
+        assert _raised(lambda: _invariants(*padded, socle)) == _raised(
+            lambda: _invariants(*base, socle)
+        )
+        for twist in range(-2, socle + 2):
+            assert term_sum(*padded, socle, twist) == term_sum(*base, socle, twist)
+
+    below = data.draw(st.integers(-3, 0))
+    outside = _with(
+        res, ((below, count), (socle - below, count)), ((socle - below, count), (below, count))
+    )
+    alone = _with(res, ((t, count),), ((t, count),))
+    for grid in (None, range(0, 1), range(0, high + 1)):
+        assert validate(outside, grid)[0] == _ghost_pairs("x", [below, socle - below], socle)
+        found = validate(alone, grid)
+        named = [
+            set(v.detail.split(" twists ")[1].split(" that ")[0].split(", "))
+            for v in found
+            if v.invariant == "ghost-pairs"
+        ]
+        if 2 * t == socle:  # t alone is the ghost pair {t, socle - t}
+            assert found == []
+        else:
+            assert len(named) == 1 and named[0] <= {str(t), str(socle - t)}
+            assert not any(v.invariant == "cancelling-pairs" for v in found)
 
 
 @settings(max_examples=300, deadline=None)
