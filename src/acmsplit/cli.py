@@ -24,7 +24,6 @@ from .euler import solve_c2_boundary
 from .incidence import (
     CONCLUSIVE_VERDICTS,
     CatalogError,
-    checked_resolution,
     generate_report,
     json_text,
     load_catalog_file,
@@ -34,9 +33,10 @@ from .incidence import (
 )
 from .normal_bundle import _kmr
 from .proj_cohomology import AMBIENT_DIM, h0_pn
-from .resolutions import GorensteinResolution, parse_resolution, term_sum
+from .resolutions import GorensteinResolution, checked_resolution, parse_resolution, term_sum
 
 _GRID_RE = re.compile(r"(-?\d+)\.\.(-?\d+)", re.ASCII)
+_INT_RE = re.compile(r"-?\d+", re.ASCII)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,6 +44,13 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _parse_int(text: str) -> int:
+    """An integer option in ASCII digits; int() alone reads every Unicode digit."""
+    if _INT_RE.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, not {text!r}")
+    return int(text)
 
 
 def _parse_grid(text: str) -> range:
@@ -203,7 +210,7 @@ def build_parser() -> _Parser:
         parents=[common],
         help="evaluate every case for one degree",
     )
-    report.add_argument("--degree", type=int, required=True)
+    report.add_argument("--degree", type=_parse_int, required=True)
     report.add_argument("--catalog", metavar="FILE", help="JSON case catalog")
 
     check = sub.add_parser(
@@ -211,9 +218,9 @@ def build_parser() -> _Parser:
         parents=[common],
         help="evaluate one (c1, c2) case",
     )
-    check.add_argument("--degree", type=int, required=True)
-    check.add_argument("--c1", type=int, required=True)
-    check.add_argument("--c2", type=int, required=True)
+    check.add_argument("--degree", type=_parse_int, required=True)
+    check.add_argument("--c1", type=_parse_int, required=True)
+    check.add_argument("--c2", type=_parse_int, required=True)
     check.add_argument("--catalog", metavar="FILE", help="JSON case catalog")
 
     sub.add_parser(
@@ -227,15 +234,15 @@ def build_parser() -> _Parser:
         parents=[common, resolved],
         help="h^0 of the twisted ideal sheaf from a resolution",
     )
-    hilbert.add_argument("--twist", type=int, required=True)
+    hilbert.add_argument("--twist", type=_parse_int, required=True)
 
     solve = sub.add_parser(
         "solve-c2",
         parents=[common],
         help="eliminate c2 on a boundary line via Euler characteristics",
     )
-    solve.add_argument("--degree", type=int, required=True)
-    solve.add_argument("--c1", type=int, required=True)
+    solve.add_argument("--degree", type=_parse_int, required=True)
+    solve.add_argument("--c1", type=_parse_int, required=True)
 
     return parser
 

@@ -26,12 +26,9 @@ from .euler import ParityError, pfaffian_c2, sectional_genus
 from .normal_bundle import _kmr
 from .proj_cohomology import moduli_dim
 from .resolutions import (
-    Blocks,
-    DegenerateResolutionError,
     GorensteinResolution,
-    SurfaceInvariants,
-    _invariants,
-    _walk,
+    ResolutionValidationError,
+    checked_resolution,
     h0_ideal,  # noqa: F401  (perfbench's tracer wraps the incidence.h0_ideal alias)
     parse_resolution,
     term_sum,
@@ -90,27 +87,6 @@ class CaseRecord(namedtuple("CaseRecord", "r c1 c2 resolution provenance")):
 def resolve_parameters(res: GorensteinResolution) -> GorensteinResolution:
     """Identity, called by nothing: perfbench/tracer.py patches this name (ROADMAP item 7)."""
     return res
-
-
-def checked_resolution(
-    res: GorensteinResolution, grid: range | None = None
-) -> tuple[tuple[Blocks, Blocks], SurfaceInvariants]:
-    """Validate a resolution and read its surface type: ((gens, syz), invariants).
-
-    This is the one path from raw twist data to counts: evaluate_case
-    and the kmr and hilbert commands take it.  One walk over the record
-    (see _walk) builds the generator and syzygy blocks of one point x0,
-    the grid's low end or the admissible interval's finite end, and
-    validates them.  validate lets a parameter add only ghost pairs,
-    which move no check and no count (see _kmr), so the blocks of x0
-    and the invariants read there stand for every admissible value.
-    Invalid twist data raises CatalogError, and a Hilbert polynomial
-    that is no surface DegenerateResolutionError.
-    """
-    problems, blocks = _walk(res, grid)
-    if problems:
-        raise CatalogError("invalid resolution: " + "; ".join(str(p) for p in problems))
-    return blocks, _invariants(*blocks, res.socle_twist)
 
 
 class ReportRow(NamedTuple):
@@ -306,13 +282,14 @@ def evaluate_case(case: CaseRecord, grid: range | None = None) -> ReportRow:
     """One report row for a case: checked, counted, decided and explained in one walk.
 
     A degree the report refuses is refused with its message.  A
-    resolution is validated and counted at one point, of the grid when
-    one is given (see checked_resolution); a resolution without a
-    parameter ignores the grid.  Invalid twist data, a parameter that
-    adds more than ghost pairs included, is refused first; then a
-    Hilbert polynomial that is no surface, then a Chern pair whose
+    resolution is validated on the grid when one is given and counted
+    on its canonical blocks (see checked_resolution); a resolution
+    without a parameter ignores the grid.  Invalid twist data, a
+    parameter that moves a net count or a Hilbert numerator that is no
+    surface's included, is refused first; then a Chern pair whose
     sectional genus is not an integer, then a surface degree or genus
-    that differs from the pair's.  Each refusal names the case.  The
+    that differs from the pair's.  Each refusal names the case and
+    raises CatalogError.  The
     row's first note is the one of the cascade rule that decided it; a
     catalog annotation for the case and that verdict follows.
     """
@@ -336,8 +313,8 @@ def evaluate_case(case: CaseRecord, grid: range | None = None) -> ReportRow:
                     f"resolution sectional genus {surface.sectional_genus}"
                     f" != {genus} from the Chern pair"
                 )
-        except (CatalogError, DegenerateResolutionError) as exc:
-            raise type(exc)(f"case {case.label}: {exc}") from exc
+        except (CatalogError, ResolutionValidationError) as exc:
+            raise CatalogError(f"case {case.label}: {exc}") from exc
         ideal = term_sum(gens, syz, res.socle_twist, r)
         normal = _kmr(gens, syz, res.socle_twist)
         bound = ideal - 1 + normal

@@ -30,7 +30,7 @@ from __future__ import annotations
 from math import comb
 
 from .combinatorics import Count
-from .resolutions import Blocks, GorensteinResolution, term_sum
+from .resolutions import Blocks, GorensteinResolution, _at, checked_resolution, term_sum
 
 
 class ConventionViolation(ArithmeticError):
@@ -54,12 +54,12 @@ def _block_pairs(i0: int, i1: int, j0: int, j1: int) -> int:
 
 
 def kmr_h0_normal(res: GorensteinResolution, x: int | None = None) -> Count:
-    """h^0(N_S) from the resolution twists alone (see _kmr)."""
-    return _kmr(*res.blocks(x), res.socle_twist)
+    """h^0(N_S) of the checked resolution at x, from its twists alone (see _kmr)."""
+    return _kmr(*checked_resolution(res, _at(x))[0], res.socle_twist)
 
 
 def _kmr(gens: Blocks, syz: Blocks, socle: int) -> Count:
-    """kmr_h0_normal on one point's blocks.
+    """kmr_h0_normal on a record's canonical blocks (see resolutions._walk).
 
     The sums run block against block, so a point costs O(blocks^2)
     whatever the multiplicities.  A generator block at ascending
@@ -77,7 +77,9 @@ def _kmr(gens: Blocks, syz: Blocks, socle: int) -> Count:
     h^0(I_S(s - t)): the truncated terms at t - s and -t vanish.  That is
     what the -sum h^0(I_S(n_i)) term loses, as I_S keeps its Hilbert
     function.  The one ghost at t = s/2 adds sum_i f(t - n_i) = h^0(I_S(t))
-    and loses it the same way.
+    and loses it the same way.  A record validate accepts is its
+    canonical blocks plus pairs of one twist; where it is self-dual in
+    range those come as such ghosts, so its count is the canonical one.
     """
     total = 0
     i0 = 0

@@ -4,11 +4,14 @@ A surface S in P^5 in this family has a self-dual length-3 resolution
 
     0 -> O(-socle) -> (+) O(-m_j) -> (+) O(-n_i) -> I_S -> 0
 
-recorded here as twist/multiplicity pairs.  Multiplicities may be affine
-expressions in one named parameter, so one surface's resolution padded with
-a varying number of ghost pairs is a single record; parse_resolution
-refuses a second parameter, and validate a parameter that adds more than
-ghost pairs, so every check and count at one value holds at all of them.
+recorded here as twist/multiplicity pairs.  Every count reads the record
+through its Hilbert numerator P(z) = 1 - sum_t net(t) z^t - z^socle, where
+net(t) is the number of generators minus the number of syzygies of twist t;
+validate accepts a record exactly when P is the numerator of a surface's
+Hilbert series.  Multiplicities may be affine expressions in one named
+parameter, so one surface's resolution padded with a varying number of
+cancelling pairs is a single record; parse_resolution refuses a second
+parameter, and validate a parameter that moves a net count.
 All section counts derived from a resolution are exact, not
 Euler-characteristic approximations, because the terms are sums of line
 bundles on P^5 whose middle cohomology vanishes.
@@ -31,10 +34,6 @@ class UnresolvedParameterError(ValueError):
 
 class ResolutionValidationError(ValueError):
     """A resolution failed a structural invariant."""
-
-
-class DegenerateResolutionError(ValueError):
-    """The Hilbert polynomial does not describe a surface."""
 
 
 _TERM_RE = re.compile(
@@ -140,7 +139,7 @@ def parse_multiplicity(value: int | str) -> AffineExpr:
 #: Twist/multiplicity pairs; the multiset of twists after expansion.
 TwistVector = tuple[tuple[int, AffineExpr], ...]
 
-#: (twist, count) pairs at one parameter value: sorted, merged, counts > 0.
+#: (twist, count) pairs, sorted by twist with counts > 0: a record's canonical blocks (see _walk).
 Blocks = list[tuple[int, int]]
 
 #: The most [twist, mult] pairs parse_resolution takes in gens or in syz.  The KMR count
@@ -148,10 +147,9 @@ Blocks = list[tuple[int, int]]
 MAX_PAIRS = 128
 
 #: The largest |twist| and |socle| parse_resolution takes.  Binomials grow with a twist's
-#: digits: kmr at MAX_PAIRS on a (1,1,K) complete intersection padded with 63 ghost pairs
-#: spread over 1..socle takes about 20 ms in-process at socle 10**6, 48 ms at 10**30,
-#: 0.65 s at 10**300 and 3.7 s at 10**1000 (2-vCPU Xeon).  Every twist is checked here, at
-#: parse, before validate bounds the generator twists by the socle.
+#: digits: a surface with 127 generator and 127 syzygy blocks spread over 1..socle takes
+#: about 10 to 20 ms for the walk and kmr in-process at socle 10**6 (2-vCPU Xeon).  Every
+#: twist is checked here, at parse, before validate bounds the powers of P by the socle.
 MAX_TWIST = 10**6
 
 
@@ -185,7 +183,7 @@ def _parse_twist_vector(raw: object, label: str) -> TwistVector:
 
 
 class GorensteinResolution(NamedTuple):
-    """Twist data of a self-dual length-3 resolution of I_S on P^5."""
+    """Twist data of a length-3 resolution of I_S on P^5, maybe padded with cancelling pairs."""
 
     generators: TwistVector
     syzygies: TwistVector
@@ -206,50 +204,27 @@ class GorensteinResolution(NamedTuple):
             )
         return names.pop() if names else None
 
-    def blocks(self, x: int | None = None) -> tuple[Blocks, Blocks]:
-        """Twist/count blocks (generators, syzygies) at x.
+    def expand(self, x: int | None = None) -> tuple[list[int], list[int]]:
+        """Multiplicity-expanded twist lists (generators, syzygies) at x, ascending.
 
-        Each list is sorted by twist, with equal twists merged and zero
-        counts dropped.  This is the one place multiplicities are
-        evaluated and checked; every count is a sum over these blocks.
-        Multiplicities are read in record order, tracking the one
-        parameter name as they go.  Every refusal asks parameter() first,
-        so a record built directly with two parameters is refused for
-        that whatever else is wrong; otherwise the first multiplicity
-        with the parameter but no x, or with a count below 0, is refused.
-        A negative count names its list, and x when the multiplicity has
-        the parameter.
+        A second parameter name, the parameter without x, or a count below
+        0 raises; a negative count names its list, and x when the
+        multiplicity has the parameter.
         """
-        name = None
-        out: list[Blocks] = []
+        self.parameter()
+        out = []
         for label, vector in (("gens", self.generators), ("syz", self.syzygies)):
-            merged: dict[int, int] = {}
+            twists: list[int] = []
             for twist, mult in vector:
-                const, coeff, param = mult
-                if param is None:
-                    count = const
-                else:
-                    if param != name:  # the first name met, or a second one
-                        if name is not None or x is None:
-                            self.parameter()  # raises on a second name
-                            mult.evaluate(x)  # else raises: no value for the parameter
-                        name = param
-                    count = const + coeff * x
+                count = mult.evaluate(x)
                 if count < 0:
-                    self.parameter()
-                    where = "" if param is None else f" at x={x}"
+                    where = "" if mult.param is None else f" at x={x}"
                     raise ResolutionValidationError(
                         f"{label} multiplicity {mult} of twist {twist} is {count}{where}"
                     )
-                if count:
-                    merged[twist] = merged.get(twist, 0) + count
-            out.append(sorted(merged.items()))
+                twists += [twist] * count
+            out.append(sorted(twists))
         return out[0], out[1]
-
-    def expand(self, x: int | None = None) -> tuple[list[int], list[int]]:
-        """Multiplicity-expanded twist lists (generators, syzygies) at x, ascending."""
-        gens, syz = self.blocks(x)
-        return [t for t, c in gens for _ in range(c)], [t for t, c in syz for _ in range(c)]
 
 
 def parse_resolution(data: Mapping) -> GorensteinResolution:
@@ -275,6 +250,18 @@ def parse_resolution(data: Mapping) -> GorensteinResolution:
     )
     res.parameter()
     return res
+
+
+class SurfaceInvariants(NamedTuple):
+    """Numerical invariants read off the Hilbert polynomial of S."""
+
+    degree: Count
+    sectional_genus: int
+    chi_structure: EulerNumber
+
+    def chi(self, t: int) -> EulerNumber:
+        """chi(O_S(t)) = degree t(t+1)/2 + (1 - genus) t + chi(O_S), at every integer t."""
+        return self.degree * t * (t + 1) // 2 + (1 - self.sectional_genus) * t + self.chi_structure
 
 
 class Violation(NamedTuple):
@@ -325,110 +312,100 @@ def _negative_span(mult: AffineExpr, grid: range) -> range:
 
 
 def validate(res: GorensteinResolution, grid: range | None = None) -> list[Violation]:
-    """Check balance, ghost pairs, self-duality and twist range; never raises.
+    """Check that the record is a surface's resolution padded with cancelling pairs; never raises.
 
-    An ideal sheaf of a surface has no sections in degree <= 0, so a
-    generator twist n is >= 1; its dual, the syzygy twist socle - n,
-    relates generators of twist >= 1, so it is >= 1 too and n is below
-    the socle.  Under self-duality that one range 1 <= n <= socle - 1
-    bounds the syzygy twists as well.  Outside it the KMR pair sum is
-    wrong.  A parameter may only add ghost pairs: twists t and socle - t
-    with 1 <= t <= socle - 1, with one slope on both lists.  First, at
-    every twist t, its slope summed over gens must equal its slope summed
-    over syz (cancelling pairs), or the violation names each twist whose
-    net count, generators minus syzygies, moves.  The x-part of the
-    Hilbert series of I_S is x sum_t (kappa^gens_t - kappa^syz_t) z^t /
-    (1 - z)^6, so that holds exactly when the Hilbert function of S does
-    not depend on x; _kmr's docstring shows that h^0(N_S) then does not
-    either.  Then the generator slope must be equal at t and socle - t,
-    and zero outside 1..socle - 1 (ghost pairs).  The record at x is then
-    the record at x0 plus (x - x0) times a self-dual set of ghost pairs in
-    range, so the rank balance, self-duality, twist range and generator
-    count that hold at x0 hold at every x, and they are checked there
-    (see _walk).  A negative multiplicity is reported once per
-    expression, with the grid points where it is negative.  A record
-    built directly with two parameters is one violation.  Returns every
+    Every count depends on the record only through its net counts
+    net(t), generators minus syzygies of twist t (see _kmr), so the
+    record is read as its Hilbert numerator P(z) = 1 - sum_t net(t) z^t
+    - z^s, s the socle.  A parameter may only add cancelling pairs: the
+    violation names each twist whose net count moves with it, since then
+    the Hilbert function of S does as well.  A negative multiplicity is
+    reported once per expression, with the grid points where it is
+    negative.  A record built directly with two parameters is one
+    violation.  Then P must be the numerator of a surface, a codimension
+    3 arithmetically Gorenstein one: h = P/(1 - z)^3 is a polynomial with
+    h_0 = 1 and no negative power, of length s - 2, symmetric, and with
+    positive sum, the surface degree.  That one test holds exactly when
+    the canonical record (see _walk) is balanced and self-dual with
+    generator twists in 1..s - 1, and describes a surface.  Returns every
     violation found, in the order _walk checks them.
     """
     return _walk(res, grid)[0]
 
 
+def _polynomial(coefficients: dict[int, int]) -> str:
+    """A Laurent polynomial in z from {power: coefficient}, ascending: '1 - 2z + 2z^3 - z^4'."""
+    text = ""
+    for power, c in sorted(coefficients.items()):
+        monomial = "" if power == 0 else "z" if power == 1 else f"z^{power}"
+        size = "" if abs(c) == 1 and monomial else str(abs(c))
+        sign = ("-" if c < 0 else "") if not text else (" - " if c < 0 else " + ")
+        text += sign + size + monomial
+    return text or "0"
+
+
 def _walk(
     res: GorensteinResolution, grid: range | None = None
-) -> tuple[list[Violation], tuple[Blocks, Blocks] | None]:
-    """validate's checks, and the (generators, syzygies) blocks of the point x0.
+) -> tuple[list[Violation], tuple[tuple[Blocks, Blocks], SurfaceInvariants] | None]:
+    """validate's checks, and the canonical blocks and the invariants of a record that passes.
 
-    x0 is None without a parameter; else the grid's low end, or without
-    a grid the finite end of the admissible interval (_domain), its low
-    end when both are finite.  The checks run in this order, and each of
-    1, 3 and 4 ends the walk when it fails, so there are no blocks (None):
+    The canonical blocks (generators, syzygies) hold each twist's net
+    count: the positive ones as generators, the negated negative ones as
+    syzygies.  They drop every generator/syzygy pair of one twist, which
+    moves no count (see _kmr), and with it the parameter.  The checks run
+    in this order, and each of 1, 3, 4 and 5 ends the walk when it fails:
     1. two parameter names, read once from parameter();
-    2. degree balance: Sum(n_i) - Sum(m_j) + socle, as const + coeff * x,
-       must vanish for the twist data to come from a resolution; then
-       cancelling pairs: the slope of each twist's net count must vanish,
-       and when it does, ghost pairs: the generator slope must be equal
-       at t and socle - t and vanish outside 1..socle - 1;
+    2. cancelling pairs: the slope of each twist's net count must vanish;
     3. an empty grid or admissible interval;
     4. negative multiplicities, once per expression: on a grid, the
-       points where it is negative; off one x0 is admissible, so only a
-       constant can be negative there;
-    5. on the blocks of x0: no generators (which skips the rest), rank
-       balance, self-duality, twist range.
-    Checks 2 and 4 read the record in one pass per twist vector.
+       points where it is negative; off one the admissible interval is
+       not empty, so only a constant can be negative there;
+    5. when 2 passed too, the Hilbert numerator P of the net counts, in
+       this order: (1 - z)^3 divides P (its moments sum_e e^k P_e vanish
+       for k = 0, 1, 2), h = P/(1 - z)^3 has h_0 = P_0 = 1 and no
+       negative power, length s - 2, so deg P = s, and is symmetric,
+       which is P_e = -P_(s-e), and its sum, the surface degree, is > 0.
+    Checks 2 and 4 read the record in one pass over its entries.  Step 5
+    reads only P's at most 2 MAX_PAIRS + 2 terms, never h, whose length
+    the socle sets.  Its binomial moments are h's Taylor coefficients at
+    z = 1: sum_j C(j, k) h_j = -sum_e C(e, k + 3) P_e, as P(z) = -(z -
+    1)^3 h(z).  The invariants read them off: degree sum_j h_j, genus
+    1 - sum_j (1 - j) h_j, and chi(O_S) = sum_j h_j (2 - j)(1 - j)/2.
     """
-    violations: list[Violation] = []
     try:
         name = res.parameter()
     except UnresolvedParameterError as exc:
         return [Violation("unresolved-parameters", None, str(exc))], None
 
     socle = res.socle_twist
-    const, coeff = socle, 0
-    net: dict[int, int] = {}  # twist -> slope of its count of generators minus syzygies
-    added: dict[int, int] = {}  # twist -> slope of its count of generators
+    # P(z) = 1 - sum_t net(t) z^t - z^socle, as {power: coefficient}, from the constant parts
+    numerator = {0: 1}
+    numerator[socle] = numerator.get(socle, 0) - 1
+    slopes: dict[int, int] = {}  # twist -> slope of its net count
     on_grid = name is not None and bool(grid)  # an empty grid is refused below
     negative = []
     for sign, label, vector in ((1, "gens", res.generators), (-1, "syz", res.syzygies)):
         for twist, mult in vector:
             count, slope, _ = mult
-            const += sign * twist * count
-            coeff += sign * twist * slope
+            numerator[twist] = numerator.get(twist, 0) - sign * count
             if slope:
-                net[twist] = net.get(twist, 0) + sign * slope
-                if sign > 0:
-                    added[twist] = added.get(twist, 0) + slope
+                slopes[twist] = slopes.get(twist, 0) + sign * slope
             where = _negative_span(mult, grid) if on_grid else None
             if where or (where is None and count < 0 and not slope):
                 detail = f"{label} multiplicity {mult} of twist {twist} is negative"
                 negative.append(Violation("negative-multiplicity", where, detail))
-    if const != 0 or coeff != 0:
-        residual = f"{const} {coeff:+d}*{name}" if coeff else str(const)
-        detail = f"twist sums leave residual {residual}"
-        violations.append(Violation("degree-balance", None, detail))
-    moving = ", ".join(str(t) for t in sorted(net) if net[t])
-    unpaired = ", ".join(
-        str(t)
-        for t in sorted(added)
-        if added[t] and (added.get(socle - t, 0) != added[t] or not 1 <= t < socle)
-    )
+    violations = []
+    moving = ", ".join(str(t) for t in sorted(slopes) if slopes[t])
     if moving:
         detail = (
             f"{name} moves the net count of generators minus syzygies at twists {moving};"
             " a parameter may only add cancelling pairs"
         )
         violations.append(Violation("cancelling-pairs", None, detail))
-    elif unpaired:
-        detail = (
-            f"{name} adds pairs at twists {unpaired} that are not ghost pairs"
-            f" {{t, {socle} - t}} with 1 <= t <= {socle - 1}"
-        )
-        violations.append(Violation("ghost-pairs", None, detail))
 
-    x0 = None
     if name is not None and grid is not None:
         if not grid:
             return violations + [Violation("empty-grid", None, "parameter grid is empty")], None
-        x0 = min(grid[0], grid[-1])
     elif name is not None:
         lo, hi = _domain(res)
         if lo is not None and hi is not None and lo > hi:
@@ -437,29 +414,64 @@ def _walk(
                 f" ({lo} <= {name} <= {hi} is empty)"
             )
             return violations + [Violation("empty-domain", None, detail)], None
-        x0 = hi if lo is None else lo
-    if negative:
+    if negative or violations:
         return violations + negative, None
 
-    gens, syz = res.blocks(x0)
-    if not gens:
-        return violations + [Violation("trivial-rank", x0, "no generators")], (gens, syz)
-    # gens ascend with distinct twists, so their duals ascend when reversed; equal
-    # blocks have equal ranks, so the ranks are summed only when self-duality fails
-    if syz != [(socle - n, c) for n, c in reversed(gens)]:
-        rank, syz_rank = sum(c for _, c in gens), sum(c for _, c in syz)
-        if rank != syz_rank:
-            detail = f"{rank} generators vs {syz_rank} syzygies"
-            violations.append(Violation("rank-balance", x0, detail))
-        detail = f"syzygy twists differ from {socle} minus generator twists"
-        violations.append(Violation("self-duality", x0, detail))
-    if gens[0][0] < 1 or gens[-1][0] >= socle:
-        low = [f"generator twist {n} is below 1" for n, _ in gens if n < 1]
-        high = [
-            f"generator twist {n} is not below the socle {socle}" for n, _ in gens if n >= socle
-        ]
-        violations += [Violation("twist-range", x0, detail) for detail in low + high]
-    return violations, (gens, syz)
+    numerator = {e: c for e, c in numerator.items() if c}
+    rank = degree = square = 0  # sum_e e^k P_e for k = 0, 1, 2
+    for e, c in numerator.items():
+        rank += c
+        degree += c * e
+        square += c * e * e
+    get = numerator.get
+    if rank or degree or square:
+        failed = "h is not a polynomial"
+    elif min(numerator, default=0) < 0 or get(0) != 1:
+        failed = "h does not start with h_0 = 1 at z^0"
+    elif max(numerator) != socle:
+        failed = f"h does not have length socle - 2 = {socle - 2}"
+    elif any(get(socle - e) != -c for e, c in numerator.items()):
+        failed = "h is not symmetric"
+    else:
+        total = first = second = 0  # sum_j C(j, k) h_j for k = 0, 1, 2
+        for e, c in numerator.items():
+            total -= c * comb(e, 3)
+            first -= c * comb(e, 4)
+            second -= c * comb(e, 5)
+        if total > 0:  # net(t) = -P_t strictly between the powers 0 and socle
+            terms = sorted(numerator.items())[1:-1]
+            gens = [(t, -c) for t, c in terms if c < 0]
+            syz = [(t, c) for t, c in terms if c > 0]
+            surface = SurfaceInvariants(total, 1 - total + first, total - first + second)
+            return [], ((gens, syz), surface)
+        failed = f"h sums to {total}, not a positive surface degree"
+    detail = f"{failed}, with h = P(z)/(1 - z)^3 and P(z) = {_polynomial(numerator)}"
+    return [Violation("hilbert-numerator", None, detail)], None
+
+
+def checked_resolution(
+    res: GorensteinResolution, grid: range | None = None
+) -> tuple[tuple[Blocks, Blocks], SurfaceInvariants]:
+    """Validate a resolution and read its surface type: ((gens, syz), invariants).
+
+    This is the one path from raw twist data to counts: evaluate_case,
+    the kmr and hilbert commands and the (res, x) wrappers take it.  One
+    walk over the record (see _walk) validates it and gives its canonical
+    blocks, which no admissible parameter value moves, and the invariants
+    read off its Hilbert numerator.  Invalid twist data raises
+    ResolutionValidationError naming every violation found.
+    """
+    problems, case = _walk(res, grid)
+    if problems:
+        raise ResolutionValidationError(
+            "invalid resolution: " + "; ".join(str(p) for p in problems)
+        )
+    return case
+
+
+def _at(x: int | None) -> range | None:
+    """The one-point grid of x, or no grid."""
+    return None if x is None else range(x, x + 1)
 
 
 def term_sum(gens: Blocks, syz: Blocks, socle: int, t: int) -> Count:
@@ -481,72 +493,14 @@ def term_sum(gens: Blocks, syz: Blocks, socle: int, t: int) -> Count:
 
 
 def h0_ideal(res: GorensteinResolution, t: int, x: int | None = None) -> Count:
-    """h^0(I_S(t)), exact alternating sum over the resolution terms.
+    """h^0(I_S(t)), exact alternating sum over the checked resolution's terms at x.
 
     Exactness holds because h^1 and h^2 of line bundles on P^5 vanish,
     so both kernel corrections in the section-count chase are zero.
     """
-    return term_sum(*res.blocks(x), res.socle_twist, t)
-
-
-class SurfaceInvariants(NamedTuple):
-    """Numerical invariants read off the Hilbert polynomial of S."""
-
-    degree: Count
-    sectional_genus: int
-    chi_structure: EulerNumber
-
-    def chi(self, t: int) -> EulerNumber:
-        """chi(O_S(t)) = degree t(t+1)/2 + (1 - genus) t + chi(O_S), at every integer t."""
-        return self.degree * t * (t + 1) // 2 + (1 - self.sectional_genus) * t + self.chi_structure
+    return term_sum(*checked_resolution(res, _at(x))[0], res.socle_twist, t)
 
 
 def surface_invariants(res: GorensteinResolution, x: int | None = None) -> SurfaceInvariants:
-    """Degree, sectional genus and chi(O_S) in closed form (see _invariants)."""
-    return _invariants(*res.blocks(x), res.socle_twist)
-
-
-def _invariants(gens: Blocks, syz: Blocks, socle: int) -> SurfaceInvariants:
-    """surface_invariants on one point's blocks, in one pass over the terms (n, w).
-
-    P(t) = chi(O_S(t)) = sum w binom(t - n + 5, 5) over (0, 1), (n_i, -c_i), (m_j, c_j) and
-    (socle, -1) must be an honest degree-2 polynomial: its third differences vanish (three
-    consecutive zeros certify degree <= 2) and its second, the surface degree, is positive.
-    By Pascal's rule the j-th difference of P is sum w binom(t - n + 5, 5 - j).  With a = 4 - n,
-    the third differences at t = -2, -1, 0 sum (a-1)(a-2), a(a-1) and (a+1)a over 2; the
-    degree sums a(a-1)(a-2) over 6, 1 - genus = P(0) - P(-1) sums a(a-1)(a-2)(a-3) over 24,
-    and chi(O_S) = P(0) sums (a+1)a(a-1)(a-2)(a-3) over 120.  Each division is exact: a
-    product of k consecutive integers is divisible by k!.
-
-    Lemma: the degree > 2 refusal never fires on a resolution validate accepts.  With
-    S_j = sum w n^j a third difference is [S_0 (t+5)(t+4) - S_1 (2t+9) + S_2] / 2; rank
-    balance gives S_0 = 0, degree balance S_1 = 0, and self-duality with degree balance
-    S_2 = 0.  The check stays for blocks that were not validated.
-    """
-    weight = linear = degree = genus_term = chi = 0
-    third1 = 0  # sum w a(a-1); (a-1)(a-2) = a(a-1) - 2a + 2 and (a+1)a = a(a-1) + 2a
-    for n, w in ((0, 1), *((n, -c) for n, c in gens), *syz, (socle, -1)):
-        a = 4 - n
-        weight += w
-        w *= a  # w times the falling product a(a-1)...(a-k+1), one factor a step
-        linear += w
-        w *= a - 1
-        third1 += w
-        w *= a - 2
-        degree += w
-        w *= a - 3
-        genus_term += w
-        chi += w * (a + 1)
-    third = [third1 // 2 - linear + weight, third1 // 2, third1 // 2 + linear]
-    if any(third):
-        raise DegenerateResolutionError(
-            f"Hilbert polynomial has degree > 2 (third differences {third})"
-        )
-    degree //= 6
-    if degree <= 0:
-        raise DegenerateResolutionError(
-            f"Hilbert polynomial has degree < 2 (leading difference {degree})"
-        )
-    return SurfaceInvariants(
-        degree=degree, sectional_genus=1 - genus_term // 24, chi_structure=chi // 120
-    )
+    """Degree, sectional genus and chi(O_S) of the checked resolution at x (see _walk)."""
+    return checked_resolution(res, _at(x))[1]

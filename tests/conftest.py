@@ -10,7 +10,8 @@ from acmsplit.euler import sectional_genus
 from acmsplit.incidence import builtin_catalog
 from acmsplit.proj_cohomology import chi_pn, h0_pn
 from acmsplit.resolutions import (
-    DegenerateResolutionError,
+    AffineExpr,
+    GorensteinResolution,
     ResolutionValidationError,
     SurfaceInvariants,
     UnresolvedParameterError,
@@ -37,7 +38,7 @@ DEGENERATES_PARTWAY = {
 }
 
 #: DEGENERATES_PARTWAY at x = -1: balanced, self-dual and in range, but its Hilbert
-#: polynomial has degree < 2.
+#: polynomial has degree < 2: h = P(z)/(1 - z)^3 = (1 + z)(1 - z)^2 sums to 0.
 NO_SURFACE = {"gens": [[4, 5], [5, 2], [1, 6]], "syz": [[2, 5], [1, 2], [5, 6]], "socle": 6}
 
 #: Multiplicities x and -x - 1 are never both >= 0: the admissible interval is empty.
@@ -218,19 +219,10 @@ def flat_chi_structure_poly(res, t, x=None):
 
 
 def flat_surface_invariants(res, x=None):
-    """surface_invariants() from the flat chi values, with the same refusals."""
-    values = [flat_chi_structure_poly(res, t, x) for t in range(-2, 4)]
-    third = [values[i + 3] - 3 * values[i + 2] + 3 * values[i + 1] - values[i] for i in range(3)]
-    if any(third):
-        raise DegenerateResolutionError(
-            f"Hilbert polynomial has degree > 2 (third differences {third})"
-        )
-    degree = values[3] - 2 * values[2] + values[1]
-    if degree <= 0:
-        raise DegenerateResolutionError(
-            f"Hilbert polynomial has degree < 2 (leading difference {degree})"
-        )
-    return SurfaceInvariants(degree, 1 - (values[2] - values[1]), values[2])
+    """surface_invariants() from the flat chi values: second and first differences and chi(O_S)."""
+    values = [flat_chi_structure_poly(res, t, x) for t in range(-1, 2)]
+    degree = values[2] - 2 * values[1] + values[0]
+    return SurfaceInvariants(degree, 1 - (values[1] - values[0]), values[1])
 
 
 def sorted_twists(res, x=None):
@@ -293,6 +285,34 @@ def net_counts(res, x):
     return net
 
 
+def flat_blocks(res, x=None):
+    """(generators, syzygies) at x as blocks: twists ascending, equal ones merged, zeros dropped."""
+    out = []
+    for entries in flat_entries(res, x):
+        tally = Counter()
+        for twist, count in entries:
+            tally[twist] += count
+        out.append(sorted((t, c) for t, c in tally.items() if c))
+    return out[0], out[1]
+
+
+def canonical_record(res, x=None):
+    """The record at x with each twist's generators and syzygies cancelled down to its net count."""
+    net = sorted(net_counts(res, x).items())
+    return GorensteinResolution(
+        tuple((t, AffineExpr(c)) for t, c in net if c > 0),
+        tuple((t, AffineExpr(-c)) for t, c in net if c < 0),
+        res.socle_twist,
+    )
+
+
+def self_dual_in_range(res, x=None):
+    """The shape the positional KMR sum needs at x: syzygies socle - n, generators in 1..s - 1."""
+    gens, syz = flat_blocks(res, x)
+    s = res.socle_twist
+    return syz == [(s - n, c) for n, c in reversed(gens)] and all(0 < n < s for n, _ in gens)
+
+
 def moving_twists(res):
     """The twists whose net count differs between x = 0 and 1, ascending; [] without a parameter.
 
@@ -322,23 +342,16 @@ def flat_validate(res, grid=None):
     expression where it is negative.  Off a grid the walk visits values
     where every multiplicity with the parameter is >= 0, and a constant
     one is negative at all of them or at none: a family reports each
-    negative constant once, at x=None, and walks no point.  Twists are
-    tallied entry by entry, never expanded, so a count of 10**20 costs
-    what a count of 1 does.  A generator twist outside 1..socle - 1 is
-    reported once per distinct twist at each point; self-duality then
-    bounds the syzygy twists.
+    negative constant once, at x=None, and walks no point.  When none of
+    these is found, the first walked point's Hilbert function is tested
+    (flat_numerator_test).  Twists are tallied entry by entry, never
+    expanded, so a count of 10**20 costs what a count of 1 does.
     """
     try:
         name = res.parameter()
     except UnresolvedParameterError as exc:
         return [Violation("unresolved-parameters", None, str(exc))]
     violations = []
-    const, coeff = degree_balance_form(res)
-    if const != 0 or coeff != 0:
-        residual = f"{const} {coeff:+d}*{name}" if coeff else str(const)
-        violations.append(
-            Violation("degree-balance", None, f"twist sums leave residual {residual}")
-        )
     moving = moving_twists(res)
     if moving:
         violations.append(cancelling_pairs(name, moving))
@@ -363,64 +376,84 @@ def flat_validate(res, grid=None):
         ]
         if constants:
             return violations + constants
-    dual_shift = res.socle_twist
-    for x in points:
-        negative = [
-            Violation(
-                "negative-multiplicity",
-                x,
-                f"{side} multiplicity {mult} of twist {twist} is {mult.evaluate(x)} at x={x}",
-            )
-            for side, twist, mult in entries
-            if mult.evaluate(x) < 0
-        ]
-        if negative:
-            violations += negative
-            continue
-        tally = {"gens": Counter(), "syz": Counter()}
-        for side, twist, mult in entries:
-            tally[side][twist] += mult.evaluate(x)
-        gens, syz = +tally["gens"], +tally["syz"]  # unary + drops the zero counts
-        rank, syz_rank = sum(gens.values()), sum(syz.values())
-        if not rank:
-            violations.append(Violation("trivial-rank", x, "no generators"))
-            continue
-        if rank != syz_rank:
-            violations.append(
-                Violation("rank-balance", x, f"{rank} generators vs {syz_rank} syzygies")
-            )
-        if syz != Counter({dual_shift - n: c for n, c in gens.items()}):
-            violations.append(
-                Violation(
-                    "self-duality",
-                    x,
-                    f"syzygy twists differ from {dual_shift} minus generator twists",
-                )
-            )
-        violations += [
-            Violation("twist-range", x, f"generator twist {n} is below 1")
-            for n in sorted(gens)
-            if n < 1
-        ]
-        violations += [
-            Violation("twist-range", x, f"generator twist {n} is not below the socle {dual_shift}")
-            for n in sorted(gens)
-            if n >= dual_shift
-        ]
-    return violations
+    negative = [
+        Violation(
+            "negative-multiplicity",
+            x,
+            f"{side} multiplicity {mult} of twist {twist} is {mult.evaluate(x)} at x={x}",
+        )
+        for x in points
+        for side, twist, mult in entries
+        if mult.evaluate(x) < 0
+    ]
+    if violations or negative:
+        return violations + negative
+    return flat_numerator_test(res, points[0])
+
+
+def flat_numerator_test(res, x=None):
+    """validate's Hilbert-numerator test by a separate route: no polynomial division.
+
+    h_j is the third difference H(j) - 3H(j-1) + 3H(j-2) - H(j-3) of the
+    flat Hilbert function H(t) = h^0(O_P5(t)) - flat_h0_ideal(res, t, x).
+    Each term of P/(1 - z)^6 adds a quintic in t above its twist, so h_j
+    is a quadratic in j between consecutive record twists (0 and the
+    socle s included): a piece is zero, or two pieces agree, when they
+    do at the first three points of each piece.  So h is read at a
+    handful of points, whatever the size of the twists.  The failed
+    part is returned as the detail, without validate's P(z).
+    """
+    s = res.socle_twist
+
+    def hilbert(t):
+        return h0_pn(5, t) - flat_h0_ideal(res, t, x)
+
+    def h(j):
+        return hilbert(j) - 3 * hilbert(j - 1) + 3 * hilbert(j - 2) - hilbert(j - 3)
+
+    def starts(bases, lo, hi):
+        """The first three points of each piece that starts at a base, within lo..hi."""
+        return sorted({b + d for b in bases for d in range(3) if lo <= b + d <= hi})
+
+    powers = {0, s, *(twist for twist, _ in res.generators + res.syzygies)}
+    top, bottom = max(powers), min(powers)
+    if any(h(j) for j in (top, top + 1, top + 2)):  # the quadratic past every twist
+        failed = "h is not a polynomial"
+    elif any(h(j) for j in starts(powers, bottom, -1)) or h(0) != 1:
+        failed = "h does not start with h_0 = 1 at z^0"
+    elif h(s - 3) == 0 or any(h(j) for j in starts(powers | {s - 2}, s - 2, top + 2)):
+        failed = f"h does not have length socle - 2 = {s - 2}"
+    elif any(
+        h(j) != h(s - 3 - j) for j in starts(powers | {s - 2 - e for e in powers}, 0, s - 3)
+    ):
+        failed = "h is not symmetric"
+    else:
+        degree = hilbert(top + 2) - 2 * hilbert(top + 1) + hilbert(top)  # sum h, as top >= deg h
+        if degree > 0:
+            return []
+        failed = f"h sums to {degree}, not a positive surface degree"
+    return [Violation("hilbert-numerator", None, failed)]
 
 
 def located(violations):
     """Each violation as (invariant, its points, detail), to compare a scan with a walk.
 
     A negative multiplicity keeps only its expression: the scan names a
-    range of points once, the walk each point with its value.
+    range of points once, the walk each point with its value.  A
+    Hilbert-numerator violation keeps only its failed part, not P(z), and
+    an empty grid or interval only its kind.
     """
     out = []
     for v in violations:
         points = list(v.param_value) if isinstance(v.param_value, range) else [v.param_value]
-        negative = v.invariant == "negative-multiplicity"
-        out.append((v.invariant, points, v.detail.split(" is ")[0] if negative else v.detail))
+        detail = v.detail
+        if v.invariant == "negative-multiplicity":
+            detail = detail.split(" is ")[0]
+        elif v.invariant == "hilbert-numerator":
+            detail = detail.split(", with h = ")[0]
+        elif v.invariant in ("empty-grid", "empty-domain"):
+            detail = ""
+        out.append((v.invariant, points, detail))
     return out
 
 

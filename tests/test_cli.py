@@ -26,6 +26,8 @@ from conftest import (
     NO_SURFACE,
     cancelling_pairs,
     ci_resolution,
+    flat_h0_ideal,
+    flat_surface_invariants,
     walk_points,
 )
 from test_resolutions import certificate_families
@@ -37,6 +39,11 @@ NESTED = '{"gens": ' + "[" * 5000 + "]" * 5000 + ', "syz": [], "socle": 5}'
 UNBALANCED = '{"gens":[[1,1],[2,1]],"syz":[[3,1],[9,1]],"socle":5}'
 #: Balanced, self-dual and in range, with a Hilbert polynomial of degree 0.
 DEGENERATE = json.dumps(NO_SURFACE)
+#: What kmr and hilbert print for DEGENERATE: h = P(z)/(1 - z)^3 = (1 + z)(1 - z)^2 sums to 0.
+NO_SURFACE_ERROR = (
+    "acmsplit: error: invalid resolution: hilbert-numerator: h sums to 0, not a positive"
+    " surface degree, with h = P(z)/(1 - z)^3 and P(z) = 1 - 4z + 5z^2 - 5z^4 + 4z^5 - z^6\n"
+)
 OCTIC = json.dumps({"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6})
 #: The README degree-11 family, admissible for b >= 2.
 DEG11 = json.dumps(
@@ -155,45 +162,42 @@ def test_a_wide_grid_is_certified(capsys, grid):
     assert invoke(capsys, "kmr", "--resolution", OCTIC, "--grid", grid) == (0, "54\n", "")
 
 
-def test_kmr_cost_does_not_grow_with_the_grid(capsys, monkeypatch):
-    """The validating walk builds the blocks of one point, the grid's low end, and counts there."""
-    from acmsplit.resolutions import GorensteinResolution
+def _counted_walks(monkeypatch):
+    """The grids of every validating walk from now on, in call order."""
+    import acmsplit.resolutions as resolutions
 
     seen = []
-    blocks = GorensteinResolution.blocks
+    walk = resolutions._walk
 
-    def counted(self, x=None):
-        seen.append(x)
-        return blocks(self, x)
+    def counted(res, grid=None):
+        seen.append(grid)
+        return walk(res, grid)
 
-    monkeypatch.setattr(GorensteinResolution, "blocks", counted)
-    for grid, points in (
-        (["--grid", "0..9"], [0]),
-        (["--grid", "0..99999"], [0]),
-        (["--grid", f"0..{10**30}"], [0]),
-        (["--grid", f"3..{10**30}"], [3]),
-        ([], [0]),  # the finite end of the admissible half-line x >= 0
+    monkeypatch.setattr(resolutions, "_walk", counted)
+    return seen
+
+
+def test_kmr_cost_does_not_grow_with_the_grid(capsys, monkeypatch):
+    """The command walks the record once, whatever the grid, and counts its canonical blocks."""
+    seen = _counted_walks(monkeypatch)
+    for grid, walked in (
+        (["--grid", "0..9"], [range(0, 10)]),
+        (["--grid", "0..99999"], [range(0, 100000)]),
+        (["--grid", f"0..{10**30}"], [range(0, 10**30 + 1)]),
+        (["--grid", f"3..{10**30}"], [range(3, 10**30 + 1)]),
+        ([], [None]),  # the admissible half-line x >= 0
     ):
         seen.clear()
         assert invoke(capsys, "kmr", "--resolution", OCTIC, *grid) == (0, "54\n", "")
-        assert sorted(seen) == points
+        assert seen == walked
 
 
 def test_hilbert_reads_its_counts_off_the_scan_table(capsys, monkeypatch):
-    """Only the validating walk builds blocks, at one point; every count reads them."""
-    from acmsplit.resolutions import GorensteinResolution
-
-    seen = []
-    blocks = GorensteinResolution.blocks
-
-    def counted(self, x=None):
-        seen.append(x)
-        return blocks(self, x)
-
-    monkeypatch.setattr(GorensteinResolution, "blocks", counted)
+    """Only the validating walk reads the record, once; every count reads its blocks."""
+    seen = _counted_walks(monkeypatch)
     argv = ("hilbert", "--resolution", OCTIC, "--twist", "4")
     assert invoke(capsys, *argv) == (0, "60\n", "")
-    assert seen == [0]
+    assert seen == [None]
     seen.clear()
     code, out, _ = invoke(capsys, *argv, "--format", "json")
     assert (code, json.loads(out), len(seen)) == (0, {
@@ -220,7 +224,7 @@ def _expected(count):
 @settings(max_examples=100, deadline=None)
 @given(certificate_families(), st.integers(-3, 8))
 def test_kmr_and_hilbert_print_what_the_public_wrappers_count(drawn, t):
-    """The commands count one point's blocks; the (res, x) wrappers build blocks of their own.
+    """The commands count the canonical blocks; the (res, x) wrappers walk the record at x.
 
     Where checked_resolution accepts the family, the wrappers take one
     value at every point a plain walk visits (walk_points), and both
@@ -283,7 +287,7 @@ def test_a_surface_type_that_moves_on_the_grid_exits_2(capsys, command):
     grid, a one-point grid included, and on its half-line.
     """
     res = parse_resolution(FALLING_DEGREE)
-    assert [surface_invariants(res, x).degree for x in (0, 4, 7)] == [8, 4, 1]
+    assert [flat_surface_invariants(res, x).degree for x in (0, 4, 7)] == [8, 4, 1]
     for grid in (["--grid", "0..7"], ["--grid", "3..3"], []):
         argv = [*command, "--resolution", json.dumps(FALLING_DEGREE), *grid]
         assert invoke(capsys, *argv) == (2, "", _cancelling_pairs([2, 3, 4, 5]))
@@ -308,8 +312,8 @@ WOBBLE = {
 def test_a_family_of_one_surface_type_whose_hilbert_function_moves_exits_2(capsys, command):
     """Whether the record is refused does not depend on the twist asked for."""
     res = parse_resolution(WOBBLE)
-    assert len({surface_invariants(res, x) for x in range(-2, 3)}) == 1
-    assert [h0_ideal(res, 1, x) for x in (-2, 2)] == [-2, 2]
+    assert len({flat_surface_invariants(res, x) for x in range(-2, 3)}) == 1
+    assert [flat_h0_ideal(res, 1, x) for x in (-2, 2)] == [-2, 2]
     argv = [*command, "--resolution", json.dumps(WOBBLE)]
     assert invoke(capsys, *argv) == (2, "", _cancelling_pairs([1, 2, 3, 4, 6, 7, 8, 9]))
 
@@ -321,14 +325,10 @@ UNPAIRED = json.dumps(
 )
 
 
-@pytest.mark.parametrize("grid", [[], ["--grid", "0..0"]], ids=["half-line", "one-point-grid"])
-def test_a_parameter_that_adds_no_ghost_pair_exits_2_even_on_one_point(capsys, grid):
-    """The parameter stays free in the record, so a one-point grid refuses it too."""
-    err = (
-        "acmsplit: error: invalid resolution: ghost-pairs: x adds pairs at twists 2"
-        " that are not ghost pairs {t, 6 - t} with 1 <= t <= 5\n"
-    )
-    assert invoke(capsys, "kmr", "--resolution", UNPAIRED, *grid) == (2, "", err)
+def test_a_parameter_that_adds_no_ghost_pair_is_counted_on_the_canonical_blocks(capsys):
+    """Its pairs cancel twist by twist, so every grid and the half-line count the octic."""
+    for grid in ([], ["--grid", "0..0"], ["--grid", "0..9"]):
+        assert invoke(capsys, "kmr", "--resolution", UNPAIRED, *grid) == (0, "54\n", "")
 
 
 def _octic_count(mult):
@@ -339,22 +339,38 @@ def _octic_count(mult):
 _NOT_A_GRID = "acmsplit kmr: error: argument --grid: grid must look like LO..HI (for example 2..5)"
 
 
+def _not_an_integer(command, option, text):
+    return (
+        f"acmsplit {command}: error: argument {option}:"
+        f" expected an integer in ASCII digits, not {text!r}"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, err",
     [
-        (["--resolution", OCTIC, "--grid", "\u0660..\u0663"],
+        (["kmr", "--resolution", OCTIC, "--grid", "\u0660..\u0663"],
          f"{_NOT_A_GRID}, not '\u0660..\u0663'"),
-        (["--resolution", OCTIC, "--grid", "0..\uff13"], f"{_NOT_A_GRID}, not '0..\uff13'"),
-        (["--resolution", _octic_count("\u0663")],
+        (["kmr", "--resolution", OCTIC, "--grid", "0..\uff13"], f"{_NOT_A_GRID}, not '0..\uff13'"),
+        (["kmr", "--resolution", _octic_count("\u0663")],
          "acmsplit: error: gens: cannot parse multiplicity '\u0663'"),
-        (["--resolution", _octic_count("2*x\u0663")],
+        (["kmr", "--resolution", _octic_count("2*x\u0663")],
          "acmsplit: error: gens: cannot parse multiplicity '2*x\u0663'"),
+        (["solve-c2", "--degree", "\u0664", "--c1", "0"],
+         _not_an_integer("solve-c2", "--degree", "\u0664")),
+        (["check-case", "--degree", "4", "--c1", "\u0661", "--c2", "3"],
+         _not_an_integer("check-case", "--c1", "\u0661")),
+        (["check-case", "--degree", "4", "--c1", "1", "--c2", "\uff13"],
+         _not_an_integer("check-case", "--c2", "\uff13")),
+        (["hilbert", "--resolution", OCTIC, "--twist", "\u0664"],
+         _not_an_integer("hilbert", "--twist", "\u0664")),
     ],
-    ids=["arabic-indic-grid", "fullwidth-grid", "arabic-indic-count", "name-with-a-digit"],
+    ids=["arabic-indic-grid", "fullwidth-grid", "arabic-indic-count", "name-with-a-digit",
+         "arabic-indic-degree", "arabic-indic-c1", "fullwidth-c2", "arabic-indic-twist"],
 )
 def test_a_non_ascii_digit_exits_2(capsys, argv, err):
-    """int() reads every Unicode digit, so both grammars take ASCII digits only."""
-    assert invoke(capsys, "kmr", *argv) == (2, "", err + "\n")
+    """int() reads every Unicode digit, so every grammar takes ASCII digits only."""
+    assert invoke(capsys, *argv) == (2, "", err + "\n")
 
 
 def test_negative_multiplicities_are_reported_once_per_expression(capsys):
@@ -369,44 +385,73 @@ def test_negative_multiplicities_are_reported_once_per_expression(capsys):
 
 @pytest.mark.parametrize("command", [["kmr"], ["hilbert", "--twist", "2"]])
 def test_degenerate_resolution_is_refused(capsys, command):
-    code, out, err = invoke(capsys, *command, "--resolution", DEGENERATE)
-    assert (code, out) == (2, "")
-    assert "Hilbert polynomial has degree < 2" in err
+    assert invoke(capsys, *command, "--resolution", DEGENERATE) == (2, "", NO_SURFACE_ERROR)
 
 
-#: The refusal of ghost twists 0 and 4, the socle, on both sides of the quadric.
-GHOST_AT_0 = (
-    "generator twist 0 is below 1; twist-range: generator twist 4 is not below the socle 4"
-)
+@pytest.mark.parametrize("t", [1, 2, 3, 0, 4, -1])
+def test_a_ghost_pair_at_any_twist_is_counted_on_the_canonical_blocks(capsys, t):
+    """Ghost twists t and 4 - t on both sides of the quadric cancel twist by twist.
 
-
-@pytest.mark.parametrize("t, refused", [
-    (1, None), (2, None), (3, None), (0, GHOST_AT_0), (4, GHOST_AT_0),
-    (-1, "generator twist -1 is below 1; twist-range: generator twist 5 is not below the socle 4"),
-])
-def test_a_ghost_pair_outside_the_twist_range_is_refused(capsys, t, refused):
-    """Ghost twists t and 4 - t on both sides keep the quadric self-dual; KMR needs 1 <= t <= 3.
-
-    Outside that range the positional pair sum is wrong: KMR gives 16 at t = 0, 11 at t = -1.
+    So the record reads as the quadric for every t.  The positional pair sum on the
+    record itself needs 1 <= t <= 3: it gives 16 at t = 0 and 11 at t = -1.
     """
     quadric = ci_resolution(1, 1, 2)
     ghost = [[t, 1], [4 - t, 1]]
     text = json.dumps({"gens": quadric["gens"] + ghost, "syz": quadric["syz"] + ghost, "socle": 4})
     kmr = invoke(capsys, "kmr", "--resolution", text)
     hilbert = invoke(capsys, "hilbert", "--resolution", text, "--twist", "4")
-    if refused is None:
-        assert (kmr, hilbert) == ((0, "17\n", ""), (0, "101\n", ""))
-    else:
-        err = f"acmsplit: error: invalid resolution: twist-range: {refused}\n"
-        assert kmr == hilbert == (2, "", err)
+    assert (kmr, hilbert) == ((0, "17\n", ""), (0, "101\n", ""))
 
 
 @pytest.mark.parametrize("command", [["kmr"], ["hilbert", "--twist", "0"]])
 def test_a_generator_twist_past_the_socle_is_refused(capsys, command):
-    """Balanced and self-dual, but its syzygy twist -1 gives the sum h^0(I_S(0)) = -6."""
+    """Balanced and self-dual, but its syzygy twist -1 gives the sum h^0(I_S(0)) = -6.
+
+    Its Hilbert numerator has the power z^-1, so h does too.
+    """
     text = json.dumps({"gens": [[1, 5], [5, 1]], "syz": [[-1, 1], [3, 5]], "socle": 4})
-    err = "invalid resolution: twist-range: generator twist 5 is not below the socle 4"
+    err = (
+        "invalid resolution: hilbert-numerator: h does not start with h_0 = 1 at z^0,"
+        " with h = P(z)/(1 - z)^3 and P(z) = z^-1 + 1 - 5z + 5z^3 - z^4 - z^5"
+    )
     assert invoke(capsys, *command, "--resolution", text) == (2, "", f"acmsplit: error: {err}\n")
+
+
+#: One record the parent rule refused for each violation kind it retired, and what the
+#: commands print for it now: a surface's canonical form is counted, anything else is
+#: refused by the Hilbert-numerator test.
+RETIRED_KINDS = {
+    "degree-balance": ({"gens": [[3, 7]], "syz": [[4, 7]], "socle": 6},
+                       "h is not a polynomial", "1 - 7z^3 + 7z^4 - z^6"),
+    "rank-balance": ({"gens": [[1, 2], [2, 1]], "syz": [[3, 3]], "socle": 4},
+                     "h is not a polynomial", "1 - 2z - z^2 + 3z^3 - z^4"),
+    "trivial-rank": ({"gens": [], "syz": [], "socle": 0},
+                     "h does not start with h_0 = 1 at z^0", "0"),
+    "twist-range": ({"gens": [[1, 5], [5, 1]], "syz": [[-1, 1], [3, 5]], "socle": 4},
+                    "h does not start with h_0 = 1 at z^0", "z^-1 + 1 - 5z + 5z^3 - z^4 - z^5"),
+    # the (1,1,2) quadric's canonical form, h = 1 + z, plus a pair of one twist at the socle
+    "self-duality": ({"gens": [[1, 2], [4, 2]], "syz": [[3, 2], [4, 2]], "socle": 4}, 17, 101),
+    # the octic plus x pairs of one twist at 2, not paired with its dual 4
+    "ghost-pairs": (json.loads(UNPAIRED), 54, 60),
+}
+
+
+@pytest.mark.parametrize("kind", RETIRED_KINDS)
+def test_a_record_each_retired_violation_kind_refused_is_pinned(capsys, kind):
+    doc, kmr, hilbert = RETIRED_KINDS[kind]
+    text = json.dumps(doc)
+    got = (
+        invoke(capsys, "kmr", "--resolution", text),
+        invoke(capsys, "hilbert", "--resolution", text, "--twist", "4"),
+    )
+    if isinstance(kmr, int):
+        assert got == ((0, f"{kmr}\n", ""), (0, f"{hilbert}\n", ""))
+    else:
+        err = (
+            f"acmsplit: error: invalid resolution: hilbert-numerator: {kmr},"
+            f" with h = P(z)/(1 - z)^3 and P(z) = {hilbert}\n"
+        )
+        assert got == ((2, "", err), (2, "", err))
 
 
 @pytest.mark.parametrize("command", [["kmr"], ["hilbert", "--twist", "4"]])
@@ -634,14 +679,16 @@ def test_a_twist_past_max_twist_is_refused_whatever_the_socle(capsys, command):
     """The limit is checked at parse, before validation bounds a generator twist by the socle.
 
     gens [[1, N], [N, 1]] and syz [[4 - N, 1], [3, N]] with socle 4 are balanced and
-    self-dual for every N; the twist range refuses N at the limit, the limit N past it.
+    self-dual for every N; validation refuses N at the limit, as its Hilbert numerator has
+    the power z^(4 - N), and the limit N past it.
     """
     def doc(n):
         return json.dumps({"gens": [[1, n], [n, 1]], "syz": [[4 - n, 1], [3, n]], "socle": 4})
 
     at = (
-        "acmsplit: error: invalid resolution:"
-        f" twist-range: generator twist {MAX_TWIST} is not below the socle 4\n"
+        "acmsplit: error: invalid resolution: hilbert-numerator: h does not start with h_0 = 1"
+        f" at z^0, with h = P(z)/(1 - z)^3 and P(z) = z^{4 - MAX_TWIST} + 1 - {MAX_TWIST}z"
+        f" + {MAX_TWIST}z^3 - z^4 - z^{MAX_TWIST}\n"
     )
     assert invoke(capsys, *command, "--resolution", doc(MAX_TWIST)) == (2, "", at)
     past = f"acmsplit: error: {_limit_message('gens twist', MAX_TWIST + 1)}\n"
@@ -655,7 +702,7 @@ def test_a_twist_past_max_twist_is_refused_whatever_the_socle(capsys, command):
     "c1, c2, shape, message",
     [
         (1, 8, FALLING_DEGREE, f"invalid resolution: {cancelling_pairs('x', [2, 3, 4, 5])}"),
-        (1, 2, NO_SURFACE, "Hilbert polynomial has degree < 2 (leading difference 0)"),
+        (1, 2, NO_SURFACE, NO_SURFACE_ERROR[len("acmsplit: error: "):-1]),
     ],
     ids=["falling-degree", "no-surface"],
 )

@@ -27,12 +27,11 @@ from acmsplit.incidence import (
 from acmsplit.normal_bundle import kmr_h0_normal
 from acmsplit.resolutions import (
     AffineExpr,
-    DegenerateResolutionError,
     GorensteinResolution,
+    ResolutionValidationError,
     SurfaceInvariants,
     h0_ideal,
     parse_resolution,
-    surface_invariants,
     validate,
 )
 from conftest import (
@@ -46,7 +45,6 @@ from conftest import (
     flat_h0_ideal,
     flat_kmr_total,
     flat_surface_invariants,
-    walk_points,
 )
 
 DEG11 = {"gens": [[2, 3], [3, "b-2"], [4, "b"]], "syz": [[3, "b"], [4, "b-2"], [5, 3]], "socle": 7}
@@ -83,10 +81,11 @@ def test_balance_single_parameter_and_inconsistency():
     assert degree_balance_form(pinned) == (4, -1)
     off_by_two = parse_resolution({"gens": [[3, 7]], "syz": [[4, 7]], "socle": 5})
     assert degree_balance_form(off_by_two) == (-2, 0)
-    found = validate(pinned) + validate(off_by_two)
-    assert [str(v) for v in found if v.invariant == "degree-balance"] == [
-        "degree-balance: twist sums leave residual 4 -1*x",
-        "degree-balance: twist sums leave residual -2",
+    # x moves the net counts, and the constant record's P(z) has P'(1) = 2
+    assert [str(v) for v in validate(pinned) + validate(off_by_two)] == [
+        str(cancelling_pairs("x", [2, 3])),
+        "hilbert-numerator: h is not a polynomial, with h = P(z)/(1 - z)^3"
+        " and P(z) = 1 - 7z^3 + 7z^4 - z^5",
     ]
 
 
@@ -230,39 +229,40 @@ def test_dimension_bound_and_verdict_refuse_what_the_report_refuses(case, messag
             decide(case)
 
 
-def test_a_report_builds_each_points_blocks_and_its_scan_points_once(monkeypatch):
-    """The walk alone builds blocks, once per resolution, at its one point x0.
+def test_a_report_walks_each_resolution_once(monkeypatch):
+    """The walk validates each resolution once, whether or not it has a parameter.
 
-    x0 is the first admissible value from the finite end (walk_points), so
-    a degree-5 report makes 12 blocks calls, one per resolution it counts.
+    A degree-5 report counts 12 resolutions, so it walks 12 times, with the
+    report's grid, None.
     """
+    import acmsplit.resolutions as resolutions
     from acmsplit.catalog import QUADRIC_RESOLUTION
 
     resolved = [parse_resolution(QUADRIC_RESOLUTION)] + [
         c.resolution for c in builtin_catalog(5) if c.resolution is not None
     ]
-    blocks = GorensteinResolution.blocks
-    built = []
+    walk = resolutions._walk
+    walked = []
 
-    def counted_blocks(self, x=None):
-        built.append((self, x))
-        return blocks(self, x)
+    def counted_walk(res, grid=None):
+        walked.append((res, grid))
+        return walk(res, grid)
 
-    monkeypatch.setattr(GorensteinResolution, "blocks", counted_blocks)
+    monkeypatch.setattr(resolutions, "_walk", counted_walk)
     generate_report(5)
-    assert Counter(built) == Counter((res, walk_points(res)[0]) for res in resolved)
-    assert len(built) == 12
+    assert Counter(walked) == Counter((res, None) for res in resolved)
+    assert len(walked) == 12
 
 
 def test_a_report_counts_each_case_with_a_resolution_once(monkeypatch):
-    """evaluate_case reads the invariants, h^0(I_S(r)) and h^0(N_S) at one point per case.
+    """evaluate_case reads the invariants, h^0(I_S(r)) and h^0(N_S) once per case.
 
-    The four built-in family cases are counted once too, not once per scan point.
+    The four built-in family cases are counted once too, not once per parameter value.
     """
     import acmsplit.incidence as incidence
 
     calls = Counter()
-    for name in ("_kmr", "_invariants", "term_sum"):
+    for name in ("_kmr", "checked_resolution", "term_sum"):
 
         def counted(*args, name=name, kernel=getattr(incidence, name)):
             calls[name] += 1
@@ -271,7 +271,7 @@ def test_a_report_counts_each_case_with_a_resolution_once(monkeypatch):
         monkeypatch.setattr(incidence, name, counted)
     rows = [row for degree in (3, 4, 5, 6) for row in generate_report(degree).rows]
     assert sum(row.case is not None and row.case.resolution is not None for row in rows) == 18
-    assert calls == {"_kmr": 18, "_invariants": 18, "term_sum": 18}
+    assert calls == {"_kmr": 18, "checked_resolution": 18, "term_sum": 18}
 
 
 def test_a_report_reads_each_records_parameter_once(monkeypatch):
@@ -532,12 +532,15 @@ def test_report_refuses_a_repeated_chern_pair(cases, pair):
 
 
 def test_evaluate_case_names_the_case_of_a_balance_error_and_checked_resolution_does_not():
-    # self-dual and rank-balanced, but 3 * 2 - 3 * 3 + 5 = 2
+    # self-dual and rank-balanced, but 3 * 2 - 3 * 3 + 5 = 2, which is -P'(1)
     unbalanced = parse_resolution({"gens": [[2, 3]], "syz": [[3, 3]], "socle": 5})
-    message = "invalid resolution: degree-balance: twist sums leave residual 2"
+    message = (
+        "invalid resolution: hilbert-numerator: h is not a polynomial,"
+        " with h = P(z)/(1 - z)^3 and P(z) = 1 - 3z^2 + 3z^3 - z^5"
+    )
     with pytest.raises(CatalogError, match=re.escape(f"case (c1=2, c2=11): {message}")):
         evaluate_case(CaseRecord(r=5, c1=2, c2=11, resolution=unbalanced))
-    with pytest.raises(CatalogError, match="^" + re.escape(message) + "$"):
+    with pytest.raises(ResolutionValidationError, match="^" + re.escape(message) + "$"):
         checked_resolution(unbalanced)
 
 
@@ -572,7 +575,10 @@ def test_report_rejects_invalid_resolution():
         generate_report(4, load_catalog(bad))
 
 
-DEGENERATE_MESSAGE = "Hilbert polynomial has degree < 2 (leading difference 0)"
+DEGENERATE_MESSAGE = (
+    "invalid resolution: hilbert-numerator: h sums to 0, not a positive surface degree,"
+    " with h = P(z)/(1 - z)^3 and P(z) = 1 - 4z + 5z^2 - 5z^4 + 4z^5 - z^6"
+)
 
 
 def _cancelling_pairs(twists):
@@ -584,12 +590,12 @@ def test_checked_resolution_refuses_a_family_that_degenerates_partway():
     """A family with a surface at some points and none at others moves a net count, so
     validation refuses it; a record without a parameter and no surface is refused as such."""
     res = parse_resolution(DEGENERATES_PARTWAY)
-    assert [surface_invariants(res, x).degree for x in (-3, -2)] == [4, 2]
+    assert [flat_surface_invariants(res, x).degree for x in (-3, -2)] == [4, 2]
     message = _cancelling_pairs([1, 2, 4, 5])
     assert validate(res, range(-3, 1)) == [cancelling_pairs("x", [1, 2, 4, 5])]
-    with pytest.raises(CatalogError, match="^" + re.escape(message) + "$"):
+    with pytest.raises(ResolutionValidationError, match="^" + re.escape(message) + "$"):
         checked_resolution(res, range(-3, 1))
-    with pytest.raises(DegenerateResolutionError, match=re.escape(DEGENERATE_MESSAGE)):
+    with pytest.raises(ResolutionValidationError, match=re.escape(DEGENERATE_MESSAGE)):
         checked_resolution(parse_resolution(NO_SURFACE))
 
 
@@ -602,27 +608,28 @@ def test_degeneracy_is_reported_before_a_degree_mismatch():
         evaluate_case(case, range(-3, 1))
     case = case._replace(resolution=parse_resolution(NO_SURFACE))
     message = f"case (c1=1, c2=4): {DEGENERATE_MESSAGE}"
-    with pytest.raises(DegenerateResolutionError, match="^" + re.escape(message) + "$"):
+    with pytest.raises(CatalogError, match="^" + re.escape(message) + "$"):
         evaluate_case(case)
 
 
 def test_checked_resolution_refuses_a_degree_falling_on_a_half_line():
     """The degree 8 - x moves with the net count at twists 2 to 5, so validation refuses it."""
     res = parse_resolution(FALLING_DEGREE)
-    assert [surface_invariants(res, x).degree for x in range(8)] == [8, 7, 6, 5, 4, 3, 2, 1]
+    assert [flat_surface_invariants(res, x).degree for x in range(8)] == [8, 7, 6, 5, 4, 3, 2, 1]
     message = _cancelling_pairs([2, 3, 4, 5])
     assert validate(res) == [cancelling_pairs("x", [2, 3, 4, 5])]
     # a grid that stops before x = 8 is a surface throughout, and still refused, as is one point
     for grid in (range(0, 8), range(3, 4), None):
-        with pytest.raises(CatalogError, match="^" + re.escape(message) + "$"):
+        with pytest.raises(ResolutionValidationError, match="^" + re.escape(message) + "$"):
             checked_resolution(res, grid)
     case = CaseRecord(r=5, c1=1, c2=8, resolution=res)
     with pytest.raises(CatalogError, match=re.escape(f"case (c1=1, c2=8): {message}")):
         evaluate_case(case)
-    # a family of one surface type, the K3 octic, returns the blocks of its grid's low end and
-    # that type
+    # a family of one surface type, the K3 octic, returns its canonical blocks, without the
+    # cubic pairs x counts, and that type
     octic = parse_resolution({"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6})
-    assert checked_resolution(octic, range(0, 10)) == (octic.blocks(0), SurfaceInvariants(8, 5, 2))
+    octic_case = (([(2, 3)], [(4, 3)]), SurfaceInvariants(8, 5, 2))
+    assert checked_resolution(octic, range(0, 10)) == octic_case
     assert checked_resolution(octic, range(9, -1, -1)) == checked_resolution(octic, range(0, 10))
 
 
@@ -635,7 +642,7 @@ def test_evaluate_case_refuses_a_degree_that_moves_with_the_parameter():
             "socle": 12,
         }
     )
-    assert [surface_invariants(res, x).degree for x in (0, 3, 5)] == [64, 58, 54]
+    assert [flat_surface_invariants(res, x).degree for x in (0, 3, 5)] == [64, 58, 54]
     case = CaseRecord(r=5, c1=1, c2=58, resolution=res)
     message = f"case (c1=1, c2=58): {_cancelling_pairs([4, 5, 7, 8])}"
     for grid in (range(0, 6), range(3, 4)):

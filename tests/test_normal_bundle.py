@@ -1,17 +1,16 @@
 import re
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acmsplit.catalog import QUADRIC_RESOLUTION
 from acmsplit.combinatorics import binom_poly, binom_trunc
-from acmsplit.incidence import CatalogError, checked_resolution
+from acmsplit.incidence import checked_resolution
 from acmsplit.normal_bundle import ConventionViolation, _block_pairs, _kmr, kmr_h0_normal
 from acmsplit.proj_cohomology import h0_pn
 from acmsplit.resolutions import (
     AffineExpr,
-    DegenerateResolutionError,
     GorensteinResolution,
     ResolutionValidationError,
     h0_ideal,
@@ -21,7 +20,9 @@ from acmsplit.resolutions import (
 )
 from conftest import (
     cancelling_pairs,
+    canonical_record,
     ci_resolution,
+    flat_blocks,
     flat_chi_structure_poly,
     flat_h0_ideal,
     flat_kmr_total,
@@ -31,6 +32,7 @@ from conftest import (
     located,
     pair_arguments,
     resolved_points,
+    self_dual_in_range,
     sorted_twists,
 )
 from test_resolutions import accepted_resolutions
@@ -76,7 +78,7 @@ def test_constant_resolutions(shape, expected):
 
 
 def kmr_counted(res, grid):
-    """h^0(N_S) as the kmr command counts it: the blocks of one point, once validated."""
+    """h^0(N_S) as the kmr command counts it: the canonical blocks, once validated."""
     blocks, _ = checked_resolution(res, grid)
     return _kmr(*blocks, res.socle_twist)
 
@@ -104,18 +106,15 @@ def test_scan_on_constant_resolution_is_a_single_evaluation():
 #: x generators of twist 2 against x syzygies of twist 3, balanced at x = 5 alone: the
 #: parameter moves the net count at twists 2 and 3, and with it KMR, 2x^2 - 3x.
 STRETCHED = {"gens": [[2, "x"]], "syz": [[3, "x"]], "socle": 5}
-MOVES_2_AND_3 = (
-    "invalid resolution: degree-balance: twist sums leave residual 5 -1*x;"
-    f" {cancelling_pairs('x', [2, 3])}"
-)
+MOVES_2_AND_3 = f"invalid resolution: {cancelling_pairs('x', [2, 3])}"
 
 
 def test_scan_rejects_empty_grid_and_nonconstant_values():
     stretched = parse_resolution(STRETCHED)
     # the elliptic quintic value 35 appears at x = 5 only
-    assert kmr_h0_normal(stretched, 5) == 35
-    assert kmr_h0_normal(stretched, 2) == 2
-    with pytest.raises(CatalogError):
+    assert flat_kmr_total(stretched, 5) == 35
+    assert flat_kmr_total(stretched, 2) == 2
+    with pytest.raises(ResolutionValidationError):
         kmr_counted(stretched, range(2, 6))
     with pytest.raises(ValueError):
         kmr_counted(stretched, range(5, 5))
@@ -124,29 +123,35 @@ def test_scan_rejects_empty_grid_and_nonconstant_values():
 def test_a_moving_kmr_count_is_refused_naming_the_twists_that_move_it():
     """A family whose KMR count moves is refused at validation, naming the twists that move it."""
     stretched = parse_resolution(STRETCHED)
-    assert [kmr_h0_normal(stretched, x) for x in (2, 4, 5)] == [2, 20, 35]
-    with pytest.raises(CatalogError, match="^" + re.escape(MOVES_2_AND_3) + "$"):
+    assert [flat_kmr_total(stretched, x) for x in (2, 4, 5)] == [2, 20, 35]
+    with pytest.raises(ResolutionValidationError, match="^" + re.escape(MOVES_2_AND_3) + "$"):
         kmr_counted(stretched, range(2, 6))
-    # a one-point grid leaves the parameter in the record, so it is refused too
-    with pytest.raises(CatalogError, match="^" + re.escape(MOVES_2_AND_3) + "$"):
-        kmr_counted(stretched, range(5, 6))
+    # a one-point grid leaves the parameter in the record, so it is refused too, and so is
+    # every count at one value of x
+    refusals = (lambda: kmr_counted(stretched, range(5, 6)), lambda: kmr_h0_normal(stretched, 5))
+    for refused in refusals:
+        with pytest.raises(ResolutionValidationError, match="^" + re.escape(MOVES_2_AND_3) + "$"):
+            refused()
 
 
 def test_a_kmr_count_equal_at_both_ends_of_its_grid_is_still_refused():
     """KMR is 37 at both ends of 0..4 and 5 in the middle; its moving net counts refuse it."""
     gens = [[1, "4*x+10"], [5, "10-2*x"], [6, "7*x+8"]]
     res = parse_resolution({"gens": gens, "syz": [[8 - n, m] for n, m in gens], "socle": 8})
-    assert [kmr_h0_normal(res, x) for x in (0, 2, 4)] == [37, 5, 37]
+    assert [flat_kmr_total(res, x) for x in (0, 2, 4)] == [37, 5, 37]
     moved = cancelling_pairs("x", [1, 2, 3, 5, 6, 7])
     assert validate(res, range(0, 5)) == [moved]
-    with pytest.raises(CatalogError, match=re.escape(str(moved))):
+    with pytest.raises(ResolutionValidationError, match=re.escape(str(moved))):
         kmr_counted(res, range(0, 5))
 
 
 def test_negative_total_refused():
-    # a single degree-5 generator: the formula goes below zero
+    # a single degree-5 generator: the formula goes below zero on its blocks, which
+    # validation refuses first, as P = 1 - z^5 + z^6 - z^11 has P'(1) = -10
     res = parse_resolution({"gens": [[5, 1]], "syz": [[6, 1]], "socle": 11})
     with pytest.raises(ConventionViolation):
+        _kmr([(5, 1)], [(6, 1)], 11)
+    with pytest.raises(ResolutionValidationError, match=re.escape("h is not a polynomial")):
         kmr_h0_normal(res)
 
 
@@ -217,7 +222,7 @@ def _with_ghost_pair(res, t, count):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(RESOLVED), st.data())
 def test_a_ghost_pair_inside_the_twist_range_changes_no_count(drawn, data):
-    """Twists 1 <= t <= s - 1 leave every count alone; outside, validate refuses the pair.
+    """Twists 1 <= t <= s - 1 leave every count alone; so do twists outside, pair by pair.
 
     The count reaches 10**20, as arbitrary_blocks draws it, so the blockwise kernels
     are checked where no multiplicity-expanded twist list could be built.  A third of the
@@ -240,8 +245,9 @@ def test_a_ghost_pair_inside_the_twist_range_changes_no_count(drawn, data):
         assert h0_ideal(ghosted, t, y) == h0_ideal(res, t, x)
         assert ghosted_chi(t) == chi(t)
     outside = data.draw(st.integers(-3, 0) | st.integers(socle, socle + 3), label="outside")
-    invariants = {v.invariant for v in validate(_with_ghost_pair(res, outside, count), grid)}
-    assert invariants == {"twist-range"}
+    padded = _with_ghost_pair(res, outside, count)
+    assert validate(padded, grid) == []
+    assert checked_resolution(padded, grid) == checked_resolution(res, grid)
 
 
 def _pair_term(d):
@@ -257,11 +263,11 @@ def test_a_ghost_pair_adds_to_the_pair_sum_what_the_ideal_term_loses(drawn):
     The pair sum is sum f(s - n_i - n_j) over unordered pairs of generator positions.
     A ghost pair {t, s - t} adds sum_i [f(t - n_i) + f(s - t - n_i)] to it, which is
     h^0(I_S(t)) + h^0(I_S(s - t)); the one ghost at t = s/2 adds sum_i f(t - n_i) =
-    h^0(I_S(t)).  So neither moves flat_kmr_total.
+    h^0(I_S(t)).  So neither moves flat_kmr_total.  The lemma is taken on the drawn
+    record's canonical record, which is self-dual in range.
     """
-    res, _ = drawn
-    assume(validate(res) == [])
-    x = None if res.parameter() is None else 0
+    res, x = canonical_record(drawn[0], 0), None
+    assert self_dual_in_range(res)
     s = res.socle_twist
     n, _ = sorted_twists(res, x)
     pair_sum = sum(binom_trunc(p, 5) - binom_trunc(q, 5) for p, q in pair_arguments(res, x))
@@ -315,35 +321,41 @@ def block_resolutions(draw):
 @settings(max_examples=150, deadline=None)
 @given(block_resolutions())
 def test_blockwise_counts_match_the_flat_reference(drawn):
-    """On a one-point grid validate reports what the flat walk reports there, plus ghost-pairs.
+    """_kmr on a point's blocks is the flat positional sum, whatever the blocks.
 
-    The flat walk reads the one point, where the parameter still stands
-    in the record; ghost-pairs is the rule on the parameter itself.
+    On a one-point grid validate reports what the flat walk reports
+    there.  Where it accepts, the (res, x) wrappers count what the flat
+    oracles count on the record, and the KMR sum of its canonical record;
+    elsewhere they refuse it.
     """
     res, x = drawn
     for point in range(0, 6):
         grid = range(point, point + 1)
-        found = [v for v in validate(res, grid) if v.invariant != "ghost-pairs"]
-        assert located(found) == located(flat_validate(res, grid))
+        assert located(validate(res, grid)) == located(flat_validate(res, grid))
     try:
         expected = flat_kmr_total(res, x)
     except ResolutionValidationError as exc:
         with pytest.raises(ResolutionValidationError, match=re.escape(str(exc))):
-            kmr_h0_normal(res, x)
+            flat_blocks(res, x)
         return
-    try:
-        invariants = surface_invariants(res, x)
-    except DegenerateResolutionError:  # not a surface, so there is no chi(O_S(t)) to compare
-        invariants = None
-    for t in range(-2, 10):
-        assert h0_ideal(res, t, x) == flat_h0_ideal(res, t, x)
-        if invariants is not None:
-            assert invariants.chi(t) == flat_chi_structure_poly(res, t, x)
+    blocks = flat_blocks(res, x)
     if expected < 0:
         with pytest.raises(ConventionViolation, match=f"computed as {expected} < 0"):
-            kmr_h0_normal(res, x)
+            _kmr(*blocks, res.socle_twist)
     else:
-        assert kmr_h0_normal(res, x) == expected
+        assert _kmr(*blocks, res.socle_twist) == expected
+    grid = range(x, x + 1)
+    if validate(res, grid):
+        for count in (kmr_h0_normal, h0_ideal, surface_invariants):
+            args = (res, 0, x) if count is h0_ideal else (res, x)
+            with pytest.raises(ResolutionValidationError):
+                count(*args)
+        return
+    invariants = surface_invariants(res, x)
+    for t in range(-2, 10):
+        assert h0_ideal(res, t, x) == flat_h0_ideal(res, t, x)
+        assert invariants.chi(t) == flat_chi_structure_poly(res, t, x)
+    assert kmr_h0_normal(res, x) == flat_kmr_total(canonical_record(res, x))
 
 
 def _pairs_before(a, b):
