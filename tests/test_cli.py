@@ -325,10 +325,13 @@ UNPAIRED = json.dumps(
 )
 
 
-def test_a_parameter_that_adds_no_ghost_pair_is_counted_on_the_canonical_blocks(capsys):
+@pytest.mark.parametrize(
+    "grid", [[], ["--grid", "0..0"], ["--grid", "0..9"]],
+    ids=["half-line", "one-point-grid", "ten-point-grid"],
+)
+def test_a_parameter_that_adds_no_ghost_pair_is_counted_on_the_canonical_blocks(capsys, grid):
     """Its pairs cancel twist by twist, so every grid and the half-line count the octic."""
-    for grid in ([], ["--grid", "0..0"], ["--grid", "0..9"]):
-        assert invoke(capsys, "kmr", "--resolution", UNPAIRED, *grid) == (0, "54\n", "")
+    assert invoke(capsys, "kmr", "--resolution", UNPAIRED, *grid) == (0, "54\n", "")
 
 
 def _octic_count(mult):
