@@ -33,7 +33,13 @@ from .incidence import (
 )
 from .normal_bundle import _kmr
 from .proj_cohomology import AMBIENT_DIM, h0_pn
-from .resolutions import GorensteinResolution, checked_resolution, parse_resolution, term_sum
+from .resolutions import (
+    MAX_TWIST,
+    GorensteinResolution,
+    checked_resolution,
+    parse_resolution,
+    term_sum,
+)
 
 _GRID_RE = re.compile(r"(-?\d+)\.\.(-?\d+)", re.ASCII)
 _INT_RE = re.compile(r"-?\d+", re.ASCII)
@@ -47,9 +53,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_int(text: str) -> int:
-    """An integer option in ASCII digits; int() alone reads every Unicode digit."""
+    """An integer option in ASCII digits, of absolute value at most MAX_TWIST.
+
+    int() alone reads every Unicode digit, and past 4,300 digits raises a
+    message that names no option; the digits are never echoed.
+    """
     if _INT_RE.fullmatch(text) is None:
         raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, not {text!r}")
+    if len(text.lstrip("-").lstrip("0")) > len(str(MAX_TWIST)) or abs(int(text)) > MAX_TWIST:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of absolute value at most {MAX_TWIST}"
+        )
     return int(text)
 
 

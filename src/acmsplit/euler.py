@@ -40,11 +40,11 @@ def sectional_genus(r: int, c1: int, c2: int) -> int:
 
 
 def pfaffian_c2(r: int) -> Count:
-    """c2 = r (r - 1) (2r - 1) / 6 forced when c1 = r - 1 (pfaffian pair)."""
-    product = r * (r - 1) * (2 * r - 1)
-    if product % 6:
-        raise ArithmeticError(f"r (r - 1) (2r - 1) = {product} is not divisible by 6")
-    return product // 6
+    """c2 = r (r - 1) (2r - 1) / 6 forced when c1 = r - 1 (pfaffian pair).
+
+    The division is exact for every integer r: r (r - 1) (2r - 1) = 6 sum_{k<r} k^2.
+    """
+    return r * (r - 1) * (2 * r - 1) // 6
 
 
 def chi_bundle_pinned(r: int, c1: int, n: int) -> Count:

@@ -282,11 +282,12 @@ def evaluate_case(case: CaseRecord, grid: range | None = None) -> ReportRow:
     """One report row for a case: checked, counted, decided and explained in one walk.
 
     A degree the report refuses is refused with its message.  A
-    resolution is validated on the grid when one is given and counted
-    on its canonical blocks (see checked_resolution); a resolution
-    without a parameter ignores the grid.  Invalid twist data, a
-    parameter that moves a net count or a Hilbert numerator that is no
-    surface's included, is refused first; then a Chern pair whose
+    resolution is validated on its admissible interval, which a grid,
+    when one is given, must lie inside, and counted on its canonical
+    blocks (see checked_resolution); a resolution without a parameter
+    ignores the grid.  Invalid twist data, a parameter that moves a net
+    count, a grid that leaves the interval or a Hilbert numerator that
+    is no surface's included, is refused first; then a Chern pair whose
     sectional genus is not an integer, then a surface degree or genus
     that differs from the pair's.  Each refusal names the case and
     raises CatalogError.  The

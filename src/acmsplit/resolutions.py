@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
-from math import comb
+from math import comb, inf
 from typing import NamedTuple
 
 from .combinatorics import Count, EulerNumber
@@ -265,50 +265,13 @@ class SurfaceInvariants(NamedTuple):
 
 
 class Violation(NamedTuple):
-    """One failed structural invariant, located at a parameter value or range."""
+    """One failed structural invariant."""
 
     invariant: str
-    param_value: int | range | None
     detail: str
 
     def __str__(self) -> str:
-        x = self.param_value
-        if isinstance(x, range):  # a one-point range prints as its point
-            step = "" if x.step == 1 else f" step {x.step}"
-            x = x[0] if x[0] == x[-1] else f"{x[0]}..{x[-1]}{step}"
-        where = "" if x is None else f" at x={x}"
-        return f"{self.invariant}{where}: {self.detail}"
-
-
-def _domain(res: GorensteinResolution) -> tuple[int | None, int | None]:
-    """The interval {x : every multiplicity >= 0} of a one-parameter record as (lo, hi).
-
-    lo > hi when it is empty; None marks an open end, where no
-    multiplicity bounds x.
-    """
-    lo = hi = None
-    for _, (const, coeff, _) in res.generators + res.syzygies:
-        if coeff > 0:
-            bound = -(const // coeff)  # ceil(-const / coeff)
-            if lo is None or bound > lo:
-                lo = bound
-        elif coeff < 0:
-            bound = const // -coeff
-            if hi is None or bound < hi:
-                hi = bound
-    return lo, hi
-
-
-def _negative_span(mult: AffineExpr, grid: range) -> range:
-    """The grid points, ascending, where mult < 0: a prefix or a suffix, as mult is affine."""
-    if grid.step < 0:
-        grid = grid[::-1]
-    value, slope = mult.evaluate(grid[0]), mult.coeff * grid.step
-    if slope > 0:  # negative for i < -value / slope
-        return grid[: max(0, -(value // slope))]
-    if slope < 0:  # negative for i > value / -slope
-        return grid[max(0, value // -slope + 1) :]
-    return grid if value < 0 else grid[:0]
+        return f"{self.invariant}: {self.detail}"
 
 
 def validate(res: GorensteinResolution, grid: range | None = None) -> list[Violation]:
@@ -319,29 +282,36 @@ def validate(res: GorensteinResolution, grid: range | None = None) -> list[Viola
     record is read as its Hilbert numerator P(z) = 1 - sum_t net(t) z^t
     - z^s, s the socle.  A parameter may only add cancelling pairs: the
     violation names each twist whose net count moves with it, since then
-    the Hilbert function of S does as well.  A negative multiplicity is
-    reported once per expression, with the grid points where it is
-    negative.  A record built directly with two parameters is one
-    violation.  Then P must be the numerator of a surface, a codimension
-    3 arithmetically Gorenstein one: h = P/(1 - z)^3 is a polynomial with
-    h_0 = 1 and no negative power, of length s - 2, symmetric, and with
-    positive sum, the surface degree.  That one test holds exactly when
-    the canonical record (see _walk) is balanced and self-dual with
-    generator twists in 1..s - 1, and describes a surface.  Returns every
-    violation found, in the order _walk checks them.
+    the Hilbert function of S does as well.  A family is valid on an
+    interval, the values of its parameter where every multiplicity is
+    >= 0, and a grid must lie inside it: one violation names a grid that
+    leaves it.  A negative constant is reported once per expression, and
+    a record built directly with two parameters is one violation.  Then
+    P must be the numerator of a surface, a codimension 3 arithmetically
+    Gorenstein one: h = P/(1 - z)^3 is a polynomial with h_0 = 1 and no
+    negative power, of length s - 2, symmetric, and with positive sum,
+    the surface degree.  That one test holds exactly when the canonical
+    record (see _walk) is balanced and self-dual with generator twists in
+    1..s - 1, and describes a surface.  Returns every violation found, in
+    the order _walk checks them.
     """
     return _walk(res, grid)[0]
 
 
 def _polynomial(coefficients: dict[int, int]) -> str:
-    """A Laurent polynomial in z from {power: coefficient}, ascending: '1 - 2z + 2z^3 - z^4'."""
-    text = ""
+    """A Laurent polynomial in z from {power: coefficient}, ascending: '1 - 2z + 2z^3 - z^4'.
+
+    Past 11 terms only the first and last five print, and a count of the others.
+    """
+    terms = []
     for power, c in sorted(coefficients.items()):
         monomial = "" if power == 0 else "z" if power == 1 else f"z^{power}"
         size = "" if abs(c) == 1 and monomial else str(abs(c))
-        sign = ("-" if c < 0 else "") if not text else (" - " if c < 0 else " + ")
-        text += sign + size + monomial
-    return text or "0"
+        sign = ("-" if c < 0 else "") if not terms else (" - " if c < 0 else " + ")
+        terms.append(sign + size + monomial)
+    if len(terms) > 11:
+        terms[5:-5] = [f" ... ({len(terms) - 10} more terms) ..."]
+    return "".join(terms) or "0"
 
 
 def _walk(
@@ -352,37 +322,41 @@ def _walk(
     The canonical blocks (generators, syzygies) hold each twist's net
     count: the positive ones as generators, the negated negative ones as
     syzygies.  They drop every generator/syzygy pair of one twist, which
-    moves no count (see _kmr), and with it the parameter.  The checks run
-    in this order, and each of 1, 3, 4 and 5 ends the walk when it fails:
+    moves no count (see _kmr), and with it the parameter.  One pass over
+    the record's entries builds P, each twist's slope and the admissible
+    interval lo <= x <= hi, where every multiplicity count + slope x is
+    >= 0, with an infinite end where no multiplicity bounds x.  The
+    checks run in this order, and each of 1, 3, 4 and 5 ends the walk
+    when it fails:
     1. two parameter names, read once from parameter();
     2. cancelling pairs: the slope of each twist's net count must vanish;
-    3. an empty grid or admissible interval;
-    4. negative multiplicities, once per expression: on a grid, the
-       points where it is negative; off one the admissible interval is
-       not empty, so only a constant can be negative there;
+    3. on a family, an empty grid, then an empty interval;
+    4. negative constants, once per expression, and on a family a grid
+       whose min or max leaves the interval: each multiplicity is affine
+       in x, so it is negative on the grid exactly when it is at an end;
     5. when 2 passed too, the Hilbert numerator P of the net counts, in
        this order: (1 - z)^3 divides P (its moments sum_e e^k P_e vanish
        for k = 0, 1, 2), h = P/(1 - z)^3 has h_0 = P_0 = 1 and no
        negative power, length s - 2, so deg P = s, and is symmetric,
        which is P_e = -P_(s-e), and its sum, the surface degree, is > 0.
-    Checks 2 and 4 read the record in one pass over its entries.  Step 5
-    reads only P's at most 2 MAX_PAIRS + 2 terms, never h, whose length
-    the socle sets.  Its binomial moments are h's Taylor coefficients at
-    z = 1: sum_j C(j, k) h_j = -sum_e C(e, k + 3) P_e, as P(z) = -(z -
-    1)^3 h(z).  The invariants read them off: degree sum_j h_j, genus
-    1 - sum_j (1 - j) h_j, and chi(O_S) = sum_j h_j (2 - j)(1 - j)/2.
+    A record without a parameter ignores the grid.  Step 5 reads only P's
+    at most 2 MAX_PAIRS + 2 terms, never h, whose length the socle sets.
+    Its binomial moments are h's Taylor coefficients at z = 1: sum_j C(j,
+    k) h_j = -sum_e C(e, k + 3) P_e, as P(z) = -(z - 1)^3 h(z).  The
+    invariants read them off: degree sum_j h_j, genus 1 - sum_j (1 - j)
+    h_j, and chi(O_S) = sum_j h_j (2 - j)(1 - j)/2.
     """
     try:
         name = res.parameter()
     except UnresolvedParameterError as exc:
-        return [Violation("unresolved-parameters", None, str(exc))], None
+        return [Violation("unresolved-parameters", str(exc))], None
 
     socle = res.socle_twist
     # P(z) = 1 - sum_t net(t) z^t - z^socle, as {power: coefficient}, from the constant parts
     numerator = {0: 1}
     numerator[socle] = numerator.get(socle, 0) - 1
     slopes: dict[int, int] = {}  # twist -> slope of its net count
-    on_grid = name is not None and bool(grid)  # an empty grid is refused below
+    lo, hi = -inf, inf  # the admissible interval
     negative = []
     for sign, label, vector in ((1, "gens", res.generators), (-1, "syz", res.syzygies)):
         for twist, mult in vector:
@@ -390,10 +364,13 @@ def _walk(
             numerator[twist] = numerator.get(twist, 0) - sign * count
             if slope:
                 slopes[twist] = slopes.get(twist, 0) + sign * slope
-            where = _negative_span(mult, grid) if on_grid else None
-            if where or (where is None and count < 0 and not slope):
+                if slope > 0:  # x >= ceil(-count / slope)
+                    lo = max(lo, -(count // slope))
+                else:  # x <= floor(count / -slope)
+                    hi = min(hi, count // -slope)
+            elif count < 0:
                 detail = f"{label} multiplicity {mult} of twist {twist} is negative"
-                negative.append(Violation("negative-multiplicity", where, detail))
+                negative.append(Violation("negative-multiplicity", detail))
     violations = []
     moving = ", ".join(str(t) for t in sorted(slopes) if slopes[t])
     if moving:
@@ -401,19 +378,21 @@ def _walk(
             f"{name} moves the net count of generators minus syzygies at twists {moving};"
             " a parameter may only add cancelling pairs"
         )
-        violations.append(Violation("cancelling-pairs", None, detail))
+        violations.append(Violation("cancelling-pairs", detail))
 
-    if name is not None and grid is not None:
-        if not grid:
-            return violations + [Violation("empty-grid", None, "parameter grid is empty")], None
-    elif name is not None:
-        lo, hi = _domain(res)
-        if lo is not None and hi is not None and lo > hi:
-            detail = (
-                f"no value of {name} makes every multiplicity >= 0"
-                f" ({lo} <= {name} <= {hi} is empty)"
-            )
-            return violations + [Violation("empty-domain", None, detail)], None
+    if name is not None:
+        if grid is not None and not grid:
+            return violations + [Violation("empty-grid", "parameter grid is empty")], None
+        low, high = (lo, hi) if grid is None else sorted((grid[0], grid[-1]))
+        if lo > hi or low < lo or high > hi:
+            interval = " <= ".join(str(end) for end in (lo, name, hi) if end not in (-inf, inf))
+            if lo > hi:
+                detail = f"no value of {name} makes every multiplicity >= 0 ({interval} is empty)"
+                return violations + [Violation("empty-domain", detail)], None
+            step = "" if grid.step == 1 else f" step {grid.step}"
+            where = f"x={low}" if low == high else f"grid {grid[0]}..{grid[-1]}{step}"
+            detail = f"{where} leaves {interval}, where every multiplicity is >= 0"
+            negative.append(Violation("negative-multiplicity", detail))
     if negative or violations:
         return violations + negative, None
 
@@ -446,7 +425,7 @@ def _walk(
             return [], ((gens, syz), surface)
         failed = f"h sums to {total}, not a positive surface degree"
     detail = f"{failed}, with h = P(z)/(1 - z)^3 and P(z) = {_polynomial(numerator)}"
-    return [Violation("hilbert-numerator", None, detail)], None
+    return [Violation("hilbert-numerator", detail)], None
 
 
 def checked_resolution(
@@ -456,7 +435,8 @@ def checked_resolution(
 
     This is the one path from raw twist data to counts: evaluate_case,
     the kmr and hilbert commands and the (res, x) wrappers take it.  One
-    walk over the record (see _walk) validates it and gives its canonical
+    walk over the record (see _walk) validates it on its admissible
+    interval, which a grid must lie inside, and gives its canonical
     blocks, which no admissible parameter value moves, and the invariants
     read off its Hilbert numerator.  Invalid twist data raises
     ResolutionValidationError naming every violation found.

@@ -330,65 +330,72 @@ def cancelling_pairs(name, twists):
         f"{name} moves the net count of generators minus syzygies at twists"
         f" {', '.join(map(str, twists))}; a parameter may only add cancelling pairs"
     )
-    return Violation("cancelling-pairs", None, detail)
+    return Violation("cancelling-pairs", detail)
+
+
+def grid_points(grid):
+    """The points of a grid that a plain walk visits.
+
+    Every point of a grid of at most 10,000 points.  Of a longer one, its
+    first and last 100 points and its points in WINDOW, where every drawn
+    family's multiplicities change sign.
+    """
+    if not grid[10_000:]:
+        return list(grid)
+    return [*grid[:100], *(x for x in WINDOW if x in grid), *grid[-100:]]
 
 
 def flat_validate(res, grid=None):
-    """validate() as a walk over walk_points, checking each point's record entries.
+    """validate() as a walk over points, checking each point's record entries.
 
     A parameter that moves the net count at some twist is reported once,
-    with those twists (moving_twists).  A negative multiplicity is
-    reported at every point and for every
-    expression where it is negative.  Off a grid the walk visits values
-    where every multiplicity with the parameter is >= 0, and a constant
-    one is negative at all of them or at none: a family reports each
-    negative constant once, at x=None, and walks no point.  When none of
-    these is found, the first walked point's Hilbert function is tested
-    (flat_numerator_test).  Twists are tallied entry by entry, never
-    expanded, so a count of 10**20 costs what a count of 1 does.
+    with those twists (moving_twists).  On a family, an empty grid and a
+    window without an admissible value (admissible_search) are one
+    violation each and end the walk.  Each negative constant is reported
+    once, naming no point.  On a family with a grid, the walk visits the
+    grid's points (grid_points) and reports one negative multiplicity,
+    naming no point, when an expression with the parameter is negative at
+    one of them.  When none of these is found, the Hilbert function is
+    tested at the first walked point (flat_numerator_test).  Twists are
+    tallied entry by entry, never expanded, so a count of 10**20 costs
+    what a count of 1 does.
     """
     try:
         name = res.parameter()
     except UnresolvedParameterError as exc:
-        return [Violation("unresolved-parameters", None, str(exc))]
+        return [Violation("unresolved-parameters", str(exc))]
     violations = []
     moving = moving_twists(res)
     if moving:
         violations.append(cancelling_pairs(name, moving))
-    points = walk_points(res, grid)
-    if not points:
-        tag = "empty-domain" if grid is None else "empty-grid"
-        return violations + [Violation(tag, None, "no point to walk")]
+    if name is not None:
+        if grid is not None and not grid:
+            return violations + [Violation("empty-grid", "no point to walk")]
+        if not admissible_search(res):
+            return violations + [Violation("empty-domain", "no point to walk")]
     entries = [
         (side, twist, mult)
         for side, vector in (("gens", res.generators), ("syz", res.syzygies))
         for twist, mult in vector
     ]
-    if grid is None and name is not None:
-        constants = [
-            Violation(
-                "negative-multiplicity",
-                None,
-                f"{side} multiplicity {mult} of twist {twist} is {mult.const}",
-            )
-            for side, twist, mult in entries
-            if mult.param is None and mult.const < 0
-        ]
-        if constants:
-            return violations + constants
     negative = [
         Violation(
             "negative-multiplicity",
-            x,
-            f"{side} multiplicity {mult} of twist {twist} is {mult.evaluate(x)} at x={x}",
+            f"{side} multiplicity {mult} of twist {twist} is {mult.const}",
         )
-        for x in points
         for side, twist, mult in entries
-        if mult.evaluate(x) < 0
+        if mult.param is None and mult.const < 0
     ]
+    if name is not None and grid is not None and any(
+        mult.evaluate(x) < 0
+        for x in grid_points(grid)
+        for _, _, mult in entries
+        if mult.param is not None
+    ):
+        negative.append(Violation("negative-multiplicity", "negative at a grid point"))
     if violations or negative:
         return violations + negative
-    return flat_numerator_test(res, points[0])
+    return flat_numerator_test(res, walk_points(res, grid)[0])
 
 
 def flat_numerator_test(res, x=None):
@@ -432,28 +439,28 @@ def flat_numerator_test(res, x=None):
         if degree > 0:
             return []
         failed = f"h sums to {degree}, not a positive surface degree"
-    return [Violation("hilbert-numerator", None, failed)]
+    return [Violation("hilbert-numerator", failed)]
 
 
 def located(violations):
-    """Each violation as (invariant, its points, detail), to compare a scan with a walk.
+    """Each violation as (invariant, part), to compare validate with a walk.
 
-    A negative multiplicity keeps only its expression: the scan names a
-    range of points once, the walk each point with its value.  A
-    Hilbert-numerator violation keeps only its failed part, not P(z), and
-    an empty grid or interval only its kind.
+    A negative constant keeps its expression, and a grid that leaves the
+    admissible interval only its kind: validate names the grid and the
+    interval, the walk neither.  A Hilbert-numerator violation keeps only
+    its failed part, not P(z), and an empty grid or interval only its
+    kind.
     """
     out = []
     for v in violations:
-        points = list(v.param_value) if isinstance(v.param_value, range) else [v.param_value]
-        detail = v.detail
+        part = v.detail
         if v.invariant == "negative-multiplicity":
-            detail = detail.split(" is ")[0]
+            part = part.split(" is ")[0] if " of twist " in part else ""
         elif v.invariant == "hilbert-numerator":
-            detail = detail.split(", with h = ")[0]
+            part = part.split(", with h = ")[0]
         elif v.invariant in ("empty-grid", "empty-domain"):
-            detail = ""
-        out.append((v.invariant, points, detail))
+            part = ""
+        out.append((v.invariant, part))
     return out
 
 

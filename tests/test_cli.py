@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acmsplit.cli import main, run
+from acmsplit.cli import build_parser, main, run
 from acmsplit.incidence import checked_resolution, generate_report
 from acmsplit.normal_bundle import kmr_h0_normal
 from acmsplit.resolutions import (
@@ -264,13 +264,12 @@ def test_readme_family_without_a_grid_is_certified_on_its_half_line(capsys):
 
 
 def test_a_negative_multiplicity_at_one_grid_point_names_the_point(capsys):
-    """b - 2 is negative at b = 1 alone on the grid 1..3: the range prints as x=1."""
-    code, out, err = invoke(capsys, "kmr", "--resolution", DEG11, "--grid", "1..3")
+    """b - 2 is negative at b = 1 alone: the one-point grid 1..1 prints as x=1."""
+    code, out, err = invoke(capsys, "kmr", "--resolution", DEG11, "--grid", "1..1")
     assert (code, out) == (2, "")
     assert err == (
-        "acmsplit: error: invalid resolution:"
-        " negative-multiplicity at x=1: gens multiplicity b - 2 of twist 3 is negative;"
-        " negative-multiplicity at x=1: syz multiplicity b - 2 of twist 4 is negative\n"
+        "acmsplit: error: invalid resolution: negative-multiplicity:"
+        " x=1 leaves 2 <= b, where every multiplicity is >= 0\n"
     )
 
 
@@ -376,14 +375,62 @@ def test_a_non_ascii_digit_exits_2(capsys, argv, err):
     assert invoke(capsys, *argv) == (2, "", err + "\n")
 
 
-def test_negative_multiplicities_are_reported_once_per_expression(capsys):
-    """Each of the four expressions is negative on a sub-range of the grid."""
+def test_negative_multiplicities_on_a_grid_are_reported_once(capsys):
+    """Four expressions are negative on part of the grid: one line names the grid and interval."""
     code, out, err = invoke(capsys, "kmr", "--resolution", DEG11_REVERSED, "--grid", "0..99999")
     assert (code, out) == (2, "")
-    assert err.count("negative-multiplicity") == 4
-    detail = "gens multiplicity -b + 2 of twist 3 is negative"
-    assert f"negative-multiplicity at x=3..99999: {detail}" in err
+    assert err == (
+        "acmsplit: error: invalid resolution: negative-multiplicity:"
+        " grid 0..99999 leaves b <= 2, where every multiplicity is >= 0\n"
+    )
+
+
+def test_a_long_hilbert_numerator_prints_its_ends_and_a_count(capsys):
+    """P with 258 terms prints its first and last five and how many it leaves out."""
+    res = json.dumps({
+        "gens": [[t, 1] for t in range(1, 128)],
+        "syz": [[1000 - t, 1] for t in range(2, 129)],
+        "socle": 1000,
+    })
+    code, out, err = invoke(capsys, "kmr", "--resolution", res)
+    assert (code, out) == (2, "")
+    assert err.endswith(
+        "P(z) = 1 - z - z^2 - z^3 - z^4 ... (246 more terms) ..."
+        " + z^995 + z^996 + z^997 + z^998 - z^1000\n"
+    )
     assert len(err.encode()) < 1024
+
+
+_TOO_BIG = "expected an integer of absolute value at most 1000000"
+
+
+@pytest.mark.parametrize(
+    "value", [str(10**6 + 1), str(-(10**6) - 1), "9" * 5000, "-" + "1" * 5000]
+)
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (["solve-c2", "--c1", "0"], "--degree"),
+        (["check-case", "--degree", "4", "--c2", "3"], "--c1"),
+        (["check-case", "--degree", "4", "--c1", "1"], "--c2"),
+        (["hilbert", "--resolution", OCTIC], "--twist"),
+    ],
+    ids=["degree", "c1", "c2", "twist"],
+)
+def test_an_integer_option_past_max_twist_exits_2_without_echoing_it(
+    capsys, command, option, value
+):
+    """Every integer option takes |n| <= MAX_TWIST, and its refusal names the option and limit."""
+    code, out, err = invoke(capsys, *command, f"{option}={value}")
+    assert (code, out) == (2, "")
+    assert err == f"acmsplit {command[0]}: error: argument {option}: {_TOO_BIG}\n"
+    assert len(err.encode()) < 200
+
+
+def test_an_integer_option_at_max_twist_is_read():
+    """Leading zeros count no digit: 0001000000 is MAX_TWIST itself."""
+    args = build_parser().parse_args(["solve-c2", "--degree", "0001000000", "--c1", "-1000000"])
+    assert (args.degree, args.c1) == (10**6, -(10**6))
 
 
 @pytest.mark.parametrize("command", [["kmr"], ["hilbert", "--twist", "2"]])

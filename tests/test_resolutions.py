@@ -28,6 +28,8 @@ from conftest import (
     EMPTY_DOMAIN,
     FALLING_DEGREE,
     NO_SURFACE,
+    WINDOW,
+    admissible_search,
     canonical_record,
     ci_resolution,
     flat_blocks,
@@ -36,6 +38,7 @@ from conftest import (
     flat_kmr_total,
     flat_surface_invariants,
     flat_validate,
+    grid_points,
     hi_pn,
     koszul_ideal_dim,
     located,
@@ -257,21 +260,23 @@ def test_self_duality_and_rank_violations():
 
 
 def test_negative_multiplicity_reported_per_expression():
+    """A negative constant is reported once per expression, a grid that leaves the interval once.
+
+    Each multiplicity is affine in the parameter, so it is negative somewhere on a grid
+    exactly when it is at the grid's min or max, whatever the grid's order and step.
+    """
     res = parse_resolution(
         {"gens": [[2, 3], [3, "b-2"], [4, "b"]], "syz": [[3, "b"], [4, "b-2"], [5, 3]], "socle": 7}
     )
+    leaves = "leaves 2 <= b, where every multiplicity is >= 0"
     assert [str(v) for v in validate(res, range(0, 100_000))] == [
-        f"negative-multiplicity at x=0..1: {side} multiplicity b - 2 of twist {twist} is negative"
-        for side, twist in (("gens", 3), ("syz", 4))
+        f"negative-multiplicity: grid 0..99999 {leaves}"
     ]
-    # on a descending grid with a step, the sub-ranges are ascending
     assert [str(v) for v in validate(res, range(9, -4, -2))] == [
-        "negative-multiplicity at x=-3..1 step 2: gens multiplicity b - 2 of twist 3 is negative",
-        "negative-multiplicity at x=-3..-1 step 2: gens multiplicity b of twist 4 is negative",
-        "negative-multiplicity at x=-3..-1 step 2: syz multiplicity b of twist 3 is negative",
-        "negative-multiplicity at x=-3..1 step 2: syz multiplicity b - 2 of twist 4 is negative",
+        f"negative-multiplicity: grid 9..-3 step -2 {leaves}"
     ]
-    assert validate(res, range(2, 6)) == []
+    assert [str(v) for v in validate(res, range(1, 2))] == [f"negative-multiplicity: x=1 {leaves}"]
+    assert validate(res, range(2, 6)) == validate(res, range(10**30, 1, -7)) == []
     assert validate(res) == []
     # a constant is negative at every point
     negative = parse_resolution({"gens": [[2, -1]], "syz": [[3, -1]], "socle": 5})
@@ -279,11 +284,15 @@ def test_negative_multiplicity_reported_per_expression():
         f"negative-multiplicity: {side} multiplicity -1 of twist {twist} is negative"
         for side, twist in (("gens", 2), ("syz", 3))
     ]
-    # one expression at one twist on both sides is named once per list
-    octic = parse_resolution({"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6})
-    assert [str(v) for v in validate(octic, range(-3, 1))] == [
-        f"negative-multiplicity at x=-3..-1: {side} multiplicity x of twist 3 is negative"
-        for side in ("gens", "syz")
+    # an interval bounded on both sides; a negative constant comes before the grid
+    bounded = parse_resolution({
+        "gens": [[2, 3], [3, "x"], [1, "5-x"], [6, -1]],
+        "syz": [[3, "x"], [4, 3], [1, "5-x"]],
+        "socle": 6,
+    })
+    assert [str(v) for v in validate(bounded, range(-1, 7))] == [
+        "negative-multiplicity: gens multiplicity -1 of twist 6 is negative",
+        "negative-multiplicity: grid -1..6 leaves 0 <= x <= 5, where every multiplicity is >= 0",
     ]
 
 
@@ -517,30 +526,12 @@ def certificate_families(draw):
     return res, grid[::-1] if draw(st.booleans()) else grid
 
 
-def _negative_points(violations):
-    """The points of each negative multiplicity, keyed by its expression."""
-    points = {}
-    for invariant, where, expression in located(violations):
-        if invariant == "negative-multiplicity":
-            points.setdefault(expression, []).extend(where)
-    return {expression: sorted(where) for expression, where in points.items()}
-
-
 def _raised(call):
     """The value of call(), or the type and message of what it raised."""
     try:
         return call()
     except Exception as exc:
         return type(exc), str(exc)
-
-
-def _same_violations(found, walked):
-    """validate's violations against the flat walk's: each kind and detail, and negative points."""
-    def others(violations):
-        return [v for v in located(violations) if v[0] != "negative-multiplicity"]
-
-    assert others(found) == others(walked)
-    assert _negative_points(found) == _negative_points(walked)
 
 
 def _one_point(x):
@@ -578,9 +569,10 @@ def test_certificate_agrees_with_the_full_walk(drawn):
     """validate and checked_resolution agree with a plain walk over every point.
 
     validate refuses exactly what flat_validate refuses, in its order and
-    words, Hilbert numerator included, and each negative multiplicity on
-    exactly the grid points where the walk finds it negative.  validate
-    names cancelling pairs exactly when the net count, generators minus
+    kinds, with its words where the walk has them (located): a grid that
+    leaves the admissible interval is refused exactly when the walk finds
+    a negative multiplicity at one of its points.  validate names
+    cancelling pairs exactly when the net count, generators minus
     syzygies, at some twist differs between two walked points; the walk
     reads one point past its first as well.  On a family it accepts,
     every walked point counts what checked_resolution's canonical blocks
@@ -588,7 +580,7 @@ def test_certificate_agrees_with_the_full_walk(drawn):
     """
     res, grid = drawn
     found = validate(res, grid)
-    _same_violations(found, flat_validate(res, grid))
+    assert located(found) == located(flat_validate(res, grid))
     walked = walk_points(res, grid)
     certified = _raised(lambda: checked_resolution(res, grid))
     if res.parameter() is not None and walked:
@@ -721,13 +713,13 @@ def test_the_inline_term_sum_equals_the_flat_h0_sum(drawn):
 @example((GorensteinResolution(((1, _count(3, -1)),), (), 2), 0))  # no generators at x = 3
 @example((GorensteinResolution((), ((10**30, _count(10**20, 0)),), -(10**30)), 0))
 def test_validate_off_a_grid_equals_the_flat_walk(drawn):
-    """validate(res) with no grid reports what the flat walk reports, in its order and words.
+    """validate(res) with no grid reports what the flat walk reports, in its order and kinds.
 
     The walk visits up to 40 admissible values of the window it searches,
     from the finite end, and reads the Hilbert function at the first.
     """
     res, _ = drawn
-    _same_violations(validate(res), flat_validate(res))
+    assert located(validate(res)) == located(flat_validate(res))
 
 
 @st.composite
@@ -835,6 +827,60 @@ def test_a_parametric_ghost_pair_is_accepted_on_any_grid_and_moves_no_count(draw
     for x in range(low, high + 1):
         if 1 <= t <= socle - 1 and self_dual_in_range(res, x):
             assert flat_kmr_total(ghosted, x) == flat_kmr_total(res, x)
+
+
+_GRID_ENDS = st.one_of(st.integers(-8, 8), st.sampled_from([-(10**30), 10**30]))
+
+
+@st.composite
+def grids(draw):
+    """A nonempty arithmetic progression from one drawn end towards the other.
+
+    Either order, step 1 to 3, one point when the ends agree, and ends up to +-10**30.
+    """
+    first, last = draw(_GRID_ENDS), draw(_GRID_ENDS)
+    step = draw(st.integers(1, 3)) * (1 if last >= first else -1)
+    return range(first, last + step, step)
+
+
+@settings(max_examples=400, deadline=None)
+@given(accepted_resolutions(), st.data())
+def test_a_grid_is_accepted_exactly_when_the_walk_finds_no_negative_multiplicity(drawn, data):
+    """On a one-parameter record that is valid off a grid, a grid decides acceptance alone.
+
+    The record is a surface plus one to three pairs of one twist with
+    count c + k x, c in -6..6 and k != 0, so its admissible interval may
+    be a half-line, bounded or empty.  validate accepts a grid exactly
+    when the flat walk over its points (grid_points) finds no negative
+    multiplicity, and then counts what it counts without one.  Else it
+    names an empty interval, or the grid and the interval, whose finite
+    ends admissible_search finds by trying each value of WINDOW.
+    """
+    res, _ = drawn
+    for _ in range(data.draw(st.integers(1, 3))):
+        t = data.draw(st.integers(-3, res.socle_twist + 3))
+        slope = data.draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        count = _count(data.draw(st.integers(-6, 6)), slope)
+        res = _with(res, ((t, count),), ((t, count),))
+    grid = data.draw(grids())
+    walked = grid_points(grid)
+    mults = [mult for _, mult in res.generators + res.syzygies]
+    found = [str(v) for v in validate(res, grid)]
+    assert (found == []) == all(mult.evaluate(x) >= 0 for x in walked for mult in mults)
+    admissible = admissible_search(res)
+    if not found:
+        assert checked_resolution(res, grid) == checked_resolution(res)
+    elif not admissible:
+        assert found[0].startswith("empty-domain: no value of x makes every multiplicity >= 0")
+    else:
+        lo = None if admissible[0] == WINDOW[0] else admissible[0]
+        hi = None if admissible[-1] == WINDOW[-1] else admissible[-1]
+        interval = " <= ".join(str(part) for part in (lo, "x", hi) if part is not None)
+        step = "" if grid.step == 1 else f" step {grid.step}"
+        where = f"x={grid[0]}" if len(walked) == 1 else f"grid {grid[0]}..{grid[-1]}{step}"
+        assert found == [
+            f"negative-multiplicity: {where} leaves {interval}, where every multiplicity is >= 0"
+        ]
 
 
 @settings(max_examples=300, deadline=None)
