@@ -36,6 +36,8 @@ from .proj_cohomology import AMBIENT_DIM, h0_pn
 from .resolutions import (
     MAX_TWIST,
     GorensteinResolution,
+    _read_int,
+    _short,
     checked_resolution,
     parse_resolution,
     term_sum,
@@ -59,7 +61,8 @@ def _parse_int(text: str) -> int:
     message that names no option; the digits are never echoed.
     """
     if _INT_RE.fullmatch(text) is None:
-        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, not {text!r}")
+        quoted = _short(repr(text))
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, not {quoted}")
     if len(text.lstrip("-").lstrip("0")) > len(str(MAX_TWIST)) or abs(int(text)) > MAX_TWIST:
         raise argparse.ArgumentTypeError(
             f"expected an integer of absolute value at most {MAX_TWIST}"
@@ -68,26 +71,26 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_grid(text: str) -> range:
+    """An inclusive grid LO..HI in ASCII digits; an end may exceed MAX_TWIST."""
     match = _GRID_RE.fullmatch(text)
     if match is None:
         raise argparse.ArgumentTypeError(
-            f"grid must look like LO..HI (for example 2..5), not {text!r}"
+            f"grid must look like LO..HI (for example 2..5), not {_short(repr(text))}"
         )
-    lo, hi = int(match.group(1)), int(match.group(2))
+    # argparse would echo the whole text on a ValueError, so the refusal is its own type
+    lo, hi = (_read_int(end, "the grid", argparse.ArgumentTypeError) for end in match.groups())
     if hi < lo:
-        raise argparse.ArgumentTypeError(f"grid {text!r} is empty")
+        raise argparse.ArgumentTypeError(f"grid {_short(repr(text))} is empty")
     return range(lo, hi + 1)
 
 
 def _load_resolution(source: str) -> GorensteinResolution:
     """Accept either inline JSON or a path to a JSON file."""
     text = source.strip()
-    if text.startswith("{"):
-        data = json.loads(text)
-    else:
+    if not text.startswith("{"):
         with open(source, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    return parse_resolution(data)
+            text = handle.read()
+    return parse_resolution(json.loads(text, parse_int=lambda d: _read_int(d, "--resolution")))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -153,17 +156,16 @@ def _cmd_check_case(args: argparse.Namespace) -> int:
 
 def _cmd_kmr(args: argparse.Namespace) -> int:
     res = _load_resolution(args.resolution)
-    blocks, _ = checked_resolution(res, args.grid)
-    value = _kmr(*blocks, res.socle_twist)
+    value = _kmr(checked_resolution(res, args.grid)[0], res.socle_twist)
     _emit(_scalar_text(args, {"h0_normal": value}, "h0_normal"), args.out)
     return 0
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> int:
     res = _load_resolution(args.resolution)
-    blocks, surface = checked_resolution(res, args.grid)
+    gens, surface = checked_resolution(res, args.grid)
     t = args.twist
-    ideal = term_sum(*blocks, res.socle_twist, t)
+    ideal = term_sum(gens, res.socle_twist, t)
     payload = {
         "twist": t,
         "h0_ideal": ideal,

@@ -28,6 +28,8 @@ from .proj_cohomology import moduli_dim
 from .resolutions import (
     GorensteinResolution,
     ResolutionValidationError,
+    _read_int,
+    _short,
     checked_resolution,
     h0_ideal,  # noqa: F401  (perfbench's tracer wraps the incidence.h0_ideal alias)
     parse_resolution,
@@ -123,7 +125,8 @@ def load_catalog(data: Mapping, expected_degree: int | None = None) -> list[Case
         raise CatalogError("catalog needs 'degree' and 'cases' keys")
     unknown = [key for key in data if key not in ("degree", "cases")]
     if unknown:
-        raise CatalogError(f"catalog has unknown keys {unknown}; it takes only degree and cases")
+        keys = _short(repr(unknown))
+        raise CatalogError(f"catalog has unknown keys {keys}; it takes only degree and cases")
     degree = data["degree"]
     if isinstance(degree, bool) or not isinstance(degree, int):
         raise CatalogError("catalog degree must be an integer")
@@ -146,7 +149,7 @@ def load_catalog(data: Mapping, expected_degree: int | None = None) -> list[Case
         unknown = [key for key in raw if key not in ("c1", "c2", "resolution", "provenance")]
         if unknown:
             raise CatalogError(
-                f"{label} has unknown keys {unknown};"
+                f"{label} has unknown keys {_short(repr(unknown))};"
                 " a case takes only c1, c2, resolution and provenance"
             )
         resolution = None
@@ -173,7 +176,9 @@ def load_catalog(data: Mapping, expected_degree: int | None = None) -> list[Case
 def load_catalog_file(path: str, expected_degree: int | None = None) -> list[CaseRecord]:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
+            data = json.load(
+                handle, parse_int=lambda d: _read_int(d, f"catalog {path}", CatalogError)
+            )
         except json.JSONDecodeError as exc:
             raise CatalogError(f"catalog {path} is not valid JSON: {exc}") from exc
     return load_catalog(data, expected_degree)
@@ -283,16 +288,16 @@ def evaluate_case(case: CaseRecord, grid: range | None = None) -> ReportRow:
 
     A degree the report refuses is refused with its message.  A
     resolution is validated on its admissible interval, which a grid,
-    when one is given, must lie inside, and counted on its canonical
+    when one is given, must lie inside, and counted on its generator
     blocks (see checked_resolution); a resolution without a parameter
     ignores the grid.  Invalid twist data, a parameter that moves a net
     count, a grid that leaves the interval or a Hilbert numerator that
     is no surface's included, is refused first; then a Chern pair whose
     sectional genus is not an integer, then a surface degree or genus
     that differs from the pair's.  Each refusal names the case and
-    raises CatalogError.  The
-    row's first note is the one of the cascade rule that decided it; a
-    catalog annotation for the case and that verdict follows.
+    raises CatalogError.  The row's first note is the one of the cascade
+    rule that decided it; a catalog annotation for the case and that
+    verdict follows.
     """
     r, c1, c2, res, _ = case
     _check_window(r, has_cases=True)
@@ -304,7 +309,7 @@ def evaluate_case(case: CaseRecord, grid: range | None = None) -> ReportRow:
     ideal = normal = bound = None
     if res is not None:
         try:
-            (gens, syz), surface = checked_resolution(res, grid)
+            gens, surface = checked_resolution(res, grid)
             if genus is None:
                 raise CatalogError(parity)
             if surface.degree != c2:
@@ -316,8 +321,8 @@ def evaluate_case(case: CaseRecord, grid: range | None = None) -> ReportRow:
                 )
         except (CatalogError, ResolutionValidationError) as exc:
             raise CatalogError(f"case {case.label}: {exc}") from exc
-        ideal = term_sum(gens, syz, res.socle_twist, r)
-        normal = _kmr(gens, syz, res.socle_twist)
+        ideal = term_sum(gens, res.socle_twist, r)
+        normal = _kmr(gens, res.socle_twist)
         bound = ideal - 1 + normal
     decided, note = _cascade(case, genus, ideal, normal, bound, moduli)
     annotations = _catalog.REPORT_ANNOTATIONS.get((r, c1, c2, decided._value_), ())

@@ -20,6 +20,7 @@ bundles on P^5 whose middle cohomology vanishes.
 from __future__ import annotations
 
 import re
+import sys
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from math import comb, inf
@@ -36,6 +37,21 @@ class ResolutionValidationError(ValueError):
     """A resolution failed a structural invariant."""
 
 
+def _short(text: str) -> str:
+    """Outside text as an error quotes it: past 48 characters, its first 40 and a count."""
+    return text if len(text) <= 48 else f"{text[:40]}... ({len(text) - 40} more characters)"
+
+
+def _read_int(digits: str, what: str, error: type[Exception] = ValueError) -> int:
+    """int(digits); past int()'s digit limit, an error naming what, not a Python call."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise error(
+            f"{what} holds an integer of more than {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 _TERM_RE = re.compile(
     r"""\s*(?:
         (?P<coeff>[+-]?\d+)\s*\*\s*(?P<pvar>[A-Za-z_]\w*)   # k*x
@@ -44,6 +60,8 @@ _TERM_RE = re.compile(
     )\s*""",
     re.VERBOSE | re.ASCII,  # \d would match every Unicode digit, and int() reads them all
 )
+#: Only whitespace is left: str.isspace's, as str.strip drops, not the ASCII \s of _TERM_RE.
+_BLANK_RE = re.compile(r"\s*\Z")
 
 
 class AffineExpr(namedtuple("AffineExpr", "const coeff param")):
@@ -85,45 +103,43 @@ class AffineExpr(namedtuple("AffineExpr", "const coeff param")):
 
 
 def parse_affine(text: str) -> AffineExpr:
-    """Parse expressions like '3', 'x', '-x', '2*b', 'b-2', '1+2*x'."""
-    const = 0
-    coeff = 0
+    """Parse expressions like '3', 'x', '-x', '2*b', 'b-2', '1+2*x'.
+
+    Each step reads one term from pos, so a long text costs linear time.
+    """
+    if not text:
+        raise ValueError("empty multiplicity expression")
+    quoted = _short(repr(text))
+    const = coeff = pos = 0
     param: str | None = None
-    pos = 0
-    first = True
     while pos < len(text):
-        if not first:
-            rest = text[pos:].lstrip()
-            if not rest:
+        if pos:  # after a term, which ends past its ASCII whitespace
+            if _BLANK_RE.match(text, pos):
                 break
-            if rest[0] not in "+-":
-                raise ValueError(f"cannot parse multiplicity {text!r}")
+            if text[pos] not in "+-":
+                raise ValueError(f"cannot parse multiplicity {quoted}")
         match = _TERM_RE.match(text, pos)
         if match is None or match.end() == pos:
-            raise ValueError(f"cannot parse multiplicity {text!r}")
-        if match.group("cdigits") is not None:
-            value = int(match.group("cdigits"))
-            const += -value if match.group("csign") == "-" else value
+            raise ValueError(f"cannot parse multiplicity {quoted}")
+        cdigits, factor = match.group("cdigits", "coeff")
+        number = _read_int(cdigits or factor or "1", f"multiplicity {quoted}")
+        if cdigits is not None:
+            const += -number if match.group("csign") == "-" else number
         else:
-            if match.group("pvar") is not None:
-                name = match.group("pvar")
-                k = int(match.group("coeff"))
+            if factor is not None:
+                name, k = match.group("pvar"), number
             else:
                 name = match.group("bvar")
                 k = -1 if match.group("svar") == "-" else 1
             if param is not None and name != param:
                 raise ValueError(
-                    f"multiplicity {text!r} mixes parameters {param!r} and {name!r}"
+                    f"multiplicity {quoted} mixes parameters"
+                    f" {_short(repr(param))} and {_short(repr(name))}"
                 )
             param = name
             coeff += k
         pos = match.end()
-        first = False
-    if first:
-        raise ValueError("empty multiplicity expression")
-    if coeff == 0:
-        param = None
-    return AffineExpr(const=const, coeff=coeff, param=param)
+    return AffineExpr(const=const, coeff=coeff, param=param)  # coeff 0 drops the name
 
 
 def parse_multiplicity(value: int | str) -> AffineExpr:
@@ -139,11 +155,11 @@ def parse_multiplicity(value: int | str) -> AffineExpr:
 #: Twist/multiplicity pairs; the multiset of twists after expansion.
 TwistVector = tuple[tuple[int, AffineExpr], ...]
 
-#: (twist, count) pairs, sorted by twist with counts > 0: a record's canonical blocks (see _walk).
+#: A validated record's generator blocks: (twist, count) by twist, counts > 0 (see _walk).
 Blocks = list[tuple[int, int]]
 
 #: The most [twist, mult] pairs parse_resolution takes in gens or in syz.  The KMR count
-#: pairs every generator block with every syzygy block, so its cost grows as its square.
+#: sums over pairs of generator blocks, so its cost grows as the square of their number.
 MAX_PAIRS = 128
 
 #: The largest |twist| and |socle| parse_resolution takes.  Binomials grow with a twist's
@@ -156,7 +172,8 @@ MAX_TWIST = 10**6
 def _check_twist(value: int, what: str) -> None:
     if abs(value) > MAX_TWIST:
         raise ResolutionValidationError(
-            f"{what} {value} has absolute value above {MAX_TWIST}, the limit a resolution takes"
+            f"{what} of {len(str(abs(value)))} digits has absolute value above {MAX_TWIST},"
+            " the limit a resolution takes"
         )
 
 
@@ -198,9 +215,10 @@ class GorensteinResolution(NamedTuple):
         names = {mult.param for _, mult in self.generators + self.syzygies}
         names.discard(None)
         if len(names) > 1:
+            listed = _short(", ".join(sorted(names)))
             raise UnresolvedParameterError(
-                f"resolution has parameters {', '.join(sorted(names))}; a record takes at most"
-                " one, so substitute the degree-balance relation for one of them"
+                f"resolution has parameters {listed}; a record takes at most one,"
+                " so substitute the degree-balance relation for one of them"
             )
         return names.pop() if names else None
 
@@ -237,7 +255,8 @@ def parse_resolution(data: Mapping) -> GorensteinResolution:
     unknown = [key for key in data if key not in ("gens", "syz", "socle")]
     if unknown:
         raise ResolutionValidationError(
-            f"resolution has unknown keys {unknown}; it takes only gens, syz and socle"
+            f"resolution has unknown keys {_short(repr(unknown))};"
+            " it takes only gens, syz and socle"
         )
     socle = data["socle"]
     if isinstance(socle, bool) or not isinstance(socle, int):
@@ -275,25 +294,22 @@ class Violation(NamedTuple):
 
 
 def validate(res: GorensteinResolution, grid: range | None = None) -> list[Violation]:
-    """Check that the record is a surface's resolution padded with cancelling pairs; never raises.
+    """Check that the record is a surface's resolution padded with cancelling pairs.
 
     Every count depends on the record only through its net counts
     net(t), generators minus syzygies of twist t (see _kmr), so the
     record is read as its Hilbert numerator P(z) = 1 - sum_t net(t) z^t
-    - z^s, s the socle.  A parameter may only add cancelling pairs: the
-    violation names each twist whose net count moves with it, since then
-    the Hilbert function of S does as well.  A family is valid on an
-    interval, the values of its parameter where every multiplicity is
-    >= 0, and a grid must lie inside it: one violation names a grid that
-    leaves it.  A negative constant is reported once per expression, and
-    a record built directly with two parameters is one violation.  Then
-    P must be the numerator of a surface, a codimension 3 arithmetically
-    Gorenstein one: h = P/(1 - z)^3 is a polynomial with h_0 = 1 and no
-    negative power, of length s - 2, symmetric, and with positive sum,
-    the surface degree.  That one test holds exactly when the canonical
-    record (see _walk) is balanced and self-dual with generator twists in
+    - z^s, s the socle.  A parameter may only add cancelling pairs: one
+    that moves a net count moves the Hilbert function of S.  A family is
+    valid on the interval of its parameter where every multiplicity is
+    >= 0, and a grid must lie inside it.  Then h = P/(1 - z)^3 must be a
+    codimension 3 Gorenstein surface's h-vector: a polynomial with h_0 = 1
+    and no negative power, of length s - 2, symmetric, of positive sum,
+    the surface degree.  That holds exactly when the canonical record
+    (see _walk) is balanced and self-dual with generator twists in
     1..s - 1, and describes a surface.  Returns every violation found, in
-    the order _walk checks them.
+    the order _walk checks them; a grid that is not a range raises
+    TypeError.
     """
     return _walk(res, grid)[0]
 
@@ -316,18 +332,20 @@ def _polynomial(coefficients: dict[int, int]) -> str:
 
 def _walk(
     res: GorensteinResolution, grid: range | None = None
-) -> tuple[list[Violation], tuple[tuple[Blocks, Blocks], SurfaceInvariants] | None]:
-    """validate's checks, and the canonical blocks and the invariants of a record that passes.
+) -> tuple[list[Violation], tuple[Blocks, SurfaceInvariants] | None]:
+    """validate's checks, and the generator blocks and the invariants of a record that passes.
 
-    The canonical blocks (generators, syzygies) hold each twist's net
-    count: the positive ones as generators, the negated negative ones as
-    syzygies.  They drop every generator/syzygy pair of one twist, which
-    moves no count (see _kmr), and with it the parameter.  One pass over
-    the record's entries builds P, each twist's slope and the admissible
-    interval lo <= x <= hi, where every multiplicity count + slope x is
-    >= 0, with an infinite end where no multiplicity bounds x.  The
-    checks run in this order, and each of 1, 3, 4 and 5 ends the walk
-    when it fails:
+    The canonical record holds each twist's net count, the positive ones
+    as generators and the negated negative ones as syzygies: it drops
+    every pair of one twist, which moves no count (see _kmr), and with it
+    the parameter.  A record that passes is self-dual, so the walk returns
+    its generator blocks (n, c), 1 <= n <= s - 1, alone: the syzygy blocks
+    are their duals (s - n, c).  A grid that is not a range raises
+    TypeError.  One pass over the record's entries builds P, each twist's
+    slope and the admissible interval lo <= x <= hi, where every
+    multiplicity count + slope x is >= 0, with an infinite end where no
+    multiplicity bounds x.  The checks run in this order, and each of 1,
+    3, 4 and 5 ends the walk when it fails:
     1. two parameter names, read once from parameter();
     2. cancelling pairs: the slope of each twist's net count must vanish;
     3. on a family, an empty grid, then an empty interval;
@@ -346,10 +364,13 @@ def _walk(
     invariants read them off: degree sum_j h_j, genus 1 - sum_j (1 - j)
     h_j, and chi(O_S) = sum_j h_j (2 - j)(1 - j)/2.
     """
+    if grid is not None and not isinstance(grid, range):
+        raise TypeError(f"a parameter grid is a range, not {type(grid).__name__}")
     try:
         name = res.parameter()
     except UnresolvedParameterError as exc:
         return [Violation("unresolved-parameters", str(exc))], None
+    shown = name and _short(name)  # the name as messages print it
 
     socle = res.socle_twist
     # P(z) = 1 - sum_t net(t) z^t - z^socle, as {power: coefficient}, from the constant parts
@@ -375,7 +396,7 @@ def _walk(
     moving = ", ".join(str(t) for t in sorted(slopes) if slopes[t])
     if moving:
         detail = (
-            f"{name} moves the net count of generators minus syzygies at twists {moving};"
+            f"{shown} moves the net count of generators minus syzygies at twists {moving};"
             " a parameter may only add cancelling pairs"
         )
         violations.append(Violation("cancelling-pairs", detail))
@@ -385,9 +406,9 @@ def _walk(
             return violations + [Violation("empty-grid", "parameter grid is empty")], None
         low, high = (lo, hi) if grid is None else sorted((grid[0], grid[-1]))
         if lo > hi or low < lo or high > hi:
-            interval = " <= ".join(str(end) for end in (lo, name, hi) if end not in (-inf, inf))
+            interval = " <= ".join(str(end) for end in (lo, shown, hi) if end not in (-inf, inf))
             if lo > hi:
-                detail = f"no value of {name} makes every multiplicity >= 0 ({interval} is empty)"
+                detail = f"no value of {shown} makes every multiplicity >= 0 ({interval} is empty)"
                 return violations + [Violation("empty-domain", detail)], None
             step = "" if grid.step == 1 else f" step {grid.step}"
             where = f"x={low}" if low == high else f"grid {grid[0]}..{grid[-1]}{step}"
@@ -418,11 +439,9 @@ def _walk(
             first -= c * comb(e, 4)
             second -= c * comb(e, 5)
         if total > 0:  # net(t) = -P_t strictly between the powers 0 and socle
-            terms = sorted(numerator.items())[1:-1]
-            gens = [(t, -c) for t, c in terms if c < 0]
-            syz = [(t, c) for t, c in terms if c > 0]
+            gens = [(t, -c) for t, c in sorted(numerator.items())[1:-1] if c < 0]
             surface = SurfaceInvariants(total, 1 - total + first, total - first + second)
-            return [], ((gens, syz), surface)
+            return [], (gens, surface)
         failed = f"h sums to {total}, not a positive surface degree"
     detail = f"{failed}, with h = P(z)/(1 - z)^3 and P(z) = {_polynomial(numerator)}"
     return [Violation("hilbert-numerator", detail)], None
@@ -430,15 +449,14 @@ def _walk(
 
 def checked_resolution(
     res: GorensteinResolution, grid: range | None = None
-) -> tuple[tuple[Blocks, Blocks], SurfaceInvariants]:
-    """Validate a resolution and read its surface type: ((gens, syz), invariants).
+) -> tuple[Blocks, SurfaceInvariants]:
+    """Validate a resolution and read its surface type: (gens, invariants).
 
-    This is the one path from raw twist data to counts: evaluate_case,
-    the kmr and hilbert commands and the (res, x) wrappers take it.  One
-    walk over the record (see _walk) validates it on its admissible
-    interval, which a grid must lie inside, and gives its canonical
-    blocks, which no admissible parameter value moves, and the invariants
-    read off its Hilbert numerator.  Invalid twist data raises
+    The one path from raw twist data to counts (evaluate_case, kmr,
+    hilbert and the (res, x) wrappers): one walk (see _walk) validates the
+    record on its admissible interval, which a grid must lie inside, and
+    gives its generator blocks, which no admissible value moves, and the
+    invariants read off its Hilbert numerator.  Invalid twist data raises
     ResolutionValidationError naming every violation found.
     """
     problems, case = _walk(res, grid)
@@ -454,21 +472,19 @@ def _at(x: int | None) -> range | None:
     return None if x is None else range(x, x + 1)
 
 
-def term_sum(gens: Blocks, syz: Blocks, socle: int, t: int) -> Count:
+def term_sum(gens: Blocks, socle: int, t: int) -> Count:
     """sum_i h^0(O(t - n_i)) - sum_j h^0(O(t - m_j)) + h^0(O(t - socle)) over P^5.
 
-    The alternating sum over the resolution of I_S, taken block by
-    block: a block of count c contributes c times its term.  Each term
-    h^0(O_P5(k)) is comb(k + 5, 5) if k >= 0 else 0, binom_trunc's
-    convention, written inline.
+    The alternating sum over the resolution of I_S, on a validated record's
+    generator blocks (see _walk): a block (n, c) adds c h^0(O(t - n)), its
+    dual syzygy block -c h^0(O(t - socle + n)), with h^0(O(k)) = C(k + 5, 5)+.
     """
     total = comb(t - socle + 5, 5) if t >= socle else 0
     for n, c in gens:
         if t >= n:
             total += c * comb(t - n + 5, 5)
-    for m, c in syz:
-        if t >= m:
-            total -= c * comb(t - m + 5, 5)
+        if t >= socle - n:
+            total -= c * comb(t - socle + n + 5, 5)
     return total
 
 
@@ -478,7 +494,7 @@ def h0_ideal(res: GorensteinResolution, t: int, x: int | None = None) -> Count:
     Exactness holds because h^1 and h^2 of line bundles on P^5 vanish,
     so both kernel corrections in the section-count chase are zero.
     """
-    return term_sum(*checked_resolution(res, _at(x))[0], res.socle_twist, t)
+    return term_sum(checked_resolution(res, _at(x))[0], res.socle_twist, t)
 
 
 def surface_invariants(res: GorensteinResolution, x: int | None = None) -> SurfaceInvariants:

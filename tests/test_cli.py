@@ -433,6 +433,101 @@ def test_an_integer_option_at_max_twist_is_read():
     assert (args.degree, args.c1) == (10**6, -(10**6))
 
 
+#: Past int()'s digit limit, 4,300 by default: int() refuses it in words that name sys.
+NINES = "9" * 5000
+PAST_THE_LIMIT = f"holds an integer of more than {sys.get_int_max_str_digits()} digits"
+
+
+def test_a_grid_end_past_the_digit_limit_exits_2_without_echoing_it(capsys):
+    """A grid end may exceed MAX_TWIST, as README's 10**30 does, but not int()'s digit limit."""
+    assert invoke(capsys, "kmr", "--resolution", OCTIC, "--grid", f"0..{10**30}") == (0, "54\n", "")
+    for grid in (f"0..{NINES}", f"-{NINES}..0"):
+        code, out, err = invoke(capsys, "kmr", "--resolution", OCTIC, f"--grid={grid}")
+        assert (code, out) == (2, "")
+        assert err == f"acmsplit kmr: error: argument --grid: the grid {PAST_THE_LIMIT}\n"
+        assert len(err.encode()) < 200
+
+
+def test_an_integer_past_the_digit_limit_is_refused_naming_its_input(capsys, tmp_path):
+    """A JSON integer or a multiplicity's digits past int()'s limit: the error names the input.
+
+    Python's own message names sys.set_int_max_str_digits(), which a command-line user
+    has no use for.
+    """
+    socle = f'{{"gens": [], "syz": [], "socle": {NINES}}}'
+    path = tmp_path / "res.json"
+    path.write_text(socle, encoding="utf-8")
+    catalog = tmp_path / "cat.json"
+    catalog.write_text(f'{{"degree": 5, "cases": [{{"c1": 1, "c2": {NINES}}}]}}', encoding="utf-8")
+    count = json.dumps({"gens": [[2, f"{NINES}*x"]], "syz": [], "socle": 6})
+    cases = [
+        (["kmr", "--resolution", socle], f"--resolution {PAST_THE_LIMIT}"),
+        (["hilbert", "--twist", "1", "--resolution", str(path)], f"--resolution {PAST_THE_LIMIT}"),
+        (["report", "--degree", "5", "--catalog", str(catalog)],
+         f"catalog {catalog} {PAST_THE_LIMIT}"),
+        (["kmr", "--resolution", count],
+         f"gens: multiplicity '{'9' * 39}... (4964 more characters) {PAST_THE_LIMIT}"),
+    ]
+    for argv, message in cases:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (2, "", f"acmsplit: error: {message}\n")
+        assert len(err.encode()) < 200 and "set_int_max_str_digits" not in err
+
+
+def test_a_twist_past_max_twist_is_named_by_its_digit_count(capsys):
+    """The socle 10**1000 is refused in one short line that counts its 1,001 digits."""
+    socle = json.dumps({"gens": [[1, 2], [10**1000 - 2, 1]], "syz": [], "socle": 10**1000})
+    code, out, err = invoke(capsys, "kmr", "--resolution", socle)
+    assert (code, out) == (2, "")
+    assert err == f"acmsplit: error: {_limit_message('socle', 10**1000)}\n"
+    assert "1001 digits" in err and len(err.encode()) < 200
+
+
+_LONG = "a" * 5000
+
+
+def _record(gens, syz, socle):
+    return json.dumps({"gens": gens, "syz": syz, "socle": socle})
+
+
+#: How an error quotes _LONG: its first 40 characters of repr and a count of the rest.
+_LONG_QUOTED = f"'{'a' * 39}... (4962 more characters)"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hilbert", "--resolution", OCTIC, "--twist", _LONG],
+         "acmsplit hilbert: error: argument --twist: expected an integer in ASCII digits,"
+         f" not {_LONG_QUOTED}"),
+        (["kmr", "--resolution", OCTIC, "--grid", _LONG], f"{_NOT_A_GRID}, not {_LONG_QUOTED}"),
+        (["kmr", "--resolution", json.dumps({"gens": [], "syz": [], "socle": 6, _LONG: 1})],
+         f"acmsplit: error: resolution has unknown keys ['{'a' * 38}... (4964 more characters);"
+         " it takes only gens, syz and socle"),
+        (["kmr", "--resolution", _record([[2, _LONG], [3, "x"]], [], 6)],
+         f"acmsplit: error: resolution has parameters {'a' * 40}... (4963 more characters);"
+         " a record takes at most one, so substitute the degree-balance relation for one of them"),
+        (["kmr", "--resolution", _octic_count(f"2*x {_LONG}")],
+         f"acmsplit: error: gens: cannot parse multiplicity '2*x {'a' * 35}..."
+         " (4966 more characters)"),
+        (["kmr", "--resolution", _octic_count(f"2*x+{_LONG}")],
+         f"acmsplit: error: gens: multiplicity '2*x+{'a' * 35}... (4966 more characters)"
+         f" mixes parameters 'x' and {_LONG_QUOTED}"),
+        (["kmr", "--resolution", _record([[2, _LONG]], [[3, _LONG]], 5)],
+         f"acmsplit: error: invalid resolution: cancelling-pairs: {'a' * 40}..."
+         " (4960 more characters) moves the net count of generators minus syzygies at twists"
+         " 2, 3; a parameter may only add cancelling pairs"),
+    ],
+    ids=["twist", "grid", "unknown-key", "two-parameters", "multiplicity", "mixed-names",
+         "parameter-name"],
+)
+def test_outside_text_is_quoted_short(capsys, argv, message):
+    """An option, a key, a multiplicity or a parameter name of 5,000 characters prints cut."""
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (2, "", message + "\n")
+    assert len(err.encode()) < 1024
+
+
 @pytest.mark.parametrize("command", [["kmr"], ["hilbert", "--twist", "2"]])
 def test_degenerate_resolution_is_refused(capsys, command):
     assert invoke(capsys, *command, "--resolution", DEGENERATE) == (2, "", NO_SURFACE_ERROR)
@@ -686,7 +781,11 @@ def test_a_catalog_case_past_max_pairs_is_refused_by_name(tmp_path, capsys):
 
 
 def _limit_message(what, value):
-    return f"{what} {value} has absolute value above {MAX_TWIST}, the limit a resolution takes"
+    """The refusal of a twist past MAX_TWIST: its digit count, not its digits."""
+    return (
+        f"{what} of {len(str(abs(value)))} digits has absolute value above {MAX_TWIST},"
+        " the limit a resolution takes"
+    )
 
 
 @pytest.mark.parametrize("command", [["kmr"], ["hilbert", "--twist", "4"]])

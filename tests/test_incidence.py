@@ -509,6 +509,13 @@ def test_load_catalog_shape_errors():
         CatalogError, match=r"^case #0 \(c1=1, c2=3\): resolution has unknown keys \['grid'\]"
     ):
         load_catalog({"degree": 4, "cases": [{"c1": 1, "c2": 3, "resolution": resolution}]})
+    # a key of 5,000 characters is quoted by its first 40 and a count of the rest
+    long = "k" * 5000
+    cut = re.escape(f"['{'k' * 38}... (4964 more characters);")
+    with pytest.raises(CatalogError, match=rf"^catalog has unknown keys {cut} it takes"):
+        load_catalog({"degree": 4, "cases": [], long: 1})
+    with pytest.raises(CatalogError, match=rf"^case #0 \(c1=1, c2=3\) has unknown keys {cut} a"):
+        load_catalog({"degree": 4, "cases": [{"c1": 1, "c2": 3, long: 1}]})
 
 
 def test_report_rejects_foreign_degree_cases():
@@ -628,7 +635,7 @@ def test_checked_resolution_refuses_a_degree_falling_on_a_half_line():
     # a family of one surface type, the K3 octic, returns its canonical blocks, without the
     # cubic pairs x counts, and that type
     octic = parse_resolution({"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6})
-    octic_case = (([(2, 3)], [(4, 3)]), SurfaceInvariants(8, 5, 2))
+    octic_case = ([(2, 3)], SurfaceInvariants(8, 5, 2))
     assert checked_resolution(octic, range(0, 10)) == octic_case
     assert checked_resolution(octic, range(9, -1, -1)) == checked_resolution(octic, range(0, 10))
 

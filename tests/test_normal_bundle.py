@@ -1,13 +1,13 @@
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from acmsplit.catalog import QUADRIC_RESOLUTION
 from acmsplit.combinatorics import binom_poly, binom_trunc
 from acmsplit.incidence import checked_resolution
-from acmsplit.normal_bundle import ConventionViolation, _block_pairs, _kmr, kmr_h0_normal
+from acmsplit.normal_bundle import ConventionViolation, _kmr, kmr_h0_normal
 from acmsplit.proj_cohomology import h0_pn
 from acmsplit.resolutions import (
     AffineExpr,
@@ -16,6 +16,7 @@ from acmsplit.resolutions import (
     h0_ideal,
     parse_resolution,
     surface_invariants,
+    term_sum,
     validate,
 )
 from conftest import (
@@ -25,6 +26,7 @@ from conftest import (
     flat_blocks,
     flat_chi_structure_poly,
     flat_h0_ideal,
+    flat_h0_structure,
     flat_kmr_total,
     flat_validate,
     kmr_min_pair_argument,
@@ -78,9 +80,9 @@ def test_constant_resolutions(shape, expected):
 
 
 def kmr_counted(res, grid):
-    """h^0(N_S) as the kmr command counts it: the canonical blocks, once validated."""
-    blocks, _ = checked_resolution(res, grid)
-    return _kmr(*blocks, res.socle_twist)
+    """h^0(N_S) as the kmr command counts it: the generator blocks, once validated."""
+    gens, _ = checked_resolution(res, grid)
+    return _kmr(gens, res.socle_twist)
 
 
 def test_octic_family_scan():
@@ -145,12 +147,20 @@ def test_a_kmr_count_equal_at_both_ends_of_its_grid_is_still_refused():
         kmr_counted(res, range(0, 5))
 
 
+#: A record validate accepts whose KMR sum is -7: h = (1, -3, 3, 3, -3, 1), socle 8, is
+#: symmetric with sum 2 but describes no surface, so the count exposes the convention.
+NEGATIVE_KMR = {"gens": [[1, 6], [3, 16], [6, 15]], "syz": [[2, 15], [5, 16], [7, 6]], "socle": 8}
+
+
 def test_negative_total_refused():
-    # a single degree-5 generator: the formula goes below zero on its blocks, which
-    # validation refuses first, as P = 1 - z^5 + z^6 - z^11 has P'(1) = -10
+    res = parse_resolution(NEGATIVE_KMR)
+    assert validate(res) == [] and flat_kmr_total(res) == -7
+    for count in (lambda: kmr_h0_normal(res), lambda: kmr_counted(res, None)):
+        with pytest.raises(ConventionViolation, match=r"^h\^0\(N_S\) computed as -7 < 0$"):
+            count()
+    # a single degree-5 generator: validation refuses it before any count, as
+    # P = 1 - z^5 + z^6 - z^11 has P'(1) = -10
     res = parse_resolution({"gens": [[5, 1]], "syz": [[6, 1]], "socle": 11})
-    with pytest.raises(ConventionViolation):
-        _kmr([(5, 1)], [(6, 1)], 11)
     with pytest.raises(ResolutionValidationError, match=re.escape("h is not a polynomial")):
         kmr_h0_normal(res)
 
@@ -321,29 +331,19 @@ def block_resolutions(draw):
 @settings(max_examples=150, deadline=None)
 @given(block_resolutions())
 def test_blockwise_counts_match_the_flat_reference(drawn):
-    """_kmr on a point's blocks is the flat positional sum, whatever the blocks.
+    """_kmr on a validated record's generator blocks is the flat KMR sum of its canonical record.
 
     On a one-point grid validate reports what the flat walk reports
-    there.  Where it accepts, the (res, x) wrappers count what the flat
-    oracles count on the record, and the KMR sum of its canonical record;
-    elsewhere they refuse it.
+    there.  Where it refuses, so do the (res, x) wrappers, which covers
+    every draw that is not self-dual.  Where it accepts, _kmr and the
+    wrappers count what the flat oracles count: the KMR sum on the
+    canonical record (pairs of one twist cancelled), the ideal and Euler
+    sums on the record's own entries.
     """
     res, x = drawn
     for point in range(0, 6):
         grid = range(point, point + 1)
         assert located(validate(res, grid)) == located(flat_validate(res, grid))
-    try:
-        expected = flat_kmr_total(res, x)
-    except ResolutionValidationError as exc:
-        with pytest.raises(ResolutionValidationError, match=re.escape(str(exc))):
-            flat_blocks(res, x)
-        return
-    blocks = flat_blocks(res, x)
-    if expected < 0:
-        with pytest.raises(ConventionViolation, match=f"computed as {expected} < 0"):
-            _kmr(*blocks, res.socle_twist)
-    else:
-        assert _kmr(*blocks, res.socle_twist) == expected
     grid = range(x, x + 1)
     if validate(res, grid):
         for count in (kmr_h0_normal, h0_ideal, surface_invariants):
@@ -351,11 +351,18 @@ def test_blockwise_counts_match_the_flat_reference(drawn):
             with pytest.raises(ResolutionValidationError):
                 count(*args)
         return
-    invariants = surface_invariants(res, x)
+    gens, invariants = checked_resolution(res, grid)
+    expected = flat_kmr_total(canonical_record(res, x))
+    if expected < 0:
+        for count in (lambda: _kmr(gens, res.socle_twist), lambda: kmr_h0_normal(res, x)):
+            with pytest.raises(ConventionViolation, match=f"computed as {expected} < 0$"):
+                count()
+    else:
+        assert _kmr(gens, res.socle_twist) == kmr_h0_normal(res, x) == expected
+    assert invariants == surface_invariants(res, x)
     for t in range(-2, 10):
         assert h0_ideal(res, t, x) == flat_h0_ideal(res, t, x)
         assert invariants.chi(t) == flat_chi_structure_poly(res, t, x)
-    assert kmr_h0_normal(res, x) == flat_kmr_total(canonical_record(res, x))
 
 
 def _pairs_before(a, b):
@@ -365,28 +372,95 @@ def _pairs_before(a, b):
     return a * (a - 1) // 2 + (b - a) * a
 
 
-_END = st.one_of(st.integers(0, 12), st.integers(0, 10**20))
+def positional_kmr_total(res, x):
+    """flat_kmr_total on the record's own entries at x, its positions counted, not enumerated.
 
-
-@settings(max_examples=500, deadline=None)
-@given(st.tuples(_END, _END, _END, _END))
-@example((0, 10**20, 0, 10**20))
-@example((10**20 - 1, 10**20, 0, 10**20))
-@example((5, 5, 0, 9))
-def test_block_pair_count_is_the_inclusion_exclusion(ends):
-    """_block_pairs(i0, i1, j0, j1) is the four-term inclusion-exclusion over prefix counts.
-
-    Ends reach 10**20; on small intervals both equal the count of pairs enumerated one by one.
+    Generators ascending at positions i, syzygies descending at positions
+    j, as in the module docstring's sum over i < j.  The pairs i < j
+    between a run of generators [i0, i1) and a run of syzygies [j0, j1)
+    are the four-term inclusion-exclusion over _pairs_before, so a count
+    of 10**20 costs what a count of 1 does.
     """
-    (i0, i1), (j0, j1) = sorted(ends[:2]), sorted(ends[2:])
-    oracle = (
-        _pairs_before(i1, j1) - _pairs_before(i0, j1)
-        - _pairs_before(i1, j0) + _pairs_before(i0, j0)
-    )
-    assert _block_pairs(i0, i1, j0, j1) == oracle
-    if i1 - i0 <= 12 and j1 - j0 <= 12:
-        pairs = sum(i < j for i in range(i0, i1) for j in range(j0, j1))
-        assert oracle == pairs
+    gens, syz = flat_blocks(res, x)
+    total = sum(c * (flat_h0_structure(res, n, x) - binom_trunc(n + 5, 5)) for n, c in gens)
+    i0 = 0
+    for n, c in gens:
+        i1, j0 = i0 + c, 0
+        for m, c_syz in reversed(syz):
+            j1 = j0 + c_syz
+            pairs = (
+                _pairs_before(i1, j1) - _pairs_before(i0, j1)
+                - _pairs_before(i1, j0) + _pairs_before(i0, j0)
+            )
+            total += pairs * (binom_trunc(m - n + 5, 5) - binom_trunc(n - m + 5, 5))
+            j0 = j1
+        i0 = i1
+    return total
+
+
+_H_ENTRY = st.integers(-3, 6) | st.integers(0, 10**20)
+
+
+@st.composite
+def validated_records(draw):
+    """A record validate accepts at x, with counts up to 10**20, and x.
+
+    It is drawn from its h-vector: symmetric, of length s - 2, with h_0 = 1
+    and its other entries in -3..10**20, of positive sum.  P = h (1 - z)^3
+    gives -P_t generators of twist t where P_t < 0 and P_t syzygies where
+    P_t > 0, 0 < t < s, and up to two ghost pairs {t, s - t}, 1 <= t <= s - 1,
+    add a count up to 10**20, constant or c + k (y - x) in a parameter y.
+    h may have negative entries, so some draws have a negative KMR total.
+    """
+    socle = draw(st.integers(3, 12))
+    half = [1] + [draw(_H_ENTRY) for _ in range((socle - 3) // 2)]
+    h = half + half[::-1][(socle - 2) % 2 :]
+    assume(sum(h) > 0)
+    numerator = [0] * (socle + 1)
+    for j, hj in enumerate(h):
+        for k, step in enumerate((1, -3, 3, -1)):
+            numerator[j + k] += hj * step
+    gens = [(t, AffineExpr(-c)) for t, c in enumerate(numerator[1:-1], start=1) if c < 0]
+    syz = [(t, AffineExpr(c)) for t, c in enumerate(numerator[1:-1], start=1) if c > 0]
+    x = draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 2))):
+        t, count = draw(st.integers(1, socle - 1)), draw(st.integers(0, 10**20))
+        slope = draw(st.sampled_from([0, 1, -1]))
+        mult = AffineExpr(count - slope * x, slope, "y")
+        gens += [(t, mult), (socle - t, mult)]
+        syz += [(socle - t, mult), (t, mult)]
+    syz = draw(st.permutations(syz))
+    return GorensteinResolution(tuple(gens), tuple(syz), socle), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(validated_records())
+@example((parse_resolution(NEGATIVE_KMR), 0))
+def test_the_generator_pair_kernels_equal_the_flat_positional_formulas(drawn):
+    """term_sum and _kmr on the generator blocks equal the flat formulas over the record.
+
+    The record at x, ghost pairs included, is summed entry by entry:
+    h^0(I_S(t)) for t = -2..s + 2, and the positional KMR sum, whose pairs
+    of positions are counted in closed form, and on records of rank up to
+    40 enumerated one by one too.  A negative KMR total raises
+    ConventionViolation with that number.
+    """
+    res, x = drawn
+    grid = range(x, x + 1)
+    assert validate(res, grid) == []
+    gens, _ = checked_resolution(res, grid)
+    socle = res.socle_twist
+    for t in range(-2, socle + 3):
+        assert term_sum(gens, socle, t) == flat_h0_ideal(res, t, x)
+    expected = positional_kmr_total(res, x)
+    if sum(mult.evaluate(x) for _, mult in res.generators) <= 40:
+        assert flat_kmr_total(res, x) == expected
+    if expected < 0:
+        message = f"h^0(N_S) computed as {expected} < 0"
+        with pytest.raises(ConventionViolation, match="^" + re.escape(message) + "$"):
+            _kmr(gens, socle)
+    else:
+        assert _kmr(gens, socle) == expected
 
 
 # ------------------------------------- known families on the cubic fourfold

@@ -32,7 +32,6 @@ from conftest import (
     admissible_search,
     canonical_record,
     ci_resolution,
-    flat_blocks,
     flat_chi_structure_poly,
     flat_h0_ideal,
     flat_kmr_total,
@@ -144,7 +143,7 @@ def test_blocks_merge_sort_and_drop_empty_twists():
                   (3, AffineExpr(const=1))),
         socle_twist=6,
     )
-    assert checked_resolution(messy)[0] == ([(2, 3)], [(4, 3)])
+    assert checked_resolution(messy)[0] == [(2, 3)]
     assert messy.expand(1) == ([2, 2, 2, 3, 3], [3, 3, 4, 4, 4])
     res = GorensteinResolution(
         generators=((3, parse_affine("x")), (2, AffineExpr(const=2)), (3, AffineExpr(const=1)),
@@ -160,12 +159,12 @@ def test_blocks_merge_sort_and_drop_empty_twists():
         res.expand()
 
 
-#: The degree-8 surface's canonical blocks and invariants: x counts cubic pairs it drops.
-OCTIC_CASE = (([(2, 3)], [(4, 3)]), SurfaceInvariants(8, 5, 2))
+#: The degree-8 surface's generator blocks and invariants: x counts cubic pairs it drops.
+OCTIC_CASE = ([(2, 3)], SurfaceInvariants(8, 5, 2))
 
 
 def test_a_family_is_checked_and_counted_at_one_point():
-    """_walk returns the net counts as blocks, the same on every grid and off one.
+    """_walk returns the positive net counts as generator blocks, the same on every grid.
 
     Each twist's generators and syzygies cancel down to its net count, so
     the blocks keep no parameter and stand for every point, whatever the
@@ -190,7 +189,7 @@ def test_a_family_is_checked_and_counted_at_one_point():
         "socle": 6,
     })
     assert _walk(both) == ([], OCTIC_CASE)  # 0 <= x <= 5
-    quadric_case = (([(1, 2)], [(3, 2)]), SurfaceInvariants(2, 0, 1))
+    quadric_case = ([(1, 2)], SurfaceInvariants(2, 0, 1))
     assert _walk(quadric(), range(10**12)) == ([], quadric_case)
 
 
@@ -301,7 +300,24 @@ def test_unresolved_and_empty_grid():
     family = parse_resolution(
         {"gens": [[2, 3], [3, "x"]], "syz": [[3, "x"], [4, 3]], "socle": 6}
     )
-    assert [v.invariant for v in validate(family, [])] == ["empty-grid"]
+    assert [v.invariant for v in validate(family, range(5, 5))] == ["empty-grid"]
+
+
+def test_a_grid_that_is_not_a_range_is_refused_by_its_type():
+    """A grid is read by its two ends and its step, so only a range is one.
+
+    On the degree-11 family, admissible for b >= 2, the list [5, 0, 9] passes b = 0
+    between its ends and [0, 5] leaves the interval at its first; both raise TypeError
+    naming the list, as does a tuple on a record without a parameter.
+    """
+    deg11 = parse_resolution(
+        {"gens": [[2, 3], [3, "b-2"], [4, "b"]], "syz": [[3, "b"], [4, "b-2"], [5, 3]], "socle": 7}
+    )
+    for res, grid in ((deg11, [5, 0, 9]), (deg11, [0, 5]), (quadric(), (0, 1))):
+        kind = type(grid).__name__
+        for call in (validate, checked_resolution):
+            with pytest.raises(TypeError, match=f"^a parameter grid is a range, not {kind}$"):
+                call(res, grid)
 
 
 # ---------------------------------------------------------- section counts
@@ -546,16 +562,16 @@ def _assert_counts(res, x, case):
     (canonical_record), and where the record is self-dual in range on the
     record itself too (the lemma in _kmr).
     """
-    (gens, syz), invariants = case
+    gens, invariants = case
     socle = res.socle_twist
     assert invariants == flat_surface_invariants(res, x)
-    assert [term_sum(gens, syz, socle, t) for t in range(-2, socle + 3)] == [
+    assert [term_sum(gens, socle, t) for t in range(-2, socle + 3)] == [
         flat_h0_ideal(res, t, x) for t in range(-2, socle + 3)
     ]
     kmr = flat_kmr_total(canonical_record(res, x))
     if self_dual_in_range(res, x):
         assert flat_kmr_total(res, x) == kmr
-    assert _raised(lambda: _kmr(gens, syz, socle)) == (
+    assert _raised(lambda: _kmr(gens, socle)) == (
         kmr if kmr >= 0 else (ConventionViolation, f"h^0(N_S) computed as {kmr} < 0")
     )
 
@@ -685,19 +701,21 @@ def test_the_closed_form_kernel_equals_the_finite_differences(drawn):
 @example((_HUGE_CI, 0))
 @example((GorensteinResolution(((1, _count(10**20, -1)),), (), 2), 1))
 def test_the_inline_term_sum_equals_the_flat_h0_sum(drawn):
-    """term_sum on a point's blocks is the flat entry-by-entry sum of h0_pn terms.
+    """term_sum on the checked generator blocks is the flat entry-by-entry sum of h0_pn terms.
 
-    Where a count is negative, building the blocks and the flat sum raise
-    the same error.  h0_ideal counts the same where validate accepts the
-    record at x, and refuses it elsewhere.
+    Where validate accepts the record at x, term_sum and h0_ideal count
+    what the flat sum over the record's own entries counts, whatever its
+    ghost pairs; elsewhere h0_ideal refuses it.
     """
     res, x = drawn
     accepted = not flat_validate(res, _one_point(x))
+    gens = checked_resolution(res, _one_point(x))[0] if accepted else None
     for t in (*range(-3, 13), -(10**30), 10**30):
-        flat = _raised(lambda: flat_h0_ideal(res, t, x))
-        assert _raised(lambda: term_sum(*flat_blocks(res, x), res.socle_twist, t)) == flat
         package = _raised(lambda: h0_ideal(res, t, x))
-        assert package == flat if accepted else package[0] is ResolutionValidationError
+        if accepted:
+            assert term_sum(gens, res.socle_twist, t) == package == flat_h0_ideal(res, t, x)
+        else:
+            assert package[0] is ResolutionValidationError
 
 
 @settings(max_examples=400, deadline=None)
@@ -792,11 +810,11 @@ def test_pairs_of_one_twist_are_accepted_on_any_grid_and_move_no_count(drawn, da
     start = data.draw(st.integers(low, high))
     stop = data.draw(st.integers(start, high)) + 1
     grid = data.draw(st.sampled_from([None, range(start, stop)]))
-    (gens, syz), invariants = after = checked_resolution(padded, grid)
+    gens, invariants = after = checked_resolution(padded, grid)
     assert after == before
-    assert _kmr(gens, syz, socle) == _kmr(*before[0], socle)
+    assert _kmr(gens, socle) == _kmr(before[0], socle)
     for t in range(-2, socle + 3):
-        assert term_sum(gens, syz, socle, t) == term_sum(*before[0], socle, t)
+        assert term_sum(gens, socle, t) == term_sum(before[0], socle, t)
     for x in range(start, stop):
         _assert_counts(padded, x, after)
 
